@@ -19,8 +19,9 @@ from .flows import (EnergyCategory, Interval, MessageCatalog, Plane,
                     ProcedureFlow, SignalingMessage, build_flow, build_tau_flow,
                     connected_inactivity_s, flow_timeline, idle_active_timer_s,
                     load_message_catalog)
-from .energy import (EnergyBreakdown, average_power_w, battery_lifetime_years,
-                     cycle_energy, psm_baseline_lifetime_years)
+from .energy import (CycleProfile, EnergyBreakdown, average_power_w,
+                     battery_lifetime_years, cycle_energy, cycle_profile,
+                     lifetime_years, psm_baseline_lifetime_years)
 from .capacity import (CapacityReport, ChannelBudget, capacity_gain_pct,
                        cell_capacity, default_budgets, flow_channel_usage)
 

@@ -9,6 +9,7 @@ deterministic: fixed column order, fixed 6-decimal precision, no timestamps.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -39,6 +40,8 @@ class SweepSpec:
             raise ConfigurationError("sweep needs at least one value")
         if self.axis == "iat":
             numeric = tuple(float(v) for v in self.values)
+            if not all(map(math.isfinite, numeric)):
+                raise ConfigurationError("iat sweep values must be finite")
             if any(b <= a for a, b in zip(numeric, numeric[1:])):
                 raise ConfigurationError("iat sweep values must be strictly increasing")
 
@@ -79,18 +82,31 @@ def _baseline_row(base: Scenario) -> tuple:
 
 
 def run_lifetime_sweep(spec: SweepSpec) -> Table:
-    """One row per sweep point plus the deep-sleep-only baseline row."""
+    """One row per sweep point plus the deep-sleep-only baseline row.
+
+    The points of an IAT sweep differ only in the IAT, so they share one
+    cycle profile; other axes, and IAT sweeps whose base scenario is invalid,
+    evaluate every point on its own.
+    """
     rows = [_baseline_row(spec.fixed)]
+    profile = None
+    if spec.axis == "iat":
+        try:
+            profile = energy.cycle_profile(spec.fixed)
+        except ConfigurationError:
+            pass                    # each row reports its own error
     for s in spec.scenarios():
         ident = (s.procedure.value, s.traffic_case.value, s.coverage.name, s.iat_s)
         try:
-            validate_scenario(s)
-            breakdown = energy.cycle_energy(s)
-            years = energy.battery_lifetime_years(s)
+            if profile is None:
+                breakdown = energy.cycle_energy(s)
+            else:
+                validate_scenario(s)
+                breakdown = profile.breakdown(s.iat_s)
         except ConfigurationError as exc:
             rows.append(ident + (0.0, 0.0, 0.0, 0.0, 0.0, str(exc)))
             continue
-        rows.append(ident + (years,
+        rows.append(ident + (energy.lifetime_years(breakdown, s),
                              breakdown.share("ra_sync"),
                              breakdown.share("post_ra_messages"),
                              breakdown.share("drx"),
@@ -160,10 +176,11 @@ def _parse_sweep(text: str) -> tuple[str, tuple]:
         raise ConfigurationError("expected --sweep axis=v1,v2,...")
     parts = tuple(v for v in values.split(",") if v)
     if axis == "iat":
-        parsed = tuple(float(v) for v in parts)
-        if any(b <= a for a, b in zip(parsed, parsed[1:])):
-            raise ConfigurationError("iat sweep values must be strictly increasing")
-        return axis, parsed
+        try:
+            return axis, tuple(float(v) for v in parts)
+        except ValueError:
+            raise ConfigurationError(
+                f"iat sweep values must be numbers, got {values!r}") from None
     return axis, parts
 
 

@@ -8,6 +8,7 @@ scenario file format.  Every other module consumes only these types.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 # Rel-13 bounds on the power-saving timers
@@ -312,10 +313,10 @@ class Scenario:
 
     def violations(self) -> list[str]:
         out = []
-        if self.iat_s <= 0:
-            out.append(f"iat_s={self.iat_s}: must be > 0")
-        if self.battery_wh <= 0:
-            out.append(f"battery_wh={self.battery_wh}: must be > 0")
+        if not math.isfinite(self.iat_s) or self.iat_s <= 0:
+            out.append(f"iat_s={self.iat_s}: must be finite and > 0")
+        if not math.isfinite(self.battery_wh) or self.battery_wh <= 0:
+            out.append(f"battery_wh={self.battery_wh}: must be finite and > 0")
         if self.sync_base_ms < 0:
             out.append(f"sync_base_ms={self.sync_base_ms}: must be >= 0")
         if self.ra_attempt_cap < 1:

@@ -1,9 +1,15 @@
 """Energy integration, long-run average power, and battery lifetime.
 
-Integrates the cycle timeline against the state powers.  One cycle spans one
-inter-arrival period including its share of periodic tracking-area updates:
-uplink cases amortize one TAU per TAU period, downlink cases carry the TAU
-inside the flow (the TAU is what makes the UE reachable).
+One cycle spans one inter-arrival period including its share of periodic
+tracking-area updates: uplink cases amortize one TAU per TAU period, downlink
+cases carry the TAU inside the flow (the TAU is what makes the UE reachable).
+
+Only the deep-sleep fill and the amortized TAU fraction depend on the
+inter-arrival time (IAT).  `cycle_profile` integrates the active timeline (and
+the standalone TAU) against the state powers once; `CycleProfile.breakdown`
+then gives the cycle energy at any IAT in closed form, filling the rest of the
+period with deep sleep on the same integer-microsecond grid as the timeline.
+An IAT sweep therefore builds its timelines once, not once per point.
 """
 
 from __future__ import annotations
@@ -11,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import flows
-from .config import HOURS_PER_YEAR, Reachability, Scenario, validate_scenario
+from .config import (HOURS_PER_YEAR, ConfigurationError, Reachability, Scenario,
+                     validate_scenario)
 from .flows import EnergyCategory, Interval
 
 
@@ -53,49 +60,82 @@ def integrate_timeline(timeline: list[Interval]) -> dict[EnergyCategory, float]:
     return out
 
 
-def _amortized_tau(s: Scenario) -> tuple[dict[EnergyCategory, float], float]:
-    """Per-cycle share of the standalone periodic TAU (uplink cases only)."""
-    zero = {cat: 0.0 for cat in EnergyCategory}
-    if s.traffic_case.mobile_terminated:
-        return zero, 0.0            # TAU rides inside the downlink flows
-    if s.mt_reachability is not Reachability.PSM_TAU:
-        return zero, 0.0            # paging reachability: no periodic TAU modeled
-    fraction = s.iat_s / s.timers.psm_tau_period_s
-    tau_flow = flows.build_tau_flow(s)
-    timeline = flows.flow_timeline(tau_flow, s, fill_psm_to_iat=False)
-    cats = integrate_timeline(timeline)
-    scaled = {cat: value * fraction for cat, value in cats.items()}
-    active_s = flows.active_duration_s(timeline) * fraction
-    return scaled, active_s
+@dataclass(frozen=True)
+class CycleProfile:
+    """The part of a traffic cycle that does not depend on the IAT.
+
+    Holds the per-category energy of the active timeline (everything before
+    deep sleep), its length, and for uplink PSM_TAU scenarios the energy and
+    active time of one standalone periodic TAU.
+    """
+
+    active_mj: dict[EnergyCategory, float]
+    active_us: int
+    deep_sleep_mw: float
+    tau_period_s: float
+    tau_mj: dict[EnergyCategory, float] | None = None
+    tau_active_s: float = 0.0
+
+    def breakdown(self, iat_s: float) -> EnergyBreakdown:
+        """Energy of one inter-arrival period of iat_s seconds, split by category.
+
+        The amortized TAU is a separate wake-up event: its idle-DRX window is
+        charged to the wake-up (ra_sync) category, so the idle-DRX field always
+        reflects the cycle's own reachability window, which is zero whenever
+        release assistance applies.
+        """
+        iat_us = int(round(iat_s * flows.US_PER_S))
+        if iat_us < self.active_us:
+            raise ConfigurationError(
+                f"iat_s={iat_s}: shorter than the "
+                f"{self.active_us / flows.US_PER_S} s active cycle")
+        cats = dict(self.active_mj)
+        # deep sleep fills the period after the active timeline
+        cats[EnergyCategory.PSM] += self.deep_sleep_mw * (iat_us - self.active_us) * 1e-6
+        if self.tau_mj is not None:
+            fraction = iat_s / self.tau_period_s
+            for cat in EnergyCategory:
+                target = EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat
+                cats[target] += self.tau_mj[cat] * fraction
+            # The amortized TAU's active time is spent awake, not in deep sleep.
+            cats[EnergyCategory.PSM] = max(
+                0.0, cats[EnergyCategory.PSM]
+                - self.tau_active_s * fraction * self.deep_sleep_mw)
+        return EnergyBreakdown(
+            ra_sync_mj=cats[EnergyCategory.RA_SYNC],
+            post_ra_messages_mj=cats[EnergyCategory.MESSAGES],
+            connected_drx_mj=cats[EnergyCategory.CONNECTED_DRX],
+            idle_drx_mj=cats[EnergyCategory.IDLE_DRX],
+            psm_mj=cats[EnergyCategory.PSM],
+        )
+
+
+def cycle_profile(s: Scenario) -> CycleProfile:
+    """Active-cycle profile of a scenario, valid for any inter-arrival time."""
+    validate_scenario(s)
+    timeline = flows.flow_timeline(flows.build_flow(s), s, fill_psm_to_iat=False)
+    tau_mj, tau_active_s = None, 0.0
+    # Downlink flows carry their TAU inside the flow, and paging reachability
+    # models no periodic TAU; only uplink PSM_TAU cycles amortize one.
+    if (not s.traffic_case.mobile_terminated
+            and s.mt_reachability is Reachability.PSM_TAU):
+        tau_timeline = flows.flow_timeline(flows.build_tau_flow(s), s,
+                                           fill_psm_to_iat=False)
+        tau_mj = integrate_timeline(tau_timeline)
+        tau_active_s = flows.active_duration_s(tau_timeline)
+    return CycleProfile(
+        active_mj=integrate_timeline(timeline),
+        active_us=timeline[-1].end_us if timeline else 0,
+        deep_sleep_mw=s.power.deep_sleep_mw,
+        tau_period_s=s.timers.psm_tau_period_s,
+        tau_mj=tau_mj,
+        tau_active_s=tau_active_s,
+    )
 
 
 def cycle_energy(s: Scenario) -> EnergyBreakdown:
-    """Energy of one inter-arrival period, split by category.
-
-    The amortized TAU is a separate wake-up event: its idle-DRX window is
-    charged to the wake-up (ra_sync) category, so the idle-DRX field always
-    reflects the cycle's own reachability window, which is zero whenever
-    release assistance applies.
-    """
-    validate_scenario(s)
-    timeline = flows.flow_timeline(flows.build_flow(s), s)
-    cats = integrate_timeline(timeline)
-    tau_cats, tau_active_s = _amortized_tau(s)
-    for cat in EnergyCategory:
-        if cat is EnergyCategory.IDLE_DRX:
-            cats[EnergyCategory.RA_SYNC] += tau_cats[cat]
-        else:
-            cats[cat] += tau_cats[cat]
-    # The amortized TAU's active time is spent awake, not in deep sleep.
-    cats[EnergyCategory.PSM] = max(
-        0.0, cats[EnergyCategory.PSM] - tau_active_s * s.power.deep_sleep_mw)
-    return EnergyBreakdown(
-        ra_sync_mj=cats[EnergyCategory.RA_SYNC],
-        post_ra_messages_mj=cats[EnergyCategory.MESSAGES],
-        connected_drx_mj=cats[EnergyCategory.CONNECTED_DRX],
-        idle_drx_mj=cats[EnergyCategory.IDLE_DRX],
-        psm_mj=cats[EnergyCategory.PSM],
-    )
+    """Energy of one inter-arrival period, split by category."""
+    return cycle_profile(s).breakdown(s.iat_s)
 
 
 def average_power_w(s: Scenario) -> float:
@@ -103,9 +143,15 @@ def average_power_w(s: Scenario) -> float:
     return cycle_energy(s).total_mj / 1000.0 / s.iat_s
 
 
+def lifetime_years(b: EnergyBreakdown, s: Scenario) -> float:
+    """Battery lifetime in years of scenario s, whose cycle energy is b."""
+    power_w = b.total_mj / 1000.0 / s.iat_s
+    return s.battery_wh / power_w / HOURS_PER_YEAR
+
+
 def battery_lifetime_years(s: Scenario) -> float:
     """Battery lifetime in years at the scenario's long-run average power."""
-    return s.battery_wh / average_power_w(s) / HOURS_PER_YEAR
+    return lifetime_years(cycle_energy(s), s)
 
 
 def psm_baseline_lifetime_years(s: Scenario) -> float:

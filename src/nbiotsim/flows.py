@@ -320,12 +320,6 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
     return tb.intervals
 
 
-def timeline_duration_s(timeline: list[Interval]) -> float:
-    if not timeline:
-        return 0.0
-    return timeline[-1].end_us / US_PER_S
-
-
 def active_duration_s(timeline: list[Interval]) -> float:
     """Cycle time spent outside deep sleep."""
     return sum(iv.duration_us for iv in timeline

@@ -133,6 +133,24 @@ def test_cli_bad_sweep_exit_code(capsys):
     assert main(["lifetime", "--sweep", "iat=7200,3600"]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv", [["--iat", "nan"], ["--iat", "inf"],
+                                  ["--sweep", "iat=abc"], ["--sweep", "iat=3600,nan"]])
+def test_cli_bad_iat_is_one_error_line(argv, capsys):
+    assert main(["lifetime"] + argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: iat sweep values")
+
+
+def test_cli_iat_shorter_than_active_cycle_is_row_error(capsys):
+    # UP keeps a ~14 s idle-DRX window after the exchange, so 10 s is too short
+    rc = main(["lifetime", "--procedure", "UP", "--sweep", "iat=10,3600"])
+    assert rc == EXIT_VALIDATION
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    assert "shorter than" in rows[0][-1] and rows[1][-1] == ""
+
+
 def test_cli_unwritable_out_exit_code(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")

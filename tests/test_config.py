@@ -74,6 +74,15 @@ def test_zero_iat_rejected():
         validate_scenario(Scenario(iat_s=0.0))
 
 
+@pytest.mark.parametrize("field", ["iat_s", "battery_wh"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_values_rejected(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        validate_scenario(replace(Scenario(), **{field: value}))
+    with pytest.raises(ConfigurationError, match=field):
+        parse_scenario(f"{'iat' if field == 'iat_s' else field}={value}")
+
+
 def test_power_ordering_enforced():
     bad = PowerProfile(deep_sleep_mw=5.0, inactive_mw=3.0)
     with pytest.raises(ConfigurationError, match="deep_sleep"):

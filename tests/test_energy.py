@@ -4,11 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from dataclasses import replace
 
-from nbiotsim import (PowerProfile, Scenario, average_power_w,
-                      battery_lifetime_years, build_flow, build_tau_flow,
-                      cycle_energy, flow_timeline, psm_baseline_lifetime_years)
-from nbiotsim.config import HOURS_PER_YEAR, UeState
-from nbiotsim.energy import integrate_timeline, interval_energy_mj
+from nbiotsim import (ConfigurationError, EnergyBreakdown, PowerProfile, Scenario,
+                      average_power_w, battery_lifetime_years, build_flow,
+                      build_tau_flow, cycle_energy, flow_timeline,
+                      psm_baseline_lifetime_years)
+from nbiotsim import flows
+from nbiotsim.cli import SweepSpec, run_lifetime_sweep
+from nbiotsim.config import (COVERAGE_NAMES, HOURS_PER_YEAR, Procedure, Reachability,
+                             TrafficCase, UeState)
+from nbiotsim.energy import (cycle_profile, integrate_timeline, interval_energy_mj,
+                             lifetime_years)
 from nbiotsim.flows import EnergyCategory, Interval, active_duration_s
 from tests.conftest import binned_energy_mj, make_scenario
 
@@ -118,6 +123,77 @@ def test_amortized_tau_assembly():
     expected_total = (sum(main.values()) + frac * sum(tau.values())
                       - active_duration_s(tau_tl) * frac * s.power.deep_sleep_mw)
     assert cycle_energy(s).total_mj == pytest.approx(expected_total, rel=1e-12)
+
+
+def assembled_breakdown(s):
+    """Cycle energy assembled interval by interval from the IAT-filled timeline,
+    plus the amortized TAU on uplink PSM_TAU cycles, in the model's order:
+    scale the TAU integral, charge its idle DRX to ra_sync, then take its
+    active time out of deep sleep."""
+    cats = integrate_timeline(flow_timeline(build_flow(s), s))
+    if (not s.traffic_case.mobile_terminated
+            and s.mt_reachability is Reachability.PSM_TAU):
+        tau_tl = flow_timeline(build_tau_flow(s), s, fill_psm_to_iat=False)
+        frac = s.iat_s / s.timers.psm_tau_period_s
+        for cat, value in integrate_timeline(tau_tl).items():
+            target = EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat
+            cats[target] += value * frac
+        cats[EnergyCategory.PSM] = max(
+            0.0, cats[EnergyCategory.PSM]
+            - active_duration_s(tau_tl) * frac * s.power.deep_sleep_mw)
+    return EnergyBreakdown(
+        ra_sync_mj=cats[EnergyCategory.RA_SYNC],
+        post_ra_messages_mj=cats[EnergyCategory.MESSAGES],
+        connected_drx_mj=cats[EnergyCategory.CONNECTED_DRX],
+        idle_drx_mj=cats[EnergyCategory.IDLE_DRX],
+        psm_mj=cats[EnergyCategory.PSM])
+
+
+@pytest.mark.parametrize("reach", list(Reachability))
+@pytest.mark.parametrize("cov", COVERAGE_NAMES)
+@pytest.mark.parametrize("case", [c.value for c in TrafficCase])
+@pytest.mark.parametrize("proc", [p.value for p in Procedure])
+def test_profile_breakdown_equals_assembled_timeline(proc, case, cov, reach):
+    # one profile serves every IAT, bit for bit
+    base = make_scenario(proc, case, cov, mt_reachability=reach)
+    profile = cycle_profile(base)
+    for iat_s in (3600.0, 86400.0, 12345.6789):
+        s = replace(base, iat_s=iat_s)
+        got, want = profile.breakdown(iat_s), assembled_breakdown(s)
+        for field in ("ra_sync_mj", "post_ra_messages_mj", "connected_drx_mj",
+                      "idle_drx_mj", "psm_mj"):
+            assert getattr(got, field) == getattr(want, field), (iat_s, field)
+        assert cycle_energy(s) == got
+        assert lifetime_years(got, s) == (
+            s.battery_wh / (want.total_mj / 1000.0 / iat_s) / HOURS_PER_YEAR)
+
+
+def test_iat_sweep_builds_timelines_once(monkeypatch):
+    calls = []
+    real = flows.flow_timeline
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "flow_timeline", counted)
+    spec = SweepSpec("iat", tuple(h * 3600.0 for h in range(1, 25)),
+                     make_scenario("UP", "UL"))
+    table = run_lifetime_sweep(spec)
+    assert len(table.rows) == 1 + 24 and all(row[-1] == "" for row in table.rows)
+    assert len(calls) <= 2     # the cycle's timeline and the standalone TAU
+
+
+def test_iat_shorter_than_active_cycle_rejected():
+    # SR/DL_ACK at Extreme coverage has the longest active cycle of the grid
+    s = make_scenario("SR", "DL_ACK", "Extreme")
+    profile = cycle_profile(s)
+    assert 52.0 < profile.active_us / 1e6 < 52.5
+    assert profile.breakdown(profile.active_us / 1e6).psm_mj == 0.0
+    with pytest.raises(ConfigurationError, match="active cycle"):
+        profile.breakdown((profile.active_us - 1) / 1e6)
+    with pytest.raises(ConfigurationError, match="iat_s=30.0"):
+        cycle_energy(replace(s, iat_s=30.0))
 
 
 def test_dl_cycles_have_no_amortized_tau():

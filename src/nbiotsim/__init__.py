@@ -12,17 +12,15 @@ from .config import (ConfigurationError, CoverageProfile, Modulation, PowerProfi
                      format_scenario, parse_scenario, parse_scenario_file,
                      validate_scenario)
 from .phy import (Airtime, ChannelKind, LinkDirection, message_airtime,
-                  npdcch_period_ms, nprach_tx_power_dbm, npusch_tx_power_dbm,
-                  schedule_gap_ms, tbs_bits, tx_power_consumption_mw)
-from .ra import RaOutcome, detection_probability, expected_attempts, ra_cost
-from .flows import (EnergyCategory, Interval, MessageCatalog, Plane,
-                    ProcedureFlow, SignalingMessage, build_flow, build_tau_flow,
-                    connected_inactivity_s, flow_timeline, idle_active_timer_s,
-                    load_message_catalog)
+                  nprach_tx_power_dbm, npusch_tx_power_dbm, schedule_gap_ms,
+                  tbs_bits, tx_power_consumption_mw)
+from .ra import detection_probability, expected_attempts
+from .flows import (EnergyCategory, Interval, Plane, ProcedureFlow,
+                    SignalingMessage, build_flow, build_tau_flow, flow_timeline)
 from .energy import (CycleProfile, EnergyBreakdown, average_power_w,
                      battery_lifetime_years, cycle_energy, cycle_profile,
                      lifetime_years, psm_baseline_lifetime_years)
-from .capacity import (CapacityReport, ChannelBudget, capacity_gain_pct,
-                       cell_capacity, default_budgets, flow_channel_usage)
+from .capacity import (CapacityReport, capacity_gain_pct, cell_capacity,
+                       default_budgets, flow_channel_usage)
 
 __version__ = "0.1.0"

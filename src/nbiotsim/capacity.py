@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from . import flows, phy, ra
 from .config import Scenario, validate_scenario
-from .flows import LinkDir, ProcedureFlow
-from .phy import ChannelKind
+from .flows import ProcedureFlow
+from .phy import ChannelKind, LinkDirection
 
 # Downlink subframe availability on the anchor carrier: NPSS takes 1 subframe
 # per 10 ms frame, NPBCH 1 per frame, NSSS 1 every other frame.
@@ -32,19 +32,6 @@ BOTTLENECK_ORDER = (ChannelKind.NPDCCH, ChannelKind.NPDSCH,
 
 
 @dataclass(frozen=True)
-class ChannelBudget:
-    """Cell-wide resource pool of one channel, in channel-specific units/s.
-
-    NPDCCH and NPDSCH both draw on the shared downlink subframe pool, so each
-    is checked against the full (derated) pool; NPUSCH is counted in
-    subcarrier-milliseconds; NPRACH in preamble slots.
-    """
-
-    channel: ChannelKind
-    available_units_per_s: float
-
-
-@dataclass(frozen=True)
 class CapacityReport:
     per_channel_usage: dict[ChannelKind, float]
     bottleneck: ChannelKind
@@ -52,17 +39,21 @@ class CapacityReport:
     gain_vs_sr_pct: float | None = None
 
 
-def default_budgets(s: Scenario) -> dict[ChannelKind, ChannelBudget]:
-    """Per-channel budgets in units/s, before coverage-level sharing."""
+def default_budgets(s: Scenario) -> dict[ChannelKind, float]:
+    """Cell-wide resource pool per channel in units/s, before coverage sharing.
+
+    NPDCCH and NPDSCH both draw on the shared downlink subframe pool, so each
+    is checked against the full (derated) pool; NPUSCH is counted in
+    subcarrier-milliseconds; NPRACH in preamble slots.
+    """
     dl_pool = 1000.0 * DL_SUBFRAME_AVAILABILITY * INBAND_DERATING
     nprach = 1000.0 / NPRACH_OPPORTUNITY_PERIOD_MS * NPRACH_SLOTS_PER_OPPORTUNITY
-    values = {
+    return {
         ChannelKind.NPDCCH: s.budget_npdcch_sf_per_s or dl_pool,
         ChannelKind.NPDSCH: s.budget_npdsch_sf_per_s or dl_pool,
         ChannelKind.NPUSCH: s.budget_npusch_sc_ms_per_s or UL_SUBCARRIER_MS_PER_S,
         ChannelKind.NPRACH: s.budget_nprach_slots_per_s or nprach,
     }
-    return {ch: ChannelBudget(ch, units) for ch, units in values.items()}
 
 
 def flow_channel_usage(flow: ProcedureFlow, s: Scenario) -> dict[ChannelKind, float]:
@@ -78,7 +69,7 @@ def flow_channel_usage(flow: ProcedureFlow, s: Scenario) -> dict[ChannelKind, fl
         return usage          # no exchange, no connection, no random access
     for msg in flow.messages:
         airtime = phy.message_airtime(msg.size_bytes, c, msg.channel)
-        if msg.direction is LinkDir.UL:
+        if msg.direction is LinkDirection.UL:
             usage[ChannelKind.NPUSCH] += airtime.duration_ms * airtime.ul_subcarrier_fraction * 12.0
         else:
             usage[ChannelKind.NPDSCH] += airtime.duration_ms / phy.SUBFRAME_MS
@@ -101,7 +92,7 @@ def cell_capacity(s: Scenario) -> CapacityReport:
     for ch in BOTTLENECK_ORDER:
         if usage[ch] <= 0.0:
             continue
-        rate = share * budgets[ch].available_units_per_s / usage[ch]
+        rate = share * budgets[ch] / usage[ch]
         if best_rate is None or rate < best_rate:
             best_rate = rate
             bottleneck = ch

@@ -19,6 +19,7 @@ from . import energy
 from .config import (ConfigurationError, Procedure, Scenario, TrafficCase,
                      builtin_coverage_profile, parse_scenario_file,
                      validate_scenario, COVERAGE_NAMES)
+from .flows import EnergyCategory
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -26,37 +27,54 @@ EXIT_IO = 2
 
 DEFAULT_IAT_HOURS = tuple(range(1, 25))
 
+# sweep axis: (Scenario field, value parser, what the values must be)
+_SWEEP_AXES = {
+    "iat": ("iat_s", float, "numbers"),
+    "coverage": ("coverage", builtin_coverage_profile,
+                 "one of " + ", ".join(COVERAGE_NAMES)),
+    "procedure": ("procedure", Procedure,
+                  "one of " + ", ".join(p.value for p in Procedure)),
+    "case": ("traffic_case", TrafficCase,
+             "one of " + ", ".join(c.value for c in TrafficCase)),
+}
+
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept axis over a fixed base scenario."""
+    """One swept axis over a fixed base scenario.
+
+    Values may be given as text or already parsed; every axis and value is
+    checked here, so a bad sweep fails before any point is evaluated.
+    """
 
     axis: str                    # iat | coverage | procedure | case
     values: tuple
     fixed: Scenario
 
     def __post_init__(self):
+        if self.axis not in _SWEEP_AXES:
+            raise ConfigurationError(f"unknown sweep axis {self.axis!r}; expected "
+                                     f"one of {', '.join(_SWEEP_AXES)}")
         if not self.values:
             raise ConfigurationError("sweep needs at least one value")
+        _, parse, expected = _SWEEP_AXES[self.axis]
+        parsed = []
+        for value in self.values:
+            try:
+                parsed.append(parse(value))
+            except (TypeError, ValueError):
+                raise ConfigurationError(f"{self.axis} sweep values must be {expected}, "
+                                         f"got {value!r}") from None
         if self.axis == "iat":
-            numeric = tuple(float(v) for v in self.values)
-            if not all(map(math.isfinite, numeric)):
+            if not all(map(math.isfinite, parsed)):
                 raise ConfigurationError("iat sweep values must be finite")
-            if any(b <= a for a, b in zip(numeric, numeric[1:])):
+            if any(b <= a for a, b in zip(parsed, parsed[1:])):
                 raise ConfigurationError("iat sweep values must be strictly increasing")
 
     def scenarios(self):
+        field, parse, _ = _SWEEP_AXES[self.axis]
         for value in self.values:
-            if self.axis == "iat":
-                yield replace(self.fixed, iat_s=float(value))
-            elif self.axis == "coverage":
-                yield replace(self.fixed, coverage=builtin_coverage_profile(value))
-            elif self.axis == "procedure":
-                yield replace(self.fixed, procedure=Procedure(value))
-            elif self.axis == "case":
-                yield replace(self.fixed, traffic_case=TrafficCase(value))
-            else:
-                raise ConfigurationError(f"unknown sweep axis {self.axis!r}")
+            yield replace(self.fixed, **{field: parse(value)})
 
 
 @dataclass(frozen=True)
@@ -107,10 +125,11 @@ def run_lifetime_sweep(spec: SweepSpec) -> Table:
             rows.append(ident + (0.0, 0.0, 0.0, 0.0, 0.0, str(exc)))
             continue
         rows.append(ident + (energy.lifetime_years(breakdown, s),
-                             breakdown.share("ra_sync"),
-                             breakdown.share("post_ra_messages"),
-                             breakdown.share("drx"),
-                             breakdown.share("psm"),
+                             breakdown.share(EnergyCategory.RA_SYNC),
+                             breakdown.share(EnergyCategory.MESSAGES),
+                             breakdown.share(EnergyCategory.CONNECTED_DRX,
+                                             EnergyCategory.IDLE_DRX),
+                             breakdown.share(EnergyCategory.PSM),
                              ""))
     return Table(LIFETIME_COLUMNS, rows)
 
@@ -118,18 +137,16 @@ def run_lifetime_sweep(spec: SweepSpec) -> Table:
 CAPACITY_COLUMNS = ("procedure", "case", "coverage", "reports_per_hour",
                     "bottleneck", "gain_vs_sr_pct")
 
-CAPACITY_IAT_S = 3600.0   # capacity figures assume one report per hour
-
 
 def run_capacity_report(s: Scenario) -> Table:
     """Gain grid of CP and UP against SR: 2 procedures x 4 cases x 3 coverages."""
+    validate_scenario(s)
     rows = []
     for proc in (Procedure.CP, Procedure.UP):
         for case in TrafficCase:
             for cov_name in COVERAGE_NAMES:
                 point = replace(s, procedure=proc, traffic_case=case,
-                                coverage=builtin_coverage_profile(cov_name),
-                                iat_s=CAPACITY_IAT_S)
+                                coverage=builtin_coverage_profile(cov_name))
                 report = cap.cell_capacity(point)
                 sr_report = cap.cell_capacity(replace(point, procedure=Procedure.SR))
                 report = replace(report,
@@ -174,14 +191,7 @@ def _parse_sweep(text: str) -> tuple[str, tuple]:
     axis, _, values = text.partition("=")
     if not values:
         raise ConfigurationError("expected --sweep axis=v1,v2,...")
-    parts = tuple(v for v in values.split(",") if v)
-    if axis == "iat":
-        try:
-            return axis, tuple(float(v) for v in parts)
-        except ValueError:
-            raise ConfigurationError(
-                f"iat sweep values must be numbers, got {values!r}") from None
-    return axis, parts
+    return axis, tuple(v for v in values.split(",") if v)
 
 
 def _lifetime_tables(args) -> list[tuple[str, Table]]:

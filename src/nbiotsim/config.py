@@ -39,11 +39,6 @@ class TrafficCase(str, enum.Enum):
     def mobile_terminated(self) -> bool:
         return self in (TrafficCase.DL, TrafficCase.DL_ACK)
 
-    @property
-    def has_uplink_data(self) -> bool:
-        # DL_ACK replies with an uplink report, so it carries uplink data too.
-        return self in (TrafficCase.UL, TrafficCase.UL_ACK, TrafficCase.DL_ACK)
-
 
 class Reachability(str, enum.Enum):
     PSM_TAU = "PSM_TAU"        # deep sleep; network reaches the UE at periodic TAU
@@ -170,14 +165,6 @@ class PowerProfile:
     delta_preamble_db: float = 0.0
     power_ramping_step_db: float = 0.0
 
-    def state_power_mw(self, state: UeState) -> float:
-        return {
-            UeState.DEEP_SLEEP: self.deep_sleep_mw,
-            UeState.INACTIVE: self.inactive_mw,
-            UeState.RX: self.rx_mw,
-            UeState.TX: self.tx_max_mw,
-        }[state]
-
     def violations(self) -> list[str]:
         out = []
         if not (0.0 < self.deep_sleep_mw < self.inactive_mw < self.rx_mw < self.tx_max_mw):
@@ -294,18 +281,6 @@ class Scenario:
         if self.procedure is Procedure.CP:
             return self.timers.cp_inactivity_npdcch_periods * self.npdcch_period_ms / 1000.0
         return 0.0
-
-    @property
-    def idle_active_timer_s(self) -> float:
-        """Idle-state active timer (DRX window before PSM).
-
-        CP exchanges that end with uplink data carry release assistance, so the
-        connection is released with no idle DRX; everywhere else the timer is
-        base + 2 long cycles.
-        """
-        if self.procedure is Procedure.CP and self.traffic_case.has_uplink_data:
-            return 0.0
-        return self.timers.idle_active_timer_base_s + 2.0 * self.idle_drx_cycle_s
 
     @property
     def sync_time_ms(self) -> float:

@@ -22,6 +22,16 @@ from .config import (HOURS_PER_YEAR, ConfigurationError, Reachability, Scenario,
 from .flows import EnergyCategory, Interval
 
 
+# EnergyBreakdown field holding each category's energy.
+_FIELDS = {
+    EnergyCategory.RA_SYNC: "ra_sync_mj",
+    EnergyCategory.MESSAGES: "post_ra_messages_mj",
+    EnergyCategory.CONNECTED_DRX: "connected_drx_mj",
+    EnergyCategory.IDLE_DRX: "idle_drx_mj",
+    EnergyCategory.PSM: "psm_mj",
+}
+
+
 @dataclass(frozen=True)
 class EnergyBreakdown:
     """Millijoules per traffic cycle, by consumption category."""
@@ -33,19 +43,13 @@ class EnergyBreakdown:
     psm_mj: float
 
     @property
-    def drx_mj(self) -> float:
-        return self.connected_drx_mj + self.idle_drx_mj
-
-    @property
     def total_mj(self) -> float:
         return (self.ra_sync_mj + self.post_ra_messages_mj
                 + self.connected_drx_mj + self.idle_drx_mj + self.psm_mj)
 
-    def share(self, *categories: str) -> float:
-        """Fraction of the cycle total attributed to the named categories."""
-        value = sum(getattr(self, f"{name}_mj") if name != "drx" else self.drx_mj
-                    for name in categories)
-        return value / self.total_mj
+    def share(self, *categories: EnergyCategory) -> float:
+        """Fraction of the cycle total attributed to the given categories."""
+        return sum(getattr(self, _FIELDS[cat]) for cat in categories) / self.total_mj
 
 
 def interval_energy_mj(iv: Interval) -> float:
@@ -101,13 +105,7 @@ class CycleProfile:
             cats[EnergyCategory.PSM] = max(
                 0.0, cats[EnergyCategory.PSM]
                 - self.tau_active_s * fraction * self.deep_sleep_mw)
-        return EnergyBreakdown(
-            ra_sync_mj=cats[EnergyCategory.RA_SYNC],
-            post_ra_messages_mj=cats[EnergyCategory.MESSAGES],
-            connected_drx_mj=cats[EnergyCategory.CONNECTED_DRX],
-            idle_drx_mj=cats[EnergyCategory.IDLE_DRX],
-            psm_mj=cats[EnergyCategory.PSM],
-        )
+        return EnergyBreakdown(**{_FIELDS[cat]: cats[cat] for cat in EnergyCategory})
 
 
 def cycle_profile(s: Scenario) -> CycleProfile:

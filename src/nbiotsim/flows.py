@@ -14,7 +14,8 @@ from functools import lru_cache
 
 from . import phy, ra
 from .config import (ConfigurationError, PowerProfile, Procedure, Reachability,
-                     Scenario, TrafficCase, UeState)
+                     Scenario, UeState)
+from .phy import LinkDirection
 
 US_PER_MS = 1000
 US_PER_S = 1_000_000
@@ -24,11 +25,6 @@ class Plane(str, enum.Enum):
     AS = "AS"       # access stratum signaling
     NAS = "NAS"     # non-access stratum signaling
     DATA = "DATA"   # application payload (possibly NAS-encapsulated)
-
-
-class LinkDir(str, enum.Enum):
-    UL = "UL"
-    DL = "DL"
 
 
 class EnergyCategory(str, enum.Enum):
@@ -42,7 +38,7 @@ class EnergyCategory(str, enum.Enum):
 @dataclass(frozen=True)
 class SignalingMessage:
     name: str
-    direction: LinkDir
+    direction: LinkDirection
     plane: Plane
     channel: phy.ChannelKind
     size_bytes: int
@@ -51,13 +47,8 @@ class SignalingMessage:
 @dataclass(frozen=True)
 class ProcedureFlow:
     flow_id: str
-    procedure: Procedure
-    traffic_case: TrafficCase
     messages: tuple[SignalingMessage, ...]
-    connected_drx_s: float
-    idle_drx_s: float
-    rai: bool
-    includes_tau: bool
+    idle_drx_s: float           # idle-DRX window after release; 0 under RAI
 
 
 @dataclass(frozen=True)
@@ -90,19 +81,7 @@ _DATA_SIZE_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class MessageCatalog:
-    flows: dict[str, tuple[SignalingMessage, ...]]
-    rar_bytes: int
-
-    def flow_messages(self, flow_id: str) -> tuple[SignalingMessage, ...]:
-        try:
-            return self.flows[flow_id]
-        except KeyError:
-            raise ConfigurationError(f"message catalog has no flow {flow_id!r}") from None
-
-
-def _parse_catalog(text: str) -> MessageCatalog:
+def _parse_catalog(text: str) -> dict[str, tuple[SignalingMessage, ...]]:
     entries: dict[str, list[tuple[int, SignalingMessage]]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -114,41 +93,27 @@ def _parse_catalog(text: str) -> MessageCatalog:
         flow_id, seq, name, direction, plane, channel, size = cells
         msg = SignalingMessage(
             name=name,
-            direction=LinkDir(direction),
+            direction=LinkDirection(direction),
             plane=Plane(plane),
             channel=phy.ChannelKind(channel),
             size_bytes=int(size),
         )
-        if msg.direction is LinkDir.UL and msg.channel is not phy.ChannelKind.NPUSCH:
+        if msg.direction is LinkDirection.UL and msg.channel is not phy.ChannelKind.NPUSCH:
             raise ConfigurationError(f"catalog line {lineno}: UL messages use NPUSCH")
-        if msg.direction is LinkDir.DL and msg.channel is not phy.ChannelKind.NPDSCH:
+        if msg.direction is LinkDirection.DL and msg.channel is not phy.ChannelKind.NPDSCH:
             raise ConfigurationError(f"catalog line {lineno}: DL messages use NPDSCH")
         entries.setdefault(flow_id, []).append((int(seq), msg))
     flows = {}
-    rar_bytes = 7
     for flow_id, seq_msgs in entries.items():
         seq_msgs.sort(key=lambda pair: pair[0])
-        msgs = tuple(m for _, m in seq_msgs)
-        if flow_id == "common":
-            rar = next((m for m in msgs if m.name == "random_access_response"), None)
-            if rar is not None:
-                rar_bytes = rar.size_bytes
-            continue
-        flows[flow_id] = msgs
-    return MessageCatalog(flows=flows, rar_bytes=rar_bytes)
+        flows[flow_id] = tuple(m for _, m in seq_msgs)
+    return flows
 
 
 @lru_cache(maxsize=None)
-def _default_catalog() -> MessageCatalog:
+def _catalog() -> dict[str, tuple[SignalingMessage, ...]]:
+    """Flows of the packaged, checksummed message catalog, by flow id."""
     return _parse_catalog(phy.verified_data_text("message_catalog.tsv"))
-
-
-def load_message_catalog(path=None) -> MessageCatalog:
-    """Load the default (checksummed) catalog, or a user-supplied file."""
-    if path is None:
-        return _default_catalog()
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_catalog(fh.read())
 
 
 # --- flow building ----------------------------------------------------------
@@ -170,50 +135,32 @@ def _materialize(msg: SignalingMessage, s: Scenario) -> SignalingMessage:
     return replace(msg, size_bytes=base + msg.size_bytes)
 
 
-def _build(flow_id: str, s: Scenario, catalog: MessageCatalog | None) -> ProcedureFlow:
-    catalog = catalog or _default_catalog()
-    messages = tuple(_materialize(m, s) for m in catalog.flow_messages(flow_id))
-    # Release assistance rides only in uplink NAS data PDUs, so only CP flows
-    # that carry uplink data can signal it.
+def _build(flow_id: str, s: Scenario) -> ProcedureFlow:
+    try:
+        template = _catalog()[flow_id]
+    except KeyError:
+        raise ConfigurationError(f"message catalog has no flow {flow_id!r}") from None
+    messages = tuple(_materialize(m, s) for m in template)
+    # Release assistance rides only in uplink NAS data PDUs, so only CP
+    # exchanges that carry uplink data release without an idle-DRX window;
+    # everywhere else the idle active timer is base + 2 long DRX cycles.
     rai = s.procedure is Procedure.CP and any(
-        m.plane is Plane.DATA and m.direction is LinkDir.UL for m in messages)
-    includes_tau = any(m.name.startswith(("tau_", "rrc_setup_complete_tau"))
-                       for m in messages)
-    # idle active timer: zero only for CP exchanges ending in uplink data (RAI)
+        m.plane is Plane.DATA and m.direction is LinkDirection.UL for m in messages)
     if rai:
         idle_s = 0.0
     else:
         idle_s = s.timers.idle_active_timer_base_s + 2.0 * s.idle_drx_cycle_s
-    return ProcedureFlow(
-        flow_id=flow_id,
-        procedure=s.procedure,
-        traffic_case=s.traffic_case,
-        messages=messages,
-        connected_drx_s=s.connected_inactivity_s,
-        idle_drx_s=idle_s,
-        rai=rai,
-        includes_tau=includes_tau,
-    )
+    return ProcedureFlow(flow_id=flow_id, messages=messages, idle_drx_s=idle_s)
 
 
-def build_flow(s: Scenario, catalog: MessageCatalog | None = None) -> ProcedureFlow:
+def build_flow(s: Scenario) -> ProcedureFlow:
     """Catalog-driven message sequence for the scenario's procedure and case."""
-    return _build(_flow_id(s), s, catalog)
+    return _build(_flow_id(s), s)
 
 
-def build_tau_flow(s: Scenario, catalog: MessageCatalog | None = None) -> ProcedureFlow:
+def build_tau_flow(s: Scenario) -> ProcedureFlow:
     """Standalone periodic tracking-area-update flow for the scenario's procedure."""
-    return _build(f"{s.procedure.value.lower()}_tau", s, catalog)
-
-
-def connected_inactivity_s(s: Scenario) -> float:
-    """Connected-state DRX before release: 0 for UP/SR, N NPDCCH periods for CP."""
-    return s.connected_inactivity_s
-
-
-def idle_active_timer_s(s: Scenario) -> float:
-    """Idle-state DRX window before PSM; zero for CP exchanges ending in UL data."""
-    return s.idle_active_timer_s
+    return _build(f"{s.procedure.value.lower()}_tau", s)
 
 
 # --- timeline assembly -------------------------------------------------------
@@ -275,7 +222,7 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
 
     npusch_dbm = phy.npusch_tx_power_dbm(c, p, c.target_mcl_db)
     npusch_mw = phy.tx_power_consumption_mw(p, npusch_dbm)
-    conn_drx_us = int(round(flow.connected_drx_s * US_PER_S))
+    conn_drx_us = int(round(s.connected_inactivity_s * US_PER_S))
 
     for index, msg in enumerate(flow.messages):
         last = index == len(flow.messages) - 1
@@ -300,7 +247,7 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
         tb.emit_ms(phy.schedule_gap_ms(msg.channel), UeState.INACTIVE, p.inactive_mw,
                    EnergyCategory.MESSAGES, "schedule_gap")
         airtime = phy.message_airtime(msg.size_bytes, c, msg.channel)
-        if msg.direction is LinkDir.UL:
+        if msg.direction is LinkDirection.UL:
             tb.emit_ms(airtime.duration_ms, UeState.TX, npusch_mw,
                        EnergyCategory.MESSAGES, msg.name)
         else:

@@ -140,11 +140,6 @@ def transport_block_units(size_bits: int, c: CoverageProfile,
 
 # --- durations --------------------------------------------------------------
 
-def npdcch_period_ms(c: CoverageProfile) -> int:
-    """NPDCCH scheduling periodicity T = R_max * G in ms."""
-    return c.npdcch_period_ms
-
-
 def ul_resource_unit_ms(c: CoverageProfile) -> float:
     """Duration of one NPUSCH resource unit for the profile's subcarrier layout."""
     if c.subcarrier_spacing_khz == 3.75:

@@ -1,15 +1,15 @@
 """Contention-based random access model.
 
 Per-attempt preamble detection follows the classic load curve 1 - e^-i for the
-i-th transmission; the expected attempt count and the time/energy cost of the
-whole RA phase (preamble, response window) are expectation values, matching
-the deterministic style of the rest of the model.
+i-th transmission.  The expected attempt count scales the phases of one attempt
+(opportunity wait, preamble, response window) in the flow timeline, so the RA
+cost is an expectation value, matching the deterministic style of the rest of
+the model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import phy
 from .config import ConfigurationError, CoverageProfile, PowerProfile, UeState
@@ -18,14 +18,6 @@ from .config import ConfigurationError, CoverageProfile, PowerProfile, UeState
 # waits on average half a period for the next one.
 RA_OPPORTUNITY_PERIOD_MS = 40.0
 EXPECTED_OPPORTUNITY_WAIT_MS = RA_OPPORTUNITY_PERIOD_MS / 2.0
-
-
-@dataclass(frozen=True)
-class RaOutcome:
-    expected_attempts: float
-    expected_time_ms: float
-    expected_energy_mj: float
-    attempt_cap: int
 
 
 def detection_probability(attempt: int) -> float:
@@ -75,20 +67,3 @@ def attempt_components(c: CoverageProfile, p: PowerProfile,
          p.inactive_mw),
         ("rar_npdsch", UeState.RX, rar.duration_ms, p.rx_mw),
     ]
-
-
-def ra_cost(c: CoverageProfile, p: PowerProfile, cap: int = 10,
-            rar_bytes: int = 7) -> RaOutcome:
-    """Expected time and energy of the random access phase."""
-    attempts = expected_attempts(cap)
-    time_ms = 0.0
-    energy_mj = 0.0
-    for _, _, dur_ms, power_mw in attempt_components(c, p, rar_bytes):
-        time_ms += dur_ms
-        energy_mj += dur_ms * power_mw / 1000.0
-    return RaOutcome(
-        expected_attempts=attempts,
-        expected_time_ms=attempts * time_ms,
-        expected_energy_mj=attempts * energy_mj,
-        attempt_cap=cap,
-    )

@@ -20,6 +20,7 @@ from nbiotsim.capacity import DOWNLINK_CHANNELS, UPLINK_CHANNELS, default_budget
 from nbiotsim.cli import main, run_capacity_report
 from nbiotsim.config import HOURS_PER_YEAR, PowerProfile
 from nbiotsim.energy import integrate_timeline
+from nbiotsim.flows import EnergyCategory
 from tests.conftest import binned_energy_mj, make_scenario
 
 IATS_H = tuple(range(1, 25))
@@ -93,12 +94,14 @@ def test_criterion_05_energy_shares():
     def share(cov, h, *cats):
         return 100 * cycle_energy(make_scenario("UP", "UL", cov, h)).share(*cats)
     values = {
-        "Normal 1h sync+RA+DRX": (share("Normal", 1, "ra_sync", "drx"), 58),
-        "Normal 10h PSM": (share("Normal", 10, "psm"), 84),
-        "Robust 10h messages": (share("Robust", 10, "post_ra_messages"), 35),
-        "Extreme 10h messages": (share("Extreme", 10, "post_ra_messages"), 49),
-        "Robust 24h PSM": (share("Robust", 24, "psm"), 67),
-        "Extreme 24h PSM": (share("Extreme", 24, "psm"), 42),
+        "Normal 1h sync+RA+DRX": (share("Normal", 1, EnergyCategory.RA_SYNC,
+                                        EnergyCategory.CONNECTED_DRX,
+                                        EnergyCategory.IDLE_DRX), 58),
+        "Normal 10h PSM": (share("Normal", 10, EnergyCategory.PSM), 84),
+        "Robust 10h messages": (share("Robust", 10, EnergyCategory.MESSAGES), 35),
+        "Extreme 10h messages": (share("Extreme", 10, EnergyCategory.MESSAGES), 49),
+        "Robust 24h PSM": (share("Robust", 24, EnergyCategory.PSM), 67),
+        "Extreme 24h PSM": (share("Extreme", 24, EnergyCategory.PSM), 42),
     }
     ok = all(abs(got - want) <= 10.0 for got, want in values.values())
     detail = "; ".join(f"{name} {got:.1f}% (target {want} +-10pp)"
@@ -185,10 +188,10 @@ def test_criterion_09_property_suite(gain_grid):
         budgets = default_budgets(base)
         def patch(x):
             return replace(x,
-                           budget_npdcch_sf_per_s=factor * budgets[ChannelKind.NPDCCH].available_units_per_s,
-                           budget_npdsch_sf_per_s=factor * budgets[ChannelKind.NPDSCH].available_units_per_s,
-                           budget_npusch_sc_ms_per_s=factor * budgets[ChannelKind.NPUSCH].available_units_per_s,
-                           budget_nprach_slots_per_s=factor * budgets[ChannelKind.NPRACH].available_units_per_s)
+                           budget_npdcch_sf_per_s=factor * budgets[ChannelKind.NPDCCH],
+                           budget_npdsch_sf_per_s=factor * budgets[ChannelKind.NPDSCH],
+                           budget_npusch_sc_ms_per_s=factor * budgets[ChannelKind.NPUSCH],
+                           budget_nprach_slots_per_s=factor * budgets[ChannelKind.NPRACH])
         opt = cell_capacity(patch(make_scenario("CP", "UL")))
         sr = cell_capacity(patch(make_scenario("SR", "UL")))
         return capacity_gain_pct(opt, sr)

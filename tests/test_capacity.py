@@ -51,7 +51,7 @@ def test_capacity_is_min_over_channels():
     s = make_scenario("CP", "UL")
     usage = flow_channel_usage(build_flow(s), s)
     budgets = default_budgets(s)
-    expected = min(0.33 * budgets[ch].available_units_per_s / usage[ch]
+    expected = min(0.33 * budgets[ch] / usage[ch]
                    for ch in ChannelKind if usage[ch] > 0) * 3600.0
     report = cell_capacity(s)
     assert report.reports_per_hour == pytest.approx(expected)
@@ -107,10 +107,10 @@ def test_budget_scale_invariance():
     budgets = default_budgets(s)
     def scale(x):
         return replace(x,
-                       budget_npdcch_sf_per_s=k * budgets[ChannelKind.NPDCCH].available_units_per_s,
-                       budget_npdsch_sf_per_s=k * budgets[ChannelKind.NPDSCH].available_units_per_s,
-                       budget_npusch_sc_ms_per_s=k * budgets[ChannelKind.NPUSCH].available_units_per_s,
-                       budget_nprach_slots_per_s=k * budgets[ChannelKind.NPRACH].available_units_per_s)
+                       budget_npdcch_sf_per_s=k * budgets[ChannelKind.NPDCCH],
+                       budget_npdsch_sf_per_s=k * budgets[ChannelKind.NPDSCH],
+                       budget_npusch_sc_ms_per_s=k * budgets[ChannelKind.NPUSCH],
+                       budget_nprach_slots_per_s=k * budgets[ChannelKind.NPRACH])
     scaled_gain = capacity_gain_pct(cell_capacity(scale(s)), cell_capacity(scale(sr)))
     assert scaled_gain == pytest.approx(base_gain, rel=1e-12)
     assert cell_capacity(scale(s)).reports_per_hour == pytest.approx(k * base_rate,
@@ -123,7 +123,7 @@ def test_removing_messages_never_decreases_capacity():
     budgets = default_budgets(s)
     def rate(f: ProcedureFlow) -> float:
         usage = flow_channel_usage(f, s)
-        return min(0.33 * budgets[ch].available_units_per_s / usage[ch]
+        return min(0.33 * budgets[ch] / usage[ch]
                    for ch in ChannelKind if usage[ch] > 0)
     full = rate(flow)
     for drop in range(len(flow.messages)):

@@ -143,6 +143,30 @@ def test_cli_bad_iat_is_one_error_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: iat sweep values")
 
 
+@pytest.mark.parametrize("argv,prefix", [
+    (["lifetime", "--sweep", "procedure=XX"], "error: procedure sweep values"),
+    (["lifetime", "--sweep", "case=ZZ"], "error: case sweep values"),
+    (["lifetime", "--sweep", "coverage=Deep"], "error: coverage sweep values"),
+    (["lifetime", "--sweep", "speed=1,2"], "error: unknown sweep axis"),
+    (["capacity", "--iat", "-5"], "error: invalid scenario: iat_s"),
+    (["capacity", "--iat", "nan"], "error: invalid scenario: iat_s"),
+], ids=["procedure", "case", "coverage", "axis", "capacity-iat-negative",
+        "capacity-iat-nan"])
+def test_cli_bad_sweep_or_capacity_iat_is_one_error_line(argv, prefix, capsys):
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
+def test_cli_capacity_does_not_depend_on_iat(capsys):
+    assert main(["capacity"]) == EXIT_OK
+    default = capsys.readouterr().out
+    assert main(["capacity", "--iat", "86400"]) == EXIT_OK
+    assert capsys.readouterr().out == default
+
+
 def test_cli_iat_shorter_than_active_cycle_is_row_error(capsys):
     # UP keeps a ~14 s idle-DRX window after the exchange, so 10 s is too short
     rc = main(["lifetime", "--procedure", "UP", "--sweep", "iat=10,3600"])

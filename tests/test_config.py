@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from nbiotsim import (ConfigurationError, Scenario, builtin_coverage_profile,
-                      format_scenario, parse_scenario, validate_scenario)
+from nbiotsim import (ConfigurationError, Scenario, build_flow,
+                      builtin_coverage_profile, format_scenario, parse_scenario,
+                      validate_scenario)
 from nbiotsim.config import (MAX_PSM_TIME_S, Modulation, PowerProfile, Procedure,
                              Reachability, TimerConfig, TrafficCase, TrafficModel)
 from dataclasses import replace
@@ -129,12 +130,13 @@ def test_connected_inactivity_resolution():
 
 
 def test_idle_active_timer_resolution():
-    assert make(proc="CP", case="UL").idle_active_timer_s == 0.0
-    assert make(proc="CP", case="UL_ACK").idle_active_timer_s == 0.0
-    assert make(proc="CP", case="DL_ACK").idle_active_timer_s == 0.0
-    assert make(proc="UP").idle_active_timer_s == pytest.approx(14.16)
-    assert make(proc="CP", case="DL").idle_active_timer_s == pytest.approx(14.16)
-    assert make(proc="SR", cov="Robust").idle_active_timer_s == pytest.approx(14.288)
+    # the idle window is resolved per flow, from the flow's messages
+    assert build_flow(make(proc="CP", case="UL")).idle_drx_s == 0.0
+    assert build_flow(make(proc="CP", case="UL_ACK")).idle_drx_s == 0.0
+    assert build_flow(make(proc="CP", case="DL_ACK")).idle_drx_s == 0.0
+    assert build_flow(make(proc="UP")).idle_drx_s == pytest.approx(14.16)
+    assert build_flow(make(proc="CP", case="DL")).idle_drx_s == pytest.approx(14.16)
+    assert build_flow(make(proc="SR", cov="Robust")).idle_drx_s == pytest.approx(14.288)
 
 
 def make(proc="CP", case="UL", cov="Normal", **kw):

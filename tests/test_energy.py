@@ -41,7 +41,9 @@ def test_breakdown_total_is_exact_sum():
     b = cycle_energy(make_scenario("UP", "UL"))
     assert b.total_mj == (b.ra_sync_mj + b.post_ra_messages_mj
                           + b.connected_drx_mj + b.idle_drx_mj + b.psm_mj)
-    assert b.drx_mj == b.connected_drx_mj + b.idle_drx_mj
+    assert b.share(EnergyCategory.CONNECTED_DRX, EnergyCategory.IDLE_DRX) \
+        == (b.connected_drx_mj + b.idle_drx_mj) / b.total_mj
+    assert sum(b.share(cat) for cat in EnergyCategory) == pytest.approx(1.0, abs=1e-12)
     assert all(v >= 0 for v in (b.ra_sync_mj, b.post_ra_messages_mj,
                                 b.connected_drx_mj, b.idle_drx_mj, b.psm_mj))
 

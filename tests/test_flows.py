@@ -5,14 +5,19 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nbiotsim import (build_flow, build_tau_flow, connected_inactivity_s,
-                      flow_timeline, idle_active_timer_s)
+from nbiotsim import build_flow, build_tau_flow, flow_timeline
 from nbiotsim.config import Reachability, TrafficModel
-from nbiotsim.flows import EnergyCategory, LinkDir, Plane, active_duration_s
+from nbiotsim.flows import EnergyCategory, Plane, active_duration_s
+from nbiotsim.phy import LinkDirection
 from tests.conftest import make_scenario
 
 ALL_COMBOS = list(itertools.product(["SR", "CP", "UP"],
                                     ["UL", "UL_ACK", "DL", "DL_ACK"]))
+
+
+def carries_tau(flow) -> bool:
+    return any(m.name.startswith(("tau_", "rrc_setup_complete_tau"))
+               for m in flow.messages)
 
 
 @pytest.mark.parametrize("proc,case", ALL_COMBOS)
@@ -38,9 +43,9 @@ def test_sr_has_strictly_more_messages(case):
 @pytest.mark.parametrize("proc,case", ALL_COMBOS)
 def test_rai_only_for_cp_with_uplink_data(proc, case):
     flow = build_flow(make_scenario(proc, case))
-    has_ul_data = any(m.plane is Plane.DATA and m.direction is LinkDir.UL
+    has_ul_data = any(m.plane is Plane.DATA and m.direction is LinkDirection.UL
                       for m in flow.messages)
-    assert flow.rai == (proc == "CP" and has_ul_data)
+    assert (flow.idle_drx_s == 0.0) == (proc == "CP" and has_ul_data)
     if proc == "CP":
         assert has_ul_data == (case != "DL")
 
@@ -48,7 +53,7 @@ def test_rai_only_for_cp_with_uplink_data(proc, case):
 @pytest.mark.parametrize("proc,case", ALL_COMBOS)
 def test_tau_included_only_for_mt_under_psm(proc, case):
     flow = build_flow(make_scenario(proc, case))
-    assert flow.includes_tau == (case in ("DL", "DL_ACK"))
+    assert carries_tau(flow) == (case in ("DL", "DL_ACK"))
 
 
 @pytest.mark.parametrize("proc", ["SR", "CP", "UP"])
@@ -57,13 +62,13 @@ def test_paging_variant_replaces_tau(proc):
     flow = build_flow(s)
     names = [m.name for m in flow.messages]
     assert names[0] == "paging_record"
-    assert not flow.includes_tau
+    assert not carries_tau(flow)
 
 
 def test_ul_messages_on_npusch_dl_on_npdsch():
     for proc, case in ALL_COMBOS:
         for m in build_flow(make_scenario(proc, case)).messages:
-            if m.direction is LinkDir.UL:
+            if m.direction is LinkDirection.UL:
                 assert m.channel.value == "NPUSCH"
             else:
                 assert m.channel.value == "NPDSCH"
@@ -101,24 +106,45 @@ def test_payload_size_changes_only_data_messages():
 def test_tau_flow_contents():
     for proc in ("SR", "CP", "UP"):
         flow = build_tau_flow(make_scenario(proc, "UL"))
-        assert flow.includes_tau
+        assert carries_tau(flow)
         assert not any(m.plane is Plane.DATA for m in flow.messages)
-        assert not flow.rai
+        assert flow.idle_drx_s > 0.0
 
 
 # --- timers ------------------------------------------------------------------
 
+CONNECTED, IDLE = EnergyCategory.CONNECTED_DRX, EnergyCategory.IDLE_DRX
+
+
+def timeline_s(category, proc, case, cov="Normal") -> float:
+    """Seconds the scenario's cycle timeline spends in one energy category."""
+    s = make_scenario(proc, case, cov)
+    return sum(iv.duration_us for iv in flow_timeline(build_flow(s), s)
+               if iv.category is category) / 1e6
+
+
 def test_connected_inactivity_values():
-    assert connected_inactivity_s(make_scenario("UP", "UL")) == 0.0
-    assert connected_inactivity_s(make_scenario("SR", "UL", "Extreme")) == 0.0
-    assert connected_inactivity_s(make_scenario("CP", "UL")) == pytest.approx(0.160)
-    assert connected_inactivity_s(make_scenario("CP", "UL", "Extreme")) == pytest.approx(3.84)
+    assert timeline_s(CONNECTED, "UP", "UL") == 0.0
+    assert timeline_s(CONNECTED, "SR", "UL", "Extreme") == 0.0
+    assert timeline_s(CONNECTED, "CP", "UL") == pytest.approx(0.160)
+    assert timeline_s(CONNECTED, "CP", "UL", "Extreme") == pytest.approx(3.84)
 
 
 def test_idle_active_timer_values():
-    assert idle_active_timer_s(make_scenario("CP", "UL")) == 0.0
-    assert idle_active_timer_s(make_scenario("UP", "UL")) == pytest.approx(14.16)
-    assert idle_active_timer_s(make_scenario("CP", "DL")) == pytest.approx(14.16)
+    assert timeline_s(IDLE, "CP", "UL") == 0.0
+    assert timeline_s(IDLE, "UP", "UL") == pytest.approx(14.16)
+    assert timeline_s(IDLE, "CP", "DL") == pytest.approx(14.16)
+
+
+@pytest.mark.parametrize("case", ["UL", "UL_ACK", "DL_ACK"])
+def test_rai_follows_the_exchange_not_the_scenario(case):
+    # Release assistance rides in uplink NAS data.  The standalone TAU of a CP
+    # scenario with uplink data carries none, so it keeps the idle window.
+    for cov in ("Normal", "Robust", "Extreme"):
+        s = make_scenario("CP", case, cov)
+        assert build_flow(s).idle_drx_s == 0.0
+        assert build_tau_flow(s).idle_drx_s > 0.0
+    assert build_tau_flow(make_scenario("CP", case)).idle_drx_s == pytest.approx(14.16)
 
 
 # --- timeline ----------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from dataclasses import replace
 
 from nbiotsim import (ChannelKind, ConfigurationError, PowerProfile,
-                      builtin_coverage_profile, message_airtime, npdcch_period_ms,
+                      builtin_coverage_profile, message_airtime,
                       nprach_tx_power_dbm, npusch_tx_power_dbm, schedule_gap_ms,
                       tbs_bits, tx_power_consumption_mw)
 from nbiotsim.phy import ALLOCATION_UNITS, LinkDirection, transport_block_units
@@ -31,14 +31,14 @@ def minimal_allocation(bits: int, row: dict) -> int:
 
 
 def test_npdcch_periods():
-    assert npdcch_period_ms(NORMAL) == 32      # 1 * 32
-    assert npdcch_period_ms(ROBUST) == 96      # 64 * 1.5
-    assert npdcch_period_ms(EXTREME) == 768    # 512 * 1.5
+    assert NORMAL.npdcch_period_ms == 32      # 1 * 32
+    assert ROBUST.npdcch_period_ms == 96      # 64 * 1.5
+    assert EXTREME.npdcch_period_ms == 768    # 512 * 1.5
 
 
 def test_npdcch_fits_in_one_period():
     for c in (NORMAL, ROBUST, EXTREME):
-        assert npdcch_period_ms(c) >= c.rep_npdcch
+        assert c.npdcch_period_ms >= c.rep_npdcch
 
 
 @pytest.mark.parametrize("mcs,units,expected", [

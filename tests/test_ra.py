@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 from dataclasses import replace
 
-from nbiotsim import (PowerProfile, builtin_coverage_profile, detection_probability,
-                      expected_attempts, ra_cost)
+from nbiotsim import (PowerProfile, build_flow, builtin_coverage_profile,
+                      detection_probability, expected_attempts, flow_timeline)
 from nbiotsim.config import ConfigurationError
+from nbiotsim.flows import EnergyCategory
 from nbiotsim.ra import attempt_components
+from tests.conftest import make_scenario
 
 NORMAL = builtin_coverage_profile("Normal")
 EXTREME = builtin_coverage_profile("Extreme")
@@ -68,44 +70,59 @@ def test_expected_attempts_monotone_in_cap():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-def test_ra_cost_single_attempt_assembly():
+def ra_phase(c, p, cap, rar_bytes=7):
+    """Expected (time ms, energy mJ) of the RA phase: attempts x one attempt."""
+    comps = attempt_components(c, p, rar_bytes)
+    attempts = expected_attempts(cap)
+    return (attempts * sum(d for _, _, d, _ in comps),
+            attempts * sum(d * w for _, _, d, w in comps) / 1000.0)
+
+
+def test_ra_single_attempt_assembly():
     # cap=1: exactly one pass through wait + preamble + response window
-    out = ra_cost(NORMAL, POWER, cap=1, rar_bytes=7)
-    assert out.expected_attempts == 1.0
+    assert expected_attempts(1) == 1.0
+    time_ms, energy_mj = ra_phase(NORMAL, POWER, cap=1, rar_bytes=7)
     # 20 ms wait + 6.4 ms preamble + 1 ms NPDCCH + 4 ms gap + 1 ms response
-    assert out.expected_time_ms == pytest.approx(20 + 6.4 + 1 + 4 + 1)
+    assert time_ms == pytest.approx(20 + 6.4 + 1 + 4 + 1)
     expected_mj = (20 * 3.0 + 6.4 * 545.0 + 1 * 90.0 + 4 * 3.0 + 1 * 90.0) / 1000.0
-    assert out.expected_energy_mj == pytest.approx(expected_mj)
+    assert energy_mj == pytest.approx(expected_mj)
 
 
-def test_ra_cost_matches_component_integration():
-    out = ra_cost(NORMAL, POWER, cap=10)
-    comps = attempt_components(NORMAL, POWER, rar_bytes=7)
-    time = sum(d for _, _, d, _ in comps) * out.expected_attempts
-    energy = sum(d * p for _, _, d, p in comps) / 1000.0 * out.expected_attempts
-    assert out.expected_time_ms == pytest.approx(time)
-    assert out.expected_energy_mj == pytest.approx(energy)
+def test_timeline_ra_matches_attempt_components():
+    # the timeline scales each phase of one attempt by the expected attempt
+    # count, rounding each interval to the microsecond grid
+    for cov in ("Normal", "Robust", "Extreme"):
+        for cap in (1, 10):
+            s = make_scenario("CP", "UL", cov, ra_attempt_cap=cap)
+            ra_ivs = [iv for iv in flow_timeline(build_flow(s), s)
+                      if iv.category is EnergyCategory.RA_SYNC and iv.label != "sync"]
+            comps = attempt_components(s.coverage, s.power, s.rar_bytes)
+            assert len(ra_ivs) == len(comps) == 5
+            attempts = expected_attempts(cap)
+            for iv, (label, state, dur_ms, power_mw) in zip(ra_ivs, comps):
+                assert (iv.label, iv.state, iv.power_mw) == (label, state, power_mw)
+                assert abs(iv.duration_us - attempts * dur_ms * 1000.0) <= 0.5
 
 
-def test_ra_cost_extreme_slower_than_normal():
-    a = ra_cost(NORMAL, POWER, cap=10)
-    b = ra_cost(EXTREME, POWER, cap=10)
-    assert b.expected_time_ms > a.expected_time_ms
+def test_ra_extreme_slower_than_normal():
+    a, _ = ra_phase(NORMAL, POWER, cap=10)
+    b, _ = ra_phase(EXTREME, POWER, cap=10)
+    assert b > a
 
 
-def test_ra_cost_linear_in_power():
+def test_ra_energy_linear_in_power():
     doubled = replace(POWER, deep_sleep_mw=0.03, inactive_mw=6.0,
                       rx_mw=180.0, tx_max_mw=1090.0)
-    base = ra_cost(NORMAL, POWER, cap=10)
-    scaled = ra_cost(NORMAL, doubled, cap=10)
-    assert scaled.expected_time_ms == pytest.approx(base.expected_time_ms)
-    assert scaled.expected_energy_mj == pytest.approx(2.0 * base.expected_energy_mj,
-                                                      rel=1e-12)
+    base_ms, base_mj = ra_phase(NORMAL, POWER, cap=10)
+    scaled_ms, scaled_mj = ra_phase(NORMAL, doubled, cap=10)
+    assert scaled_ms == pytest.approx(base_ms)
+    assert scaled_mj == pytest.approx(2.0 * base_mj, rel=1e-12)
 
 
 def test_ra_outcome_invariants():
     for cov in ("Normal", "Robust", "Extreme"):
-        out = ra_cost(builtin_coverage_profile(cov), POWER, cap=10)
-        assert 1.0 <= out.expected_attempts <= out.attempt_cap
-        assert out.expected_time_ms > 0 and math.isfinite(out.expected_time_ms)
-        assert out.expected_energy_mj > 0 and math.isfinite(out.expected_energy_mj)
+        attempts = expected_attempts(10)
+        time_ms, energy_mj = ra_phase(builtin_coverage_profile(cov), POWER, cap=10)
+        assert 1.0 <= attempts <= 10
+        assert time_ms > 0 and math.isfinite(time_ms)
+        assert energy_mj > 0 and math.isfinite(energy_mj)

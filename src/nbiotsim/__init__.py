@@ -6,11 +6,11 @@ small-data optimizations relative to the legacy Service Request (SR), across
 coverage levels and traffic cases.
 """
 
-from .config import (ConfigurationError, CoverageProfile, Modulation, PowerProfile,
-                     Procedure, Reachability, Scenario, TimerConfig, TrafficCase,
+from .config import (ConfigurationError, CoverageProfile, PowerProfile, Procedure,
+                     Reachability, Scenario, TimerConfig, TrafficCase,
                      TrafficModel, UeState, builtin_coverage_profile,
                      format_scenario, parse_scenario, parse_scenario_file,
-                     validate_scenario)
+                     scenario_value, validate_scenario)
 from .phy import (Airtime, ChannelKind, LinkDirection, message_airtime,
                   nprach_tx_power_dbm, npusch_tx_power_dbm, schedule_gap_ms,
                   tbs_bits, tx_power_consumption_mw)

@@ -22,8 +22,7 @@ DL_SUBFRAME_AVAILABILITY = 0.75
 INBAND_DERATING = 11.0 / 14.0
 # Uplink pool: 12 subcarriers * 1000 ms per second.
 UL_SUBCARRIER_MS_PER_S = 12_000.0
-# Random access: one opportunity region every 40 ms, 12 preamble slots each.
-NPRACH_OPPORTUNITY_PERIOD_MS = 40.0
+# Random access: 12 preamble slots in each opportunity region.
 NPRACH_SLOTS_PER_OPPORTUNITY = 12
 
 # Deterministic tie-break for equal capacity ratios.
@@ -36,7 +35,6 @@ class CapacityReport:
     per_channel_usage: dict[ChannelKind, float]
     bottleneck: ChannelKind
     reports_per_hour: float
-    gain_vs_sr_pct: float | None = None
 
 
 def default_budgets(s: Scenario) -> dict[ChannelKind, float]:
@@ -47,7 +45,7 @@ def default_budgets(s: Scenario) -> dict[ChannelKind, float]:
     subcarrier-milliseconds; NPRACH in preamble slots.
     """
     dl_pool = 1000.0 * DL_SUBFRAME_AVAILABILITY * INBAND_DERATING
-    nprach = 1000.0 / NPRACH_OPPORTUNITY_PERIOD_MS * NPRACH_SLOTS_PER_OPPORTUNITY
+    nprach = 1000.0 / ra.RA_OPPORTUNITY_PERIOD_MS * NPRACH_SLOTS_PER_OPPORTUNITY
     return {
         ChannelKind.NPDCCH: s.budget_npdcch_sf_per_s or dl_pool,
         ChannelKind.NPDSCH: s.budget_npdsch_sf_per_s or dl_pool,

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 from . import capacity as cap
 from . import energy
 from .config import (ConfigurationError, Procedure, Scenario, TrafficCase,
-                     builtin_coverage_profile, parse_scenario_file,
-                     validate_scenario, COVERAGE_NAMES)
+                     parse_scenario_file, scenario_value, validate_scenario,
+                     COVERAGE_NAMES)
 from .flows import EnergyCategory
 
 EXIT_OK = 0
@@ -27,16 +27,13 @@ EXIT_IO = 2
 
 DEFAULT_IAT_HOURS = tuple(range(1, 25))
 
-# sweep axis: (Scenario field, value parser, what the values must be)
-_SWEEP_AXES = {
-    "iat": ("iat_s", float, "numbers"),
-    "coverage": ("coverage", builtin_coverage_profile,
-                 "one of " + ", ".join(COVERAGE_NAMES)),
-    "procedure": ("procedure", Procedure,
-                  "one of " + ", ".join(p.value for p in Procedure)),
-    "case": ("traffic_case", TrafficCase,
-             "one of " + ", ".join(c.value for c in TrafficCase)),
-}
+# Scenario keys that are both flags and sweep axes: key -> Scenario field.
+# config.scenario_value parses their values.
+_SWEEP_AXES = {"iat": "iat_s", "coverage": "coverage",
+               "procedure": "procedure", "case": "traffic_case"}
+
+# output format: (file extension, header prefix, cell separator, empty cell)
+FORMATS = {"csv": ("csv", "", ",", ""), "plot-data": ("dat", "# ", " ", "-")}
 
 
 @dataclass(frozen=True)
@@ -57,14 +54,10 @@ class SweepSpec:
                                      f"one of {', '.join(_SWEEP_AXES)}")
         if not self.values:
             raise ConfigurationError("sweep needs at least one value")
-        _, parse, expected = _SWEEP_AXES[self.axis]
-        parsed = []
-        for value in self.values:
-            try:
-                parsed.append(parse(value))
-            except (TypeError, ValueError):
-                raise ConfigurationError(f"{self.axis} sweep values must be {expected}, "
-                                         f"got {value!r}") from None
+        try:
+            parsed = [scenario_value(self.axis, value) for value in self.values]
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{self.axis} sweep values: {exc}") from None
         if self.axis == "iat":
             if not all(map(math.isfinite, parsed)):
                 raise ConfigurationError("iat sweep values must be finite")
@@ -72,9 +65,9 @@ class SweepSpec:
                 raise ConfigurationError("iat sweep values must be strictly increasing")
 
     def scenarios(self):
-        field, parse, _ = _SWEEP_AXES[self.axis]
+        field = _SWEEP_AXES[self.axis]
         for value in self.values:
-            yield replace(self.fixed, **{field: parse(value)})
+            yield replace(self.fixed, **{field: scenario_value(self.axis, value)})
 
 
 @dataclass(frozen=True)
@@ -102,25 +95,19 @@ def _baseline_row(base: Scenario) -> tuple:
 def run_lifetime_sweep(spec: SweepSpec) -> Table:
     """One row per sweep point plus the deep-sleep-only baseline row.
 
-    The points of an IAT sweep differ only in the IAT, so they share one
-    cycle profile; other axes, and IAT sweeps whose base scenario is invalid,
-    evaluate every point on its own.
+    The points of an IAT sweep differ only in the IAT, so they share the
+    cycle profile of the first valid point; other axes build one per point.
     """
     rows = [_baseline_row(spec.fixed)]
     profile = None
-    if spec.axis == "iat":
-        try:
-            profile = energy.cycle_profile(spec.fixed)
-        except ConfigurationError:
-            pass                    # each row reports its own error
     for s in spec.scenarios():
         ident = (s.procedure.value, s.traffic_case.value, s.coverage.name, s.iat_s)
         try:
-            if profile is None:
-                breakdown = energy.cycle_energy(s)
+            if profile is None or spec.axis != "iat":
+                profile = energy.cycle_profile(s)       # validates s
             else:
                 validate_scenario(s)
-                breakdown = profile.breakdown(s.iat_s)
+            breakdown = profile.breakdown(s.iat_s)
         except ConfigurationError as exc:
             rows.append(ident + (0.0, 0.0, 0.0, 0.0, 0.0, str(exc)))
             continue
@@ -146,29 +133,29 @@ def run_capacity_report(s: Scenario) -> Table:
         for case in TrafficCase:
             for cov_name in COVERAGE_NAMES:
                 point = replace(s, procedure=proc, traffic_case=case,
-                                coverage=builtin_coverage_profile(cov_name))
+                                coverage=scenario_value("coverage", cov_name))
                 report = cap.cell_capacity(point)
                 sr_report = cap.cell_capacity(replace(point, procedure=Procedure.SR))
-                report = replace(report,
-                                 gain_vs_sr_pct=cap.capacity_gain_pct(report, sr_report))
                 rows.append((proc.value, case.value, cov_name,
                              report.reports_per_hour, report.bottleneck.value,
-                             report.gain_vs_sr_pct))
+                             cap.capacity_gain_pct(report, sr_report)))
     return Table(CAPACITY_COLUMNS, rows)
+
+
+def _format(fmt: str) -> tuple[str, str, str, str]:
+    try:
+        return FORMATS[fmt]
+    except KeyError:
+        raise ConfigurationError(f"unknown output format {fmt!r}; "
+                                 f"expected one of {', '.join(FORMATS)}") from None
 
 
 def emit(table: Table, fmt: str, stream) -> None:
     """Write a table as csv or plot-data (gnuplot-style columns)."""
-    if fmt == "csv":
-        stream.write(",".join(table.columns) + "\n")
-        for row in table.rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
-    elif fmt == "plot-data":
-        stream.write("# " + " ".join(table.columns) + "\n")
-        for row in table.rows:
-            stream.write(" ".join(_fmt(v) if v != "" else "-" for v in row) + "\n")
-    else:
-        raise ConfigurationError(f"unknown output format {fmt!r}")
+    _, prefix, sep, empty = _format(fmt)
+    stream.write(prefix + sep.join(table.columns) + "\n")
+    for row in table.rows:
+        stream.write(sep.join(_fmt(v) if v != "" else empty for v in row) + "\n")
 
 
 def _base_scenario(args) -> Scenario:
@@ -176,14 +163,10 @@ def _base_scenario(args) -> Scenario:
         s = parse_scenario_file(args.scenario)
     else:
         s = Scenario()
-    if args.procedure:
-        s = replace(s, procedure=Procedure(args.procedure))
-    if args.case:
-        s = replace(s, traffic_case=TrafficCase(args.case))
-    if args.coverage:
-        s = replace(s, coverage=builtin_coverage_profile(args.coverage))
-    if args.iat is not None:
-        s = replace(s, iat_s=args.iat)
+    for key, field in _SWEEP_AXES.items():
+        raw = getattr(args, key)
+        if raw is not None:
+            s = replace(s, **{field: scenario_value(key, raw)})
     return s
 
 
@@ -194,26 +177,24 @@ def _parse_sweep(text: str) -> tuple[str, tuple]:
     return axis, tuple(v for v in values.split(",") if v)
 
 
-def _lifetime_tables(args) -> list[tuple[str, Table]]:
+def _lifetime_table(args) -> Table:
     base = _base_scenario(args)
     if args.sweep:
         axis, values = _parse_sweep(args.sweep)
-        spec = SweepSpec(axis=axis, values=values, fixed=base)
-        return [("lifetime", run_lifetime_sweep(spec))]
+        return run_lifetime_sweep(SweepSpec(axis, values, fixed=base))
     if args.iat is not None:
         # a pinned inter-arrival time means a single evaluation point
-        spec = SweepSpec("iat", (base.iat_s,), fixed=base)
-        return [("lifetime", run_lifetime_sweep(spec))]
+        return run_lifetime_sweep(SweepSpec("iat", (base.iat_s,), fixed=base))
     # default: the full lifetime picture, one sweep per procedure and coverage
     iat_values = tuple(h * 3600.0 for h in DEFAULT_IAT_HOURS)
     rows: list[tuple] = [_baseline_row(base)]
     for proc in Procedure:
         for cov in COVERAGE_NAMES:
             fixed = replace(base, procedure=proc,
-                            coverage=builtin_coverage_profile(cov))
+                            coverage=scenario_value("coverage", cov))
             table = run_lifetime_sweep(SweepSpec("iat", iat_values, fixed))
             rows.extend(table.rows[1:])   # skip the duplicate baseline
-    return [("lifetime", Table(LIFETIME_COLUMNS, rows))]
+    return Table(LIFETIME_COLUMNS, rows)
 
 
 def main(argv=None) -> int:
@@ -224,12 +205,12 @@ def main(argv=None) -> int:
 
     def add_common(p):
         p.add_argument("--scenario", help="scenario file (key=value format)")
-        p.add_argument("--procedure", choices=[x.value for x in Procedure])
-        p.add_argument("--case", choices=[x.value for x in TrafficCase])
-        p.add_argument("--coverage", choices=list(COVERAGE_NAMES))
-        p.add_argument("--iat", type=float, help="inter-arrival time in seconds")
+        p.add_argument("--procedure", help="|".join(x.value for x in Procedure))
+        p.add_argument("--case", help="|".join(x.value for x in TrafficCase))
+        p.add_argument("--coverage", help="|".join(COVERAGE_NAMES))
+        p.add_argument("--iat", help="inter-arrival time in seconds")
         p.add_argument("--out", help="output directory (default: stdout)")
-        p.add_argument("--format", choices=["csv", "plot-data"], default="csv")
+        p.add_argument("--format", default="csv", help="|".join(FORMATS))
 
     p_life = sub.add_parser("lifetime", help="battery lifetime and energy shares")
     add_common(p_life)
@@ -241,10 +222,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        ext = _format(args.format)[0]
         if args.command == "lifetime":
-            tables = _lifetime_tables(args)
+            table = _lifetime_table(args)
         else:
-            tables = [("capacity", run_capacity_report(_base_scenario(args)))]
+            table = run_capacity_report(_base_scenario(args))
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -252,27 +234,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    status = EXIT_OK
-    for _, table in tables:
-        if "error" in table.columns:
-            idx = table.columns.index("error")
-            if any(row[idx] for row in table.rows):
-                status = EXIT_VALIDATION
-
-    ext = "csv" if args.format == "csv" else "dat"
+    # a lifetime row reports an invalid point in its error column
+    failed = "error" in table.columns and any(
+        row[table.columns.index("error")] for row in table.rows)
     try:
-        for name, table in tables:
-            if args.out:
-                os.makedirs(args.out, exist_ok=True)
-                path = os.path.join(args.out, f"{name}.{ext}")
-                with open(path, "w", encoding="utf-8", newline="") as fh:
-                    emit(table, args.format, fh)
-            else:
-                emit(table, args.format, sys.stdout)
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            path = os.path.join(args.out, f"{args.command}.{ext}")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                emit(table, args.format, fh)
+        else:
+            emit(table, args.format, sys.stdout)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return status
+    return EXIT_VALIDATION if failed else EXIT_OK
 
 
 if __name__ == "__main__":

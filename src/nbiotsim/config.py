@@ -45,11 +45,6 @@ class Reachability(str, enum.Enum):
     DRX_PAGING = "DRX_PAGING"  # idle DRX; network pages the UE
 
 
-class Modulation(str, enum.Enum):
-    QPSK = "QPSK"
-    BPSK = "BPSK"
-
-
 class UeState(str, enum.Enum):
     DEEP_SLEEP = "deep_sleep"
     INACTIVE = "inactive"
@@ -69,7 +64,6 @@ class CoverageProfile:
     target_mcl_db: float
     subcarrier_spacing_khz: float        # 15 or 3.75
     ul_subcarriers_per_burst: int
-    modulation: Modulation
     mcs_index: int
     rep_npdcch: int
     rep_npdsch: int
@@ -118,17 +112,17 @@ class CoverageProfile:
 _BUILTIN_COVERAGE = {
     "Normal": CoverageProfile(
         name="Normal", target_mcl_db=144.0, subcarrier_spacing_khz=15.0,
-        ul_subcarriers_per_burst=12, modulation=Modulation.QPSK, mcs_index=9,
+        ul_subcarriers_per_burst=12, mcs_index=9,
         rep_npdcch=1, rep_npdsch=1, rep_npusch=2, rep_nprach=1,
         r_max=1, g_factor=32.0, sync_time_scale=1.0),
     "Robust": CoverageProfile(
         name="Robust", target_mcl_db=154.0, subcarrier_spacing_khz=15.0,
-        ul_subcarriers_per_burst=3, modulation=Modulation.QPSK, mcs_index=3,
+        ul_subcarriers_per_burst=3, mcs_index=3,
         rep_npdcch=64, rep_npdsch=32, rep_npusch=16, rep_nprach=8,
         r_max=64, g_factor=1.5, sync_time_scale=2.0),
     "Extreme": CoverageProfile(
         name="Extreme", target_mcl_db=161.0, subcarrier_spacing_khz=3.75,
-        ul_subcarriers_per_burst=1, modulation=Modulation.BPSK, mcs_index=0,
+        ul_subcarriers_per_burst=1, mcs_index=0,
         rep_npdcch=512, rep_npdsch=256, rep_npusch=1, rep_nprach=32,
         r_max=512, g_factor=1.5, sync_time_scale=4.0),
 }
@@ -163,7 +157,6 @@ class PowerProfile:
     alpha: float = 1.0
     initial_received_target_power_dbm: float = -100.0
     delta_preamble_db: float = 0.0
-    power_ramping_step_db: float = 0.0
 
     def violations(self) -> list[str]:
         out = []
@@ -217,12 +210,8 @@ class TimerConfig:
     drx_long_cycle_base_s: float = 2.048
     psm_tau_period_s: float = 5 * 24 * 3600.0   # periodic TAU every 5 days
 
-    def violations(self, coverage: CoverageProfile) -> list[str]:
+    def violations(self) -> list[str]:
         out = []
-        cycle = self.drx_long_cycle_base_s + coverage.npdcch_period_ms / 1000.0
-        if cycle > MAX_IDLE_DRX_CYCLE_S:
-            out.append(f"idle DRX cycle {cycle:.3f} s exceeds the "
-                       f"{MAX_IDLE_DRX_CYCLE_S / 3600.0:.2f} h maximum")
         if self.psm_tau_period_s > MAX_PSM_TIME_S:
             out.append(f"psm_tau_period_s={self.psm_tau_period_s:.0f} s exceeds the "
                        f"{MAX_PSM_TIME_S / 3600.0:.0f} h PSM maximum")
@@ -306,7 +295,10 @@ class Scenario:
         out.extend(self.coverage.violations())
         out.extend(self.power.violations())
         out.extend(self.traffic.violations())
-        out.extend(self.timers.violations(self.coverage))
+        if self.idle_drx_cycle_s > MAX_IDLE_DRX_CYCLE_S:
+            out.append(f"idle DRX cycle {self.idle_drx_cycle_s:.3f} s exceeds the "
+                       f"{MAX_IDLE_DRX_CYCLE_S / 3600.0:.2f} h maximum")
+        out.extend(self.timers.violations())
         return out
 
 
@@ -326,10 +318,14 @@ def validate_scenario(s: Scenario) -> Scenario:
 # Plain key=value tokens separated by whitespace or newlines, '#' comments.
 # A minimal file: procedure=CP case=UL coverage=Normal iat=3600
 
+# Scenario fields that group keys, by target name in _SCENARIO_KEYS.
+_PARTS = {"traffic": TrafficModel, "power": PowerProfile, "timers": TimerConfig}
+
 _SCENARIO_KEYS: dict[str, tuple] = {
-    # key: (target, field, parser)
+    # key: (target, field, parser); target is "scenario" or a key of _PARTS
     "procedure":        ("scenario", "procedure", Procedure),
     "case":             ("scenario", "traffic_case", TrafficCase),
+    "coverage":         ("scenario", "coverage", builtin_coverage_profile),
     "iat":              ("scenario", "iat_s", float),
     "battery_wh":       ("scenario", "battery_wh", float),
     "reachability":     ("scenario", "mt_reachability", Reachability),
@@ -352,7 +348,6 @@ _SCENARIO_KEYS: dict[str, tuple] = {
     "alpha":            ("power", "alpha", float),
     "initial_target_dbm": ("power", "initial_received_target_power_dbm", float),
     "delta_preamble_db": ("power", "delta_preamble_db", float),
-    "ramp_step_db":     ("power", "power_ramping_step_db", float),
     "cp_inactivity_periods": ("timers", "cp_inactivity_npdcch_periods", int),
     "idle_timer_base_s": ("timers", "idle_active_timer_base_s", float),
     "drx_cycle_base_s": ("timers", "drx_long_cycle_base_s", float),
@@ -360,14 +355,32 @@ _SCENARIO_KEYS: dict[str, tuple] = {
 }
 
 
+def scenario_value(key: str, raw):
+    """Parse the text of one scenario key into its field value.
+
+    Values that are already parsed (enum members, numbers) pass through
+    unchanged.  Raises ConfigurationError for an unknown key or a bad value;
+    for procedure, case, coverage and reachability the message lists the
+    allowed values.
+    """
+    if key not in _SCENARIO_KEYS:
+        raise ConfigurationError(f"unknown key {key!r}")
+    parser = _SCENARIO_KEYS[key][2]
+    try:
+        return parser(raw)
+    except (TypeError, ValueError):
+        if parser is builtin_coverage_profile:
+            allowed = "; expected one of " + ", ".join(COVERAGE_NAMES)
+        elif isinstance(parser, enum.EnumMeta):
+            allowed = "; expected one of " + ", ".join(m.value for m in parser)
+        else:
+            allowed = ""
+        raise ConfigurationError(f"bad value {raw!r} for {key!r}{allowed}") from None
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse the key=value scenario format into a validated Scenario."""
-    scenario_kw: dict = {}
-    traffic_kw: dict = {}
-    power_kw: dict = {}
-    timer_kw: dict = {}
-    buckets = {"scenario": scenario_kw, "traffic": traffic_kw,
-               "power": power_kw, "timers": timer_kw}
+    kw: dict[str, dict] = {target: {} for target in ("scenario", *_PARTS)}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0]
         for token in line.split():
@@ -375,24 +388,16 @@ def parse_scenario(text: str) -> Scenario:
                 raise ConfigurationError(
                     f"line {lineno}: expected key=value, got {token!r}")
             key, _, raw = token.partition("=")
-            if key == "coverage":
-                scenario_kw["coverage"] = builtin_coverage_profile(raw)
-                continue
-            if key not in _SCENARIO_KEYS:
-                raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-            target, fname, parser = _SCENARIO_KEYS[key]
             try:
-                buckets[target][fname] = parser(raw)
-            except ValueError:
-                raise ConfigurationError(
-                    f"line {lineno}: bad value {raw!r} for {key!r}") from None
-    if traffic_kw:
-        scenario_kw["traffic"] = TrafficModel(**traffic_kw)
-    if power_kw:
-        scenario_kw["power"] = PowerProfile(**power_kw)
-    if timer_kw:
-        scenario_kw["timers"] = TimerConfig(**timer_kw)
-    return validate_scenario(Scenario(**scenario_kw))
+                value = scenario_value(key, raw)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"line {lineno}: {exc}") from None
+            target, fname, _ = _SCENARIO_KEYS[key]
+            kw[target][fname] = value
+    for target, part in _PARTS.items():
+        if kw[target]:
+            kw["scenario"][target] = part(**kw[target])
+    return validate_scenario(Scenario(**kw["scenario"]))
 
 
 def parse_scenario_file(path) -> Scenario:
@@ -403,18 +408,14 @@ def parse_scenario_file(path) -> Scenario:
 def format_scenario(s: Scenario) -> str:
     """Serialize a scenario to the key=value format (round-trips exactly)."""
     lines = []
-    lines.append(f"procedure={s.procedure.value}")
-    lines.append(f"case={s.traffic_case.value}")
-    lines.append(f"coverage={s.coverage.name}")
-    for key, (target, fname, parser) in _SCENARIO_KEYS.items():
-        if key in ("procedure", "case"):
-            continue
-        obj = {"scenario": s, "traffic": s.traffic,
-               "power": s.power, "timers": s.timers}[target]
+    for key, (target, fname, _) in _SCENARIO_KEYS.items():
+        obj = s if target == "scenario" else getattr(s, target)
         value = getattr(obj, fname)
         if value is None:
             continue
         if isinstance(value, enum.Enum):
             value = value.value
+        elif isinstance(value, CoverageProfile):
+            value = value.name
         lines.append(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
     return "\n".join(lines) + "\n"

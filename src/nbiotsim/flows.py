@@ -184,15 +184,15 @@ class _TimelineBuilder:
 
 
 def _emit_drx_cycles(tb: _TimelineBuilder, window_us: int, on_us: int, off_us: int,
-                     p: PowerProfile, category: EnergyCategory) -> None:
+                     p: PowerProfile, category: EnergyCategory, label: str) -> None:
     """Emit on/off DRX cycles until the window is exhausted (last one truncated)."""
     remaining = window_us
     while remaining > 0:
         on = min(on_us, remaining)
-        tb.emit(on, UeState.RX, p.rx_mw, category, "drx_on")
+        tb.emit(on, UeState.RX, p.rx_mw, category, f"{label}_on")
         remaining -= on
         off = min(off_us, remaining)
-        tb.emit(off, UeState.INACTIVE, p.inactive_mw, category, "drx_off")
+        tb.emit(off, UeState.INACTIVE, p.inactive_mw, category, f"{label}_off")
         remaining -= off
 
 
@@ -226,17 +226,14 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
 
     for index, msg in enumerate(flow.messages):
         last = index == len(flow.messages) - 1
-        if last and conn_drx_us > 0:
-            # inactivity timer runs after the data exchange, before release
+        if last:
+            # inactivity timer runs after the data exchange, before release;
+            # it spans whole NPDCCH periods, so no cycle is truncated
             on_us = c.rep_npdcch * US_PER_MS
-            n_periods = conn_drx_us // period_us
-            for _ in range(int(n_periods)):
-                tb.emit(on_us, UeState.RX, p.rx_mw,
-                        EnergyCategory.CONNECTED_DRX, "connected_drx_on")
-                tb.emit(period_us - on_us, UeState.INACTIVE, p.inactive_mw,
-                        EnergyCategory.CONNECTED_DRX, "connected_drx_off")
-            tb.emit(conn_drx_us - int(n_periods) * period_us, UeState.INACTIVE,
-                    p.inactive_mw, EnergyCategory.CONNECTED_DRX, "connected_drx_off")
+            _emit_drx_cycles(tb, conn_drx_us, on_us=on_us,
+                             off_us=max(0, period_us - on_us),
+                             p=p, category=EnergyCategory.CONNECTED_DRX,
+                             label="connected_drx")
         # wait for the next NPDCCH occasion
         align_us = (-tb.t_us) % period_us
         tb.emit(align_us, UeState.INACTIVE, p.inactive_mw,
@@ -258,7 +255,7 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
     idle_us = int(round(flow.idle_drx_s * US_PER_S))
     _emit_drx_cycles(tb, idle_us, on_us=period_us,
                      off_us=int(round(s.timers.drx_long_cycle_base_s * US_PER_S)),
-                     p=p, category=EnergyCategory.IDLE_DRX)
+                     p=p, category=EnergyCategory.IDLE_DRX, label="drx")
 
     if fill_psm_to_iat:
         iat_us = int(round(s.iat_s * US_PER_S))

@@ -44,7 +44,6 @@ class Airtime:
     """Resource-accounting unit: on-air time and carrier fraction of one message."""
 
     duration_ms: float
-    channel: ChannelKind
     ul_subcarrier_fraction: float   # 1.0 for full-carrier DL
 
 
@@ -161,20 +160,20 @@ def message_airtime(size_bytes: int, c: CoverageProfile, ch: ChannelKind) -> Air
     preamble format and repetition count, independent of size.
     """
     if ch is ChannelKind.NPRACH:
-        return Airtime(c.rep_nprach * c.nprach_preamble_ms, ch, 0.25)
+        return Airtime(c.rep_nprach * c.nprach_preamble_ms, 0.25)
     if ch is ChannelKind.NPDCCH:
-        return Airtime(c.rep_npdcch * SUBFRAME_MS, ch, 1.0)
+        return Airtime(c.rep_npdcch * SUBFRAME_MS, 1.0)
     if size_bytes <= 0:
         raise ConfigurationError("shared-channel message must have size > 0")
     bits = size_bytes * 8
     if ch is ChannelKind.NPUSCH:
         units = transport_block_units(bits, c, LinkDirection.UL)
         duration = sum(units) * ul_resource_unit_ms(c) * c.rep_npusch
-        return Airtime(duration, ch, ul_carrier_fraction(c))
+        return Airtime(duration, ul_carrier_fraction(c))
     if ch is ChannelKind.NPDSCH:
         units = transport_block_units(bits, c, LinkDirection.DL)
         duration = sum(units) * SUBFRAME_MS * c.rep_npdsch
-        return Airtime(duration, ch, 1.0)
+        return Airtime(duration, 1.0)
     raise ConfigurationError(f"unknown channel {ch}")
 
 
@@ -203,12 +202,9 @@ def npusch_tx_power_dbm(c: CoverageProfile, p: PowerProfile, pathloss_db: float)
     return min(p.p_cmax_dbm, open_loop)
 
 
-def nprach_tx_power_dbm(p: PowerProfile, pathloss_db: float, attempt: int = 1) -> float:
-    """NPRACH preamble transmit power per TS 36.213 16.3.1."""
-    if attempt < 1:
-        raise ConfigurationError(f"attempt={attempt}: must be >= 1")
-    target = (p.initial_received_target_power_dbm + p.delta_preamble_db
-              + (attempt - 1) * p.power_ramping_step_db)
+def nprach_tx_power_dbm(p: PowerProfile, pathloss_db: float) -> float:
+    """NPRACH preamble transmit power per TS 36.213 16.3.1 (first attempt)."""
+    target = p.initial_received_target_power_dbm + p.delta_preamble_db
     return min(p.p_cmax_dbm, target + pathloss_db)
 
 

@@ -55,7 +55,7 @@ def attempt_components(c: CoverageProfile, p: PowerProfile,
     gap, response block on the downlink shared channel).
     """
     preamble = phy.message_airtime(1, c, phy.ChannelKind.NPRACH)
-    preamble_dbm = phy.nprach_tx_power_dbm(p, c.target_mcl_db, attempt=1)
+    preamble_dbm = phy.nprach_tx_power_dbm(p, c.target_mcl_db)
     preamble_mw = phy.tx_power_consumption_mw(p, preamble_dbm)
     rar_cch = phy.message_airtime(1, c, phy.ChannelKind.NPDCCH)
     rar = phy.message_airtime(rar_bytes, c, phy.ChannelKind.NPDSCH)

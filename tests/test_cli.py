@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from nbiotsim import Scenario
+from nbiotsim import Procedure, Scenario, TrafficCase
 from nbiotsim.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, SweepSpec, Table,
                           emit, main, run_capacity_report, run_lifetime_sweep,
                           LIFETIME_COLUMNS)
@@ -38,10 +38,11 @@ def test_sweep_values_must_be_ordered():
 def test_sweep_other_axes():
     spec = SweepSpec("coverage", ("Normal", "Robust", "Extreme"), Scenario())
     assert [s.coverage.name for s in spec.scenarios()] == ["Normal", "Robust", "Extreme"]
-    spec = SweepSpec("procedure", ("SR", "CP", "UP"), Scenario())
-    assert [s.procedure.value for s in spec.scenarios()] == ["SR", "CP", "UP"]
-    spec = SweepSpec("case", ("UL", "DL"), Scenario())
-    assert [s.traffic_case.value for s in spec.scenarios()] == ["UL", "DL"]
+    # already-parsed values are accepted as they are
+    spec = SweepSpec("procedure", ("SR", "CP", "UP", Procedure.UP), Scenario())
+    assert [s.procedure.value for s in spec.scenarios()] == ["SR", "CP", "UP", "UP"]
+    spec = SweepSpec("case", ("UL", "DL", TrafficCase.DL), Scenario())
+    assert [s.traffic_case.value for s in spec.scenarios()] == ["UL", "DL", "DL"]
 
 
 def test_capacity_grid_cardinality():
@@ -150,8 +151,15 @@ def test_cli_bad_iat_is_one_error_line(argv, capsys):
     (["lifetime", "--sweep", "speed=1,2"], "error: unknown sweep axis"),
     (["capacity", "--iat", "-5"], "error: invalid scenario: iat_s"),
     (["capacity", "--iat", "nan"], "error: invalid scenario: iat_s"),
+    (["lifetime", "--iat", "abc"], "error: bad value 'abc' for 'iat'"),
+    (["capacity", "--coverage", "Deep"], "error: bad value 'Deep' for 'coverage'; "
+                                         "expected one of Normal, Robust, Extreme"),
+    (["lifetime", "--procedure", "XX"], "error: bad value 'XX' for 'procedure'"),
+    (["lifetime", "--case", "ZZ"], "error: bad value 'ZZ' for 'case'"),
+    (["capacity", "--format", "xml"], "error: unknown output format 'xml'"),
 ], ids=["procedure", "case", "coverage", "axis", "capacity-iat-negative",
-        "capacity-iat-nan"])
+        "capacity-iat-nan", "iat-flag", "coverage-flag", "procedure-flag",
+        "case-flag", "format-flag"])
 def test_cli_bad_sweep_or_capacity_iat_is_one_error_line(argv, prefix, capsys):
     assert main(argv) == EXIT_VALIDATION
     captured = capsys.readouterr()

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 from nbiotsim import (ConfigurationError, Scenario, build_flow,
                       builtin_coverage_profile, format_scenario, parse_scenario,
                       validate_scenario)
-from nbiotsim.config import (MAX_PSM_TIME_S, Modulation, PowerProfile, Procedure,
-                             Reachability, TimerConfig, TrafficCase, TrafficModel)
+from nbiotsim.config import (MAX_PSM_TIME_S, PowerProfile, Procedure, Reachability,
+                             TimerConfig, TrafficCase, TrafficModel)
 from dataclasses import replace
 
 
@@ -16,7 +16,6 @@ def test_builtin_normal_profile():
     assert c.target_mcl_db == 144.0
     assert c.subcarrier_spacing_khz == 15.0
     assert c.ul_subcarriers_per_burst == 12
-    assert c.modulation is Modulation.QPSK
     assert c.mcs_index == 9
     assert (c.rep_npdcch, c.rep_npdsch, c.rep_npusch, c.rep_nprach) == (1, 1, 2, 1)
     assert c.r_max == 1 and c.g_factor == 32.0
@@ -36,7 +35,6 @@ def test_builtin_extreme_profile():
     c = builtin_coverage_profile("Extreme")
     assert c.subcarrier_spacing_khz == 3.75
     assert c.ul_subcarriers_per_burst == 1
-    assert c.modulation is Modulation.BPSK
     assert c.mcs_index == 0
     assert c.rep_npdcch == 512
     assert c.target_mcl_db == 161.0
@@ -68,6 +66,14 @@ def test_psm_timer_cap_reported():
     with pytest.raises(ConfigurationError, match="310"):
         validate_scenario(s)
     assert 400 * 3600.0 > MAX_PSM_TIME_S
+
+
+def test_idle_drx_cycle_cap_reported():
+    # one idle DRX cycle is the base plus one NPDCCH period of the coverage level
+    parse_scenario("coverage=Normal drx_cycle_base_s=10475.5")        # 10475.532 s
+    with pytest.raises(ConfigurationError,
+                       match="idle DRX cycle 10476.268 s exceeds the 2.91 h maximum"):
+        parse_scenario("coverage=Extreme drx_cycle_base_s=10475.5")
 
 
 def test_zero_iat_rejected():
@@ -173,6 +179,17 @@ def test_scenario_file_unknown_key():
 def test_scenario_file_bad_value():
     with pytest.raises(ConfigurationError, match="bad value"):
         parse_scenario("iat=soon")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("coverage=Deep",
+     "line 2: bad value 'Deep' for 'coverage'; expected one of Normal, Robust, Extreme"),
+    ("procedure=XX", "line 2: bad value 'XX' for 'procedure'; expected one of SR, CP, UP"),
+])
+def test_scenario_file_bad_choice_names_allowed_values(text, message):
+    with pytest.raises(ConfigurationError) as err:
+        parse_scenario("iat=3600\n" + text)
+    assert str(err.value) == message
 
 
 def test_scenario_file_invalid_scenario_rejected():

@@ -176,11 +176,9 @@ def test_npusch_power_many_repetitions_always_max():
 
 
 def test_nprach_power():
-    assert nprach_tx_power_dbm(POWER, 144.0, attempt=1) == 23.0
-    assert nprach_tx_power_dbm(POWER, 80.0, attempt=5) == pytest.approx(-20.0)
-    assert nprach_tx_power_dbm(POWER, 123.0, attempt=1) == pytest.approx(23.0)
-    with pytest.raises(ConfigurationError):
-        nprach_tx_power_dbm(POWER, 144.0, attempt=0)
+    assert nprach_tx_power_dbm(POWER, 144.0) == 23.0
+    assert nprach_tx_power_dbm(POWER, 80.0) == pytest.approx(-20.0)
+    assert nprach_tx_power_dbm(POWER, 123.0) == pytest.approx(23.0)
 
 
 def test_all_profiles_transmit_at_cap():

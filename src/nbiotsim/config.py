@@ -318,6 +318,13 @@ def validate_scenario(s: Scenario) -> Scenario:
 # Plain key=value tokens separated by whitespace or newlines, '#' comments.
 # A minimal file: procedure=CP case=UL coverage=Normal iat=3600
 
+def _finite_float(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
 # Scenario fields that group keys, by target name in _SCENARIO_KEYS.
 _PARTS = {"traffic": TrafficModel, "power": PowerProfile, "timers": TimerConfig}
 
@@ -326,32 +333,32 @@ _SCENARIO_KEYS: dict[str, tuple] = {
     "procedure":        ("scenario", "procedure", Procedure),
     "case":             ("scenario", "traffic_case", TrafficCase),
     "coverage":         ("scenario", "coverage", builtin_coverage_profile),
-    "iat":              ("scenario", "iat_s", float),
-    "battery_wh":       ("scenario", "battery_wh", float),
+    "iat":              ("scenario", "iat_s", _finite_float),
+    "battery_wh":       ("scenario", "battery_wh", _finite_float),
     "reachability":     ("scenario", "mt_reachability", Reachability),
-    "sync_base_ms":     ("scenario", "sync_base_ms", float),
+    "sync_base_ms":     ("scenario", "sync_base_ms", _finite_float),
     "ra_cap":           ("scenario", "ra_attempt_cap", int),
     "rar_bytes":        ("scenario", "rar_bytes", int),
-    "budget_npdcch":    ("scenario", "budget_npdcch_sf_per_s", float),
-    "budget_npdsch":    ("scenario", "budget_npdsch_sf_per_s", float),
-    "budget_npusch":    ("scenario", "budget_npusch_sc_ms_per_s", float),
-    "budget_nprach":    ("scenario", "budget_nprach_slots_per_s", float),
+    "budget_npdcch":    ("scenario", "budget_npdcch_sf_per_s", _finite_float),
+    "budget_npdsch":    ("scenario", "budget_npdsch_sf_per_s", _finite_float),
+    "budget_npusch":    ("scenario", "budget_npusch_sc_ms_per_s", _finite_float),
+    "budget_nprach":    ("scenario", "budget_nprach_slots_per_s", _finite_float),
     "payload_bytes":    ("traffic", "data_payload_bytes", int),
     "overhead_bytes":   ("traffic", "protocol_overhead_bytes", int),
     "ack_payload_bytes": ("traffic", "ack_payload_bytes", int),
-    "deep_sleep_mw":    ("power", "deep_sleep_mw", float),
-    "inactive_mw":      ("power", "inactive_mw", float),
-    "rx_mw":            ("power", "rx_mw", float),
-    "tx_max_mw":        ("power", "tx_max_mw", float),
-    "p_cmax_dbm":       ("power", "p_cmax_dbm", float),
-    "p_o_npusch_dbm":   ("power", "p_o_npusch_dbm", float),
-    "alpha":            ("power", "alpha", float),
-    "initial_target_dbm": ("power", "initial_received_target_power_dbm", float),
-    "delta_preamble_db": ("power", "delta_preamble_db", float),
+    "deep_sleep_mw":    ("power", "deep_sleep_mw", _finite_float),
+    "inactive_mw":      ("power", "inactive_mw", _finite_float),
+    "rx_mw":            ("power", "rx_mw", _finite_float),
+    "tx_max_mw":        ("power", "tx_max_mw", _finite_float),
+    "p_cmax_dbm":       ("power", "p_cmax_dbm", _finite_float),
+    "p_o_npusch_dbm":   ("power", "p_o_npusch_dbm", _finite_float),
+    "alpha":            ("power", "alpha", _finite_float),
+    "initial_target_dbm": ("power", "initial_received_target_power_dbm", _finite_float),
+    "delta_preamble_db": ("power", "delta_preamble_db", _finite_float),
     "cp_inactivity_periods": ("timers", "cp_inactivity_npdcch_periods", int),
-    "idle_timer_base_s": ("timers", "idle_active_timer_base_s", float),
-    "drx_cycle_base_s": ("timers", "drx_long_cycle_base_s", float),
-    "tau_period_s":     ("timers", "psm_tau_period_s", float),
+    "idle_timer_base_s": ("timers", "idle_active_timer_base_s", _finite_float),
+    "drx_cycle_base_s": ("timers", "drx_long_cycle_base_s", _finite_float),
+    "tau_period_s":     ("timers", "psm_tau_period_s", _finite_float),
 }
 
 

@@ -69,49 +69,53 @@ class Interval:
 
 # --- catalog ----------------------------------------------------------------
 
-_DATA_SIZE_RULES = {
-    # name: which traffic-model size the catalog extra is added to
-    "ul_data": "data",
-    "ul_data_nas": "data",
-    "rrc_setup_complete_nas_data": "data",
-    "dl_data": "data",
-    "dl_data_nas": "data",
-    "dl_ack": "ack",
-    "dl_ack_nas": "ack",
-}
+# size base of a DATA message -> the TrafficModel size its catalog extra adds to
+_SIZE_BASES = {"data": "data_message_bytes", "ack": "ack_message_bytes"}
 
 
-def _parse_catalog(text: str) -> dict[str, tuple[SignalingMessage, ...]]:
-    entries: dict[str, list[tuple[int, SignalingMessage]]] = {}
+def _parse_message(name, direction, plane, channel, size) -> tuple:
+    """One `message` record: the message and its size base (None if fixed)."""
+    base, plus, extra = size.rpartition("+")
+    msg = SignalingMessage(name, LinkDirection(direction), Plane(plane),
+                           phy.ChannelKind(channel), int(extra))
+    if (plus and base not in _SIZE_BASES) or bool(plus) != (msg.plane is Plane.DATA):
+        raise ConfigurationError(f"size {size!r}: DATA messages, and only they, "
+                                 "take a data+N or ack+N size")
+    if f"{direction} {channel}" not in ("UL NPUSCH", "DL NPDSCH"):
+        raise ConfigurationError("UL messages use NPUSCH, DL messages NPDSCH")
+    return msg, _SIZE_BASES.get(base)
+
+
+def _parse_catalog(text: str) -> dict[str, tuple]:
+    """Flows of a catalog text by flow id: (message, size base) per message.
+
+    Reads the `message` and `flow` records of data/message_catalog.tsv and
+    checks every invariant of the format, once, at load time.
+    """
+    messages, flows = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        cells = line.split()
-        if len(cells) != 7:
-            raise ConfigurationError(f"catalog line {lineno}: expected 7 columns")
-        flow_id, seq, name, direction, plane, channel, size = cells
-        msg = SignalingMessage(
-            name=name,
-            direction=LinkDirection(direction),
-            plane=Plane(plane),
-            channel=phy.ChannelKind(channel),
-            size_bytes=int(size),
-        )
-        if msg.direction is LinkDirection.UL and msg.channel is not phy.ChannelKind.NPUSCH:
-            raise ConfigurationError(f"catalog line {lineno}: UL messages use NPUSCH")
-        if msg.direction is LinkDirection.DL and msg.channel is not phy.ChannelKind.NPDSCH:
-            raise ConfigurationError(f"catalog line {lineno}: DL messages use NPDSCH")
-        entries.setdefault(flow_id, []).append((int(seq), msg))
-    flows = {}
-    for flow_id, seq_msgs in entries.items():
-        seq_msgs.sort(key=lambda pair: pair[0])
-        flows[flow_id] = tuple(m for _, m in seq_msgs)
+        kind, *cells = line.split("#", 1)[0].split() or [""]
+        try:
+            if kind == "message" and len(cells) == 5:
+                if cells[0] in messages:
+                    raise ConfigurationError(f"message {cells[0]!r} defined twice")
+                messages[cells[0]] = _parse_message(*cells)
+            elif kind == "flow" and len(cells) > 1:
+                if cells[0] in flows:
+                    raise ConfigurationError(f"flow {cells[0]!r} listed twice")
+                flows[cells[0]] = tuple(messages[name] for name in cells[1:])
+            elif kind:
+                raise ConfigurationError("expected 'message name direction plane "
+                                         "channel size' or 'flow id name...'")
+        except KeyError as exc:         # a flow names an undefined message
+            raise ConfigurationError(f"catalog line {lineno}: unknown message {exc}") from None
+        except ValueError as exc:       # ConfigurationError, enum or int parse
+            raise ConfigurationError(f"catalog line {lineno}: {exc}") from None
     return flows
 
 
 @lru_cache(maxsize=None)
-def _catalog() -> dict[str, tuple[SignalingMessage, ...]]:
+def _catalog() -> dict[str, tuple]:
     """Flows of the packaged, checksummed message catalog, by flow id."""
     return _parse_catalog(phy.verified_data_text("message_catalog.tsv"))
 
@@ -125,22 +129,14 @@ def _flow_id(s: Scenario) -> str:
     return base
 
 
-def _materialize(msg: SignalingMessage, s: Scenario) -> SignalingMessage:
-    if msg.plane is not Plane.DATA:
-        return msg
-    rule = _DATA_SIZE_RULES.get(msg.name)
-    if rule is None:
-        raise ConfigurationError(f"DATA message {msg.name!r} has no size rule")
-    base = s.traffic.data_message_bytes if rule == "data" else s.traffic.ack_message_bytes
-    return replace(msg, size_bytes=base + msg.size_bytes)
-
-
 def _build(flow_id: str, s: Scenario) -> ProcedureFlow:
     try:
         template = _catalog()[flow_id]
     except KeyError:
         raise ConfigurationError(f"message catalog has no flow {flow_id!r}") from None
-    messages = tuple(_materialize(m, s) for m in template)
+    messages = tuple(msg if base is None else
+                     replace(msg, size_bytes=getattr(s.traffic, base) + msg.size_bytes)
+                     for msg, base in template)
     # Release assistance rides only in uplink NAS data PDUs, so only CP
     # exchanges that carry uplink data release without an idle-DRX window;
     # everywhere else the idle active timer is base + 2 long DRX cycles.

@@ -94,20 +94,24 @@ def _tbs_table(direction: LinkDirection) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _tbs_row(c: CoverageProfile, direction: LinkDirection) -> tuple[int, ...]:
+    table = _tbs_table(direction)
+    if not 0 <= c.mcs_index < len(table):
+        raise ConfigurationError(f"mcs_index={c.mcs_index} outside the TBS table")
+    return table[c.mcs_index]
+
+
 def tbs_bits(c: CoverageProfile, direction: LinkDirection, resource_units: int) -> int:
     """Transport block size in bits for the profile's MCS and an allocation size.
 
     resource_units counts NPUSCH resource units (UL) or NPDSCH subframes (DL)
     and must be one of the standard allocation sizes.
     """
-    table = _tbs_table(direction)
-    if not 0 <= c.mcs_index < len(table):
-        raise ConfigurationError(f"mcs_index={c.mcs_index} outside the TBS table")
     if resource_units not in ALLOCATION_UNITS:
         raise ConfigurationError(
             f"resource_units={resource_units} not a valid allocation "
             f"(expected one of {ALLOCATION_UNITS})")
-    return table[c.mcs_index][ALLOCATION_UNITS.index(resource_units)]
+    return _tbs_row(c, direction)[ALLOCATION_UNITS.index(resource_units)]
 
 
 def transport_block_units(size_bits: int, c: CoverageProfile,
@@ -119,8 +123,7 @@ def transport_block_units(size_bits: int, c: CoverageProfile,
     """
     if size_bits <= 0:
         raise ConfigurationError("shared-channel message must have size > 0")
-    table = _tbs_table(direction)
-    row = table[c.mcs_index]
+    row = _tbs_row(c, direction)
     max_tbs = row[-1]
     blocks = []
     remaining = size_bits
@@ -163,8 +166,6 @@ def message_airtime(size_bytes: int, c: CoverageProfile, ch: ChannelKind) -> Air
         return Airtime(c.rep_nprach * c.nprach_preamble_ms, 0.25)
     if ch is ChannelKind.NPDCCH:
         return Airtime(c.rep_npdcch * SUBFRAME_MS, 1.0)
-    if size_bytes <= 0:
-        raise ConfigurationError("shared-channel message must have size > 0")
     bits = size_bytes * 8
     if ch is ChannelKind.NPUSCH:
         units = transport_block_units(bits, c, LinkDirection.UL)

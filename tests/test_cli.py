@@ -1,10 +1,11 @@
 """Command-line front end: sweeps, grids, emit formats, exit codes."""
 
 import io
+from dataclasses import replace
 
 import pytest
 
-from nbiotsim import Procedure, Scenario, TrafficCase
+from nbiotsim import Procedure, Scenario, TrafficCase, cell_capacity
 from nbiotsim.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, SweepSpec, Table,
                           emit, main, run_capacity_report, run_lifetime_sweep,
                           LIFETIME_COLUMNS)
@@ -43,6 +44,15 @@ def test_sweep_other_axes():
     assert [s.procedure.value for s in spec.scenarios()] == ["SR", "CP", "UP", "UP"]
     spec = SweepSpec("case", ("UL", "DL", TrafficCase.DL), Scenario())
     assert [s.traffic_case.value for s in spec.scenarios()] == ["UL", "DL", "DL"]
+
+
+def test_mcs_outside_tbs_table_is_row_error():
+    # validation does not bound the MCS above; the TBS lookup does
+    s = Scenario(coverage=replace(Scenario().coverage, mcs_index=13))
+    table = run_lifetime_sweep(SweepSpec("iat", (3600.0, 7200.0), s))
+    assert [row[-1] for row in table.rows[1:]] == ["mcs_index=13 outside the TBS table"] * 2
+    with pytest.raises(ConfigurationError, match="mcs_index=13 outside the TBS table"):
+        cell_capacity(s)
 
 
 def test_capacity_grid_cardinality():
@@ -134,14 +144,20 @@ def test_cli_bad_sweep_exit_code(capsys):
     assert main(["lifetime", "--sweep", "iat=7200,3600"]) == EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("argv", [["--iat", "nan"], ["--iat", "inf"],
-                                  ["--sweep", "iat=abc"], ["--sweep", "iat=3600,nan"]])
+BAD_IAT_ERRORS = {
+    ("--iat", "nan"): "error: bad value 'nan' for 'iat'",
+    ("--iat", "inf"): "error: bad value 'inf' for 'iat'",
+    ("--sweep", "iat=abc"): "error: iat sweep values: bad value 'abc' for 'iat'",
+    ("--sweep", "iat=3600,nan"): "error: iat sweep values: bad value 'nan' for 'iat'",
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in BAD_IAT_ERRORS])
 def test_cli_bad_iat_is_one_error_line(argv, capsys):
     assert main(["lifetime"] + argv) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: iat sweep values")
+    assert captured.err.splitlines() == [BAD_IAT_ERRORS[tuple(argv)]]
 
 
 @pytest.mark.parametrize("argv,prefix", [
@@ -150,7 +166,7 @@ def test_cli_bad_iat_is_one_error_line(argv, capsys):
     (["lifetime", "--sweep", "coverage=Deep"], "error: coverage sweep values"),
     (["lifetime", "--sweep", "speed=1,2"], "error: unknown sweep axis"),
     (["capacity", "--iat", "-5"], "error: invalid scenario: iat_s"),
-    (["capacity", "--iat", "nan"], "error: invalid scenario: iat_s"),
+    (["capacity", "--iat", "nan"], "error: bad value 'nan' for 'iat'"),
     (["lifetime", "--iat", "abc"], "error: bad value 'abc' for 'iat'"),
     (["capacity", "--coverage", "Deep"], "error: bad value 'Deep' for 'coverage'; "
                                          "expected one of Normal, Robust, Extreme"),

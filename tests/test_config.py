@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from nbiotsim import (ConfigurationError, Scenario, build_flow,
                       builtin_coverage_profile, format_scenario, parse_scenario,
                       validate_scenario)
-from nbiotsim.config import (MAX_PSM_TIME_S, PowerProfile, Procedure, Reachability,
-                             TimerConfig, TrafficCase, TrafficModel)
+from nbiotsim.config import (MAX_PSM_TIME_S, _SCENARIO_KEYS, PowerProfile, Procedure,
+                             Reachability, TimerConfig, TrafficCase, TrafficModel,
+                             scenario_value)
 from dataclasses import replace
 
 
@@ -86,8 +87,9 @@ def test_zero_iat_rejected():
 def test_non_finite_values_rejected(field, value):
     with pytest.raises(ConfigurationError, match=field):
         validate_scenario(replace(Scenario(), **{field: value}))
-    with pytest.raises(ConfigurationError, match=field):
-        parse_scenario(f"{'iat' if field == 'iat_s' else field}={value}")
+    key = "iat" if field == "iat_s" else field
+    with pytest.raises(ConfigurationError, match=f"line 1: bad value '{value}' for '{key}'"):
+        parse_scenario(f"{key}={value}")
 
 
 def test_power_ordering_enforced():
@@ -179,6 +181,27 @@ def test_scenario_file_unknown_key():
 def test_scenario_file_bad_value():
     with pytest.raises(ConfigurationError, match="bad value"):
         parse_scenario("iat=soon")
+
+
+def _accepts(key, raw) -> bool:
+    try:
+        scenario_value(key, raw)
+    except ConfigurationError:
+        return False
+    return True
+
+
+# the keys that take a real number: iat, battery, sync, 4 budgets, 9 power, 3 timers
+FLOAT_KEYS = [key for key in _SCENARIO_KEYS if _accepts(key, "0.5")]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_values_are_bad_values(key, value):
+    assert len(FLOAT_KEYS) == 19
+    with pytest.raises(ConfigurationError) as err:
+        parse_scenario(f"{key}={value}")
+    assert str(err.value) == f"line 1: bad value '{value}' for '{key}'"
 
 
 @pytest.mark.parametrize("text,message", [

@@ -1,13 +1,14 @@
 """Flow construction, timer resolution, and timeline well-formedness."""
 
+import hashlib
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbiotsim import build_flow, build_tau_flow, flow_timeline
-from nbiotsim.config import Reachability, TrafficModel
-from nbiotsim.flows import EnergyCategory, Plane, active_duration_s
+from nbiotsim.config import ConfigurationError, Reachability, TrafficModel
+from nbiotsim.flows import EnergyCategory, Plane, _parse_catalog, active_duration_s
 from nbiotsim.phy import LinkDirection
 from tests.conftest import make_scenario
 
@@ -109,6 +110,60 @@ def test_tau_flow_contents():
         assert carries_tau(flow)
         assert not any(m.plane is Plane.DATA for m in flow.messages)
         assert flow.idle_drx_s > 0.0
+
+
+# SHA-256 of every built flow, main and TAU, over all procedure x case x
+# reachability x coverage points; data and ack sizes differ from the defaults
+# so a DATA message added to the wrong traffic-model size changes the digest.
+FLOW_DIGEST = "13c951462699a588ed58bffe2e6e9ac56a496cf5c3b475b6ecde3f51312bdfe9"
+
+
+def test_built_flows_match_pinned_digest():
+    traffic = TrafficModel(data_payload_bytes=37, protocol_overhead_bytes=51,
+                           ack_payload_bytes=5)
+    digest = hashlib.sha256()
+    flow_ids = set()
+    for proc, case, reach, cov in itertools.product(
+            ["SR", "CP", "UP"], ["UL", "UL_ACK", "DL", "DL_ACK"],
+            list(Reachability), ["Normal", "Robust", "Extreme"]):
+        s = make_scenario(proc, case, cov, mt_reachability=reach, traffic=traffic)
+        for flow in (build_flow(s), build_tau_flow(s)):
+            flow_ids.add(flow.flow_id)
+            digest.update(f"{flow.flow_id} {flow.idle_drx_s!r}\n".encode())
+            for m in flow.messages:
+                digest.update(f"{m.name} {m.direction.value} {m.plane.value} "
+                              f"{m.channel.value} {m.size_bytes}\n".encode())
+    assert len(flow_ids) == 21
+    assert digest.hexdigest() == FLOW_DIGEST
+
+
+DEFS = "message ul_data UL DATA NPUSCH data+0\nmessage rrc_release DL AS NPDSCH 7\n"
+SIZE_RULE = "DATA messages, and only they, take a data+N or ack+N size"
+CHANNEL_RULE = "UL messages use NPUSCH, DL messages NPDSCH"
+RECORDS = "expected 'message name direction plane channel size' or 'flow id name...'"
+
+
+@pytest.mark.parametrize("text,message", [
+    (DEFS + "flow x ul_data dl_ack rrc_release", "line 3: unknown message 'dl_ack'"),
+    (DEFS + "flow x dl_ack\nmessage dl_ack DL DATA NPDSCH ack+0",
+     "line 3: unknown message 'dl_ack'"),
+    (DEFS + "message ul_data UL DATA NPUSCH data+7",
+     "line 3: message 'ul_data' defined twice"),
+    (DEFS + "flow x ul_data\nflow x rrc_release", "line 4: flow 'x' listed twice"),
+    (DEFS + "flow x  # no messages", f"line 3: {RECORDS}"),
+    ("message rrc_release DL AS NPDSCH ack+7", f"line 1: size 'ack+7': {SIZE_RULE}"),
+    ("message ul_data UL DATA NPUSCH 7", f"line 1: size '7': {SIZE_RULE}"),
+    ("message ul_data UL DATA NPUSCH body+7", f"line 1: size 'body+7': {SIZE_RULE}"),
+    ("message tau_request UL NAS NPDSCH 90", f"line 1: {CHANNEL_RULE}"),
+    ("message tau_accept DL NAS NPUSCH 68", f"line 1: {CHANNEL_RULE}"),
+    ("message tau_accept DL NAS NPDSCH", f"line 1: {RECORDS}"),
+], ids=["unknown-message", "message-defined-below", "message-twice", "flow-twice",
+        "empty-flow", "rule-off-data", "data-without-rule", "unknown-rule",
+        "ul-off-npusch", "dl-off-npdsch", "short-record"])
+def test_catalog_parser_rejects(text, message):
+    with pytest.raises(ConfigurationError) as err:
+        _parse_catalog(text)
+    assert str(err.value) == "catalog " + message
 
 
 # --- timers ------------------------------------------------------------------

@@ -58,6 +58,14 @@ def test_dl_tbs_spot_values(mcs, units, expected):
     assert tbs_bits(c, LinkDirection.DL, units) == expected
 
 
+def test_mcs_outside_tbs_table_rejected():
+    c = replace(NORMAL, mcs_index=13)          # the tables hold MCS 0..12
+    with pytest.raises(ConfigurationError, match="mcs_index=13 outside the TBS table"):
+        tbs_bits(c, LinkDirection.UL, 1)
+    with pytest.raises(ConfigurationError, match="mcs_index=13 outside the TBS table"):
+        transport_block_units(512, c, LinkDirection.DL)
+
+
 def test_tbs_out_of_range_units():
     with pytest.raises(ConfigurationError, match="allocation"):
         tbs_bits(NORMAL, LinkDirection.UL, 7)

@@ -17,9 +17,9 @@ from .phy import (Airtime, ChannelKind, LinkDirection, message_airtime,
 from .ra import detection_probability, expected_attempts
 from .flows import (EnergyCategory, Interval, Plane, ProcedureFlow,
                     SignalingMessage, build_flow, build_tau_flow, flow_timeline)
-from .energy import (CycleProfile, EnergyBreakdown, average_power_w,
-                     battery_lifetime_years, cycle_energy, cycle_profile,
-                     lifetime_years, psm_baseline_lifetime_years)
+from .energy import (CycleProfile, EnergyBreakdown, battery_lifetime_years,
+                     cycle_energy, cycle_profile, lifetime_years,
+                     psm_baseline_lifetime_years)
 from .capacity import (CapacityReport, capacity_gain_pct, cell_capacity,
                        default_budgets, flow_channel_usage)
 

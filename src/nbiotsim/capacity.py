@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import flows, phy, ra
-from .config import Scenario, validate_scenario
+from .config import ConfigurationError, Scenario, validate_scenario
 from .flows import ProcedureFlow
 from .phy import ChannelKind, LinkDirection
 
@@ -104,7 +104,7 @@ def cell_capacity(s: Scenario) -> CapacityReport:
 def capacity_gain_pct(opt: CapacityReport, sr: CapacityReport) -> float:
     """Capacity gain of an optimized procedure relative to the legacy one."""
     if sr.reports_per_hour <= 0.0:
-        raise ValueError("reference capacity is zero")
+        raise ConfigurationError("reference capacity is zero")
     return (opt.reports_per_hour / sr.reports_per_hour - 1.0) * 100.0
 
 

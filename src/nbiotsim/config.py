@@ -256,19 +256,21 @@ class Scenario:
     # --- resolved timers -------------------------------------------------
 
     @property
-    def npdcch_period_ms(self) -> int:
-        return self.coverage.npdcch_period_ms
-
-    @property
     def idle_drx_cycle_s(self) -> float:
         """One long DRX cycle: off period plus one NPDCCH period of monitoring."""
-        return self.timers.drx_long_cycle_base_s + self.npdcch_period_ms / 1000.0
+        return self.timers.drx_long_cycle_base_s + self.coverage.npdcch_period_ms / 1000.0
+
+    @property
+    def idle_active_timer_s(self) -> float:
+        """Idle-state active timer (T3324): base plus 2 long DRX cycles."""
+        return self.timers.idle_active_timer_base_s + 2.0 * self.idle_drx_cycle_s
 
     @property
     def connected_inactivity_s(self) -> float:
         """Connected-state inactivity timer: 0 for UP/SR, N NPDCCH periods for CP."""
         if self.procedure is Procedure.CP:
-            return self.timers.cp_inactivity_npdcch_periods * self.npdcch_period_ms / 1000.0
+            return (self.timers.cp_inactivity_npdcch_periods
+                    * self.coverage.npdcch_period_ms / 1000.0)
         return 0.0
 
     @property
@@ -298,6 +300,17 @@ class Scenario:
         if self.idle_drx_cycle_s > MAX_IDLE_DRX_CYCLE_S:
             out.append(f"idle DRX cycle {self.idle_drx_cycle_s:.3f} s exceeds the "
                        f"{MAX_IDLE_DRX_CYCLE_S / 3600.0:.2f} h maximum")
+        # T3324 runs out before the periodic TAU timer T3412 (TS 24.008, TS 23.682)
+        if self.idle_active_timer_s >= self.timers.psm_tau_period_s:
+            out.append(f"idle active timer {self.idle_active_timer_s:.3f} s must be "
+                       f"shorter than the {self.timers.psm_tau_period_s:.0f} s TAU period")
+        # a mobile-terminated PSM_TAU cycle reaches the UE at its TAU, so its
+        # traffic period is its TAU period
+        if (self.traffic_case.mobile_terminated
+                and self.mt_reachability is Reachability.PSM_TAU
+                and self.iat_s > MAX_PSM_TIME_S):
+            out.append(f"iat_s={self.iat_s:.0f} s: a mobile-terminated PSM_TAU cycle "
+                       f"exceeds the {MAX_PSM_TIME_S / 3600.0:.0f} h PSM maximum")
         out.extend(self.timers.violations())
         return out
 

@@ -136,11 +136,6 @@ def cycle_energy(s: Scenario) -> EnergyBreakdown:
     return cycle_profile(s).breakdown(s.iat_s)
 
 
-def average_power_w(s: Scenario) -> float:
-    """Long-run average UE power draw in watts."""
-    return cycle_energy(s).total_mj / 1000.0 / s.iat_s
-
-
 def lifetime_years(b: EnergyBreakdown, s: Scenario) -> float:
     """Battery lifetime in years of scenario s, whose cycle energy is b."""
     power_w = b.total_mj / 1000.0 / s.iat_s

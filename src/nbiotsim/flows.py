@@ -4,6 +4,8 @@ Builds the ordered message sequence for each (procedure, traffic case)
 combination from the message catalog, resolves the DRX timers, and lays the
 whole cycle out as a contiguous list of power-state intervals: sync, random
 access, per-message control/gap/airtime, connected DRX, idle DRX, deep sleep.
+A DRX window is laid out as two intervals, its total on time and then its
+total off time, so the timeline's length does not grow with the timers.
 """
 
 from __future__ import annotations
@@ -139,14 +141,11 @@ def _build(flow_id: str, s: Scenario) -> ProcedureFlow:
                      for msg, base in template)
     # Release assistance rides only in uplink NAS data PDUs, so only CP
     # exchanges that carry uplink data release without an idle-DRX window;
-    # everywhere else the idle active timer is base + 2 long DRX cycles.
+    # everywhere else the idle active timer runs.
     rai = s.procedure is Procedure.CP and any(
         m.plane is Plane.DATA and m.direction is LinkDirection.UL for m in messages)
-    if rai:
-        idle_s = 0.0
-    else:
-        idle_s = s.timers.idle_active_timer_base_s + 2.0 * s.idle_drx_cycle_s
-    return ProcedureFlow(flow_id=flow_id, messages=messages, idle_drx_s=idle_s)
+    return ProcedureFlow(flow_id=flow_id, messages=messages,
+                         idle_drx_s=0.0 if rai else s.idle_active_timer_s)
 
 
 def build_flow(s: Scenario) -> ProcedureFlow:
@@ -181,15 +180,12 @@ class _TimelineBuilder:
 
 def _emit_drx_cycles(tb: _TimelineBuilder, window_us: int, on_us: int, off_us: int,
                      p: PowerProfile, category: EnergyCategory, label: str) -> None:
-    """Emit on/off DRX cycles until the window is exhausted (last one truncated)."""
-    remaining = window_us
-    while remaining > 0:
-        on = min(on_us, remaining)
-        tb.emit(on, UeState.RX, p.rx_mw, category, f"{label}_on")
-        remaining -= on
-        off = min(off_us, remaining)
-        tb.emit(off, UeState.INACTIVE, p.inactive_mw, category, f"{label}_off")
-        remaining -= off
+    """Emit a window of on/off DRX cycles (the last one truncated) as its total
+    on time, then its total off time: nothing later depends on the order."""
+    cycles, tail = divmod(window_us, on_us + off_us)
+    on = cycles * on_us + min(on_us, tail)
+    tb.emit(on, UeState.RX, p.rx_mw, category, f"{label}_on")
+    tb.emit(window_us - on, UeState.INACTIVE, p.inactive_mw, category, f"{label}_off")
 
 
 def flow_timeline(flow: ProcedureFlow, s: Scenario,

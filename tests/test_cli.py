@@ -173,15 +173,42 @@ def test_cli_bad_iat_is_one_error_line(argv, capsys):
     (["lifetime", "--procedure", "XX"], "error: bad value 'XX' for 'procedure'"),
     (["lifetime", "--case", "ZZ"], "error: bad value 'ZZ' for 'case'"),
     (["capacity", "--format", "xml"], "error: unknown output format 'xml'"),
+    (["capacity", "--case", "DL", "--iat", "2000000"],
+     "error: invalid scenario: iat_s=2000000 s: a mobile-terminated PSM_TAU cycle "
+     "exceeds the 310 h PSM maximum"),
 ], ids=["procedure", "case", "coverage", "axis", "capacity-iat-negative",
         "capacity-iat-nan", "iat-flag", "coverage-flag", "procedure-flag",
-        "case-flag", "format-flag"])
+        "case-flag", "format-flag", "capacity-dl-iat-above-psm-max"])
 def test_cli_bad_sweep_or_capacity_iat_is_one_error_line(argv, prefix, capsys):
     assert main(argv) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
+@pytest.mark.parametrize("text,argv,line", [
+    ("idle_timer_base_s=1e7", ["lifetime", "--iat", "3600"],
+     "error: invalid scenario: idle active timer 10000004.160 s must be shorter "
+     "than the 432000 s TAU period"),
+    ("budget_npdcch=1e-320", ["capacity"], "error: reference capacity is zero"),
+], ids=["idle-timer-above-tau-period", "zero-reference-capacity"])
+def test_cli_bad_scenario_file_is_one_error_line(text, argv, line, tmp_path, capsys):
+    f = tmp_path / "s.cfg"
+    f.write_text(text + "\n")
+    assert main(argv + ["--scenario", str(f)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+
+
+def test_cli_dl_iat_above_psm_maximum_is_row_error(capsys):
+    # a downlink PSM_TAU cycle paces its TAU at the IAT: 2e6 s is past 310 h
+    assert main(["lifetime", "--case", "DL", "--iat", "2000000"]) == EXIT_VALIDATION
+    row = capsys.readouterr().out.splitlines()[2].split(",")
+    assert row[:4] == ["CP", "DL", "Normal", "2000000.000000"]
+    assert row[-1].endswith("a mobile-terminated PSM_TAU cycle exceeds the 310 h "
+                            "PSM maximum")
 
 
 def test_cli_capacity_does_not_depend_on_iat(capsys):

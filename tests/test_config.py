@@ -77,6 +77,31 @@ def test_idle_drx_cycle_cap_reported():
         parse_scenario("coverage=Extreme drx_cycle_base_s=10475.5")
 
 
+def test_idle_active_timer_must_be_shorter_than_tau_period():
+    # T3324 (base + 2 long DRX cycles, 2.08 s each at Normal) < T3412
+    validate_scenario(Scenario(timers=TimerConfig(idle_active_timer_base_s=95.0,
+                                                  psm_tau_period_s=100.0)))
+    with pytest.raises(ConfigurationError,
+                       match="idle active timer 100.160 s must be shorter than "
+                             "the 100 s TAU period"):
+        validate_scenario(Scenario(timers=TimerConfig(idle_active_timer_base_s=96.0,
+                                                      psm_tau_period_s=100.0)))
+    with pytest.raises(ConfigurationError, match="idle active timer 10000004.160 s"):
+        parse_scenario("idle_timer_base_s=1e7")
+
+
+@pytest.mark.parametrize("case", ["DL", "DL_ACK"])
+def test_mobile_terminated_iat_capped_at_psm_maximum(case):
+    # a downlink PSM_TAU cycle is reached at its TAU, paced at the IAT
+    validate_scenario(make(case=case, iat_s=MAX_PSM_TIME_S))
+    with pytest.raises(ConfigurationError, match="exceeds the 310 h PSM maximum"):
+        validate_scenario(make(case=case, iat_s=MAX_PSM_TIME_S + 1.0))
+    # uplink cycles and paged downlink cycles carry no IAT-paced TAU
+    validate_scenario(make(case="UL", iat_s=2 * MAX_PSM_TIME_S))
+    validate_scenario(make(case=case, iat_s=2 * MAX_PSM_TIME_S,
+                           mt_reachability=Reachability.DRX_PAGING))
+
+
 def test_zero_iat_rejected():
     with pytest.raises(ConfigurationError, match="iat_s"):
         validate_scenario(Scenario(iat_s=0.0))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbiotsim import build_flow, build_tau_flow, flow_timeline
-from nbiotsim.config import ConfigurationError, Reachability, TrafficModel
+from nbiotsim.config import ConfigurationError, Reachability, TimerConfig, TrafficModel
 from nbiotsim.flows import EnergyCategory, Plane, _parse_catalog, active_duration_s
 from nbiotsim.phy import LinkDirection
 from tests.conftest import make_scenario
@@ -200,6 +200,39 @@ def test_rai_follows_the_exchange_not_the_scenario(case):
         assert build_flow(s).idle_drx_s == 0.0
         assert build_tau_flow(s).idle_drx_s > 0.0
     assert build_tau_flow(make_scenario("CP", case)).idle_drx_s == pytest.approx(14.16)
+
+
+# --- DRX windows -------------------------------------------------------------
+
+@pytest.mark.parametrize("proc,case", ALL_COMBOS)
+def test_timeline_length_does_not_grow_with_the_timers(proc, case):
+    lengths = set()
+    for idle_base, periods in itertools.product([10.0, 1e3, 1e5], [5, 1000]):
+        timers = TimerConfig(idle_active_timer_base_s=idle_base,
+                             cp_inactivity_npdcch_periods=periods)
+        s = make_scenario(proc, case, iat_h=48.0, timers=timers)
+        lengths.add(len(flow_timeline(build_flow(s), s)))
+    assert len(lengths) == 1
+
+
+@pytest.mark.parametrize("proc,cov,idle_base,label,on_us,off_us", [
+    # 14.16 s = 6 idle cycles of 2.08 s + 1.68 s: the tail ends inside an off period
+    ("UP", "Normal", 10.0, "drx", 7 * 32_000, 14_160_000 - 7 * 32_000),
+    # 12.49 s = 6 cycles + 10 ms: the tail ends inside an on period
+    ("UP", "Normal", 8.33, "drx", 6 * 32_000 + 10_000, 6 * 2_048_000),
+    # 4.16 s = exactly 2 cycles
+    ("UP", "Normal", 0.0, "drx", 2 * 32_000, 2 * 2_048_000),
+    # 5 NPDCCH periods of 768 ms, each monitored for 512 repetitions of 1 ms
+    ("CP", "Extreme", 10.0, "connected_drx", 5 * 512_000, 5 * 256_000),
+], ids=["idle-tail-in-off", "idle-tail-in-on", "idle-whole-cycles", "connected"])
+def test_drx_window_totals_follow_cycle_arithmetic(proc, cov, idle_base, label,
+                                                   on_us, off_us):
+    s = make_scenario(proc, "UL", cov,
+                      timers=TimerConfig(idle_active_timer_base_s=idle_base))
+    window = [iv for iv in flow_timeline(build_flow(s), s)
+              if iv.label in (f"{label}_on", f"{label}_off")]
+    assert [(iv.label, iv.duration_us) for iv in window] == [
+        (f"{label}_on", on_us), (f"{label}_off", off_us)]
 
 
 # --- timeline ----------------------------------------------------------------

@@ -8,8 +8,9 @@ scenario file format.  Every other module consumes only these types.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 
 # Rel-13 bounds on the power-saving timers
 MAX_IDLE_DRX_CYCLE_S = 2.91 * 3600.0
@@ -75,7 +76,7 @@ class CoverageProfile:
     sync_time_scale: float = 1.0          # multiplies the scenario's sync time
     nprach_preamble_ms: float = 6.4       # preamble format 1: 4 symbol groups of 1.6 ms
 
-    @property
+    @cached_property
     def npdcch_period_ms(self) -> int:
         """NPDCCH search-space periodicity T = R_max * G, in whole ms."""
         period = self.r_max * self.g_factor
@@ -158,16 +159,6 @@ class PowerProfile:
     initial_received_target_power_dbm: float = -100.0
     delta_preamble_db: float = 0.0
 
-    def violations(self) -> list[str]:
-        out = []
-        if not (0.0 < self.deep_sleep_mw < self.inactive_mw < self.rx_mw < self.tx_max_mw):
-            out.append("state powers must satisfy 0 < deep_sleep < inactive < rx < tx_max "
-                       f"(got {self.deep_sleep_mw}, {self.inactive_mw}, "
-                       f"{self.rx_mw}, {self.tx_max_mw} mW)")
-        if not (0.0 <= self.alpha <= 1.0):
-            out.append(f"alpha={self.alpha}: must be in [0, 1]")
-        return out
-
 
 @dataclass(frozen=True)
 class TrafficModel:
@@ -185,16 +176,6 @@ class TrafficModel:
     def ack_message_bytes(self) -> int:
         return self.ack_payload_bytes + self.protocol_overhead_bytes
 
-    def violations(self) -> list[str]:
-        out = []
-        if self.data_payload_bytes < 0:
-            out.append(f"data_payload_bytes={self.data_payload_bytes}: must be >= 0")
-        if self.ack_payload_bytes < 0:
-            out.append(f"ack_payload_bytes={self.ack_payload_bytes}: must be >= 0")
-        if self.protocol_overhead_bytes <= 0:
-            out.append(f"protocol_overhead_bytes={self.protocol_overhead_bytes}: must be > 0")
-        return out
-
 
 @dataclass(frozen=True)
 class TimerConfig:
@@ -209,21 +190,6 @@ class TimerConfig:
     idle_active_timer_base_s: float = 10.0
     drx_long_cycle_base_s: float = 2.048
     psm_tau_period_s: float = 5 * 24 * 3600.0   # periodic TAU every 5 days
-
-    def violations(self) -> list[str]:
-        out = []
-        if self.psm_tau_period_s > MAX_PSM_TIME_S:
-            out.append(f"psm_tau_period_s={self.psm_tau_period_s:.0f} s exceeds the "
-                       f"{MAX_PSM_TIME_S / 3600.0:.0f} h PSM maximum")
-        if self.psm_tau_period_s <= 0:
-            out.append(f"psm_tau_period_s={self.psm_tau_period_s}: must be > 0")
-        if self.cp_inactivity_npdcch_periods < 0:
-            out.append("cp_inactivity_npdcch_periods must be >= 0")
-        if self.idle_active_timer_base_s < 0:
-            out.append("idle_active_timer_base_s must be >= 0")
-        if self.drx_long_cycle_base_s <= 0:
-            out.append("drx_long_cycle_base_s must be > 0")
-        return out
 
 
 @dataclass(frozen=True)
@@ -278,25 +244,15 @@ class Scenario:
         return self.sync_base_ms * self.coverage.sync_time_scale
 
     def violations(self) -> list[str]:
-        out = []
-        if not math.isfinite(self.iat_s) or self.iat_s <= 0:
-            out.append(f"iat_s={self.iat_s}: must be finite and > 0")
-        if not math.isfinite(self.battery_wh) or self.battery_wh <= 0:
-            out.append(f"battery_wh={self.battery_wh}: must be finite and > 0")
-        if self.sync_base_ms < 0:
-            out.append(f"sync_base_ms={self.sync_base_ms}: must be >= 0")
-        if self.ra_attempt_cap < 1:
-            out.append(f"ra_attempt_cap={self.ra_attempt_cap}: must be >= 1")
-        if self.rar_bytes <= 0:
-            out.append(f"rar_bytes={self.rar_bytes}: must be > 0")
-        for name in ("budget_npdcch_sf_per_s", "budget_npdsch_sf_per_s",
-                     "budget_npusch_sc_ms_per_s", "budget_nprach_slots_per_s"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                out.append(f"{name}={v}: must be > 0")
+        """Every field outside its key's domain, then every broken cross-field rule."""
+        out = [f"{row[1]}={value}: must be in {_bounds(row)}"
+               for row, value in _out_of_bounds(_NUMERIC_ROWS, _numeric_values(self))]
         out.extend(self.coverage.violations())
-        out.extend(self.power.violations())
-        out.extend(self.traffic.violations())
+        p = self.power
+        if not p.deep_sleep_mw < p.inactive_mw < p.rx_mw < p.tx_max_mw:
+            out.append("state powers must satisfy deep_sleep < inactive < rx < tx_max "
+                       f"(got {p.deep_sleep_mw}, {p.inactive_mw}, "
+                       f"{p.rx_mw}, {p.tx_max_mw} mW)")
         if self.idle_drx_cycle_s > MAX_IDLE_DRX_CYCLE_S:
             out.append(f"idle DRX cycle {self.idle_drx_cycle_s:.3f} s exceeds the "
                        f"{MAX_IDLE_DRX_CYCLE_S / 3600.0:.2f} h maximum")
@@ -311,7 +267,6 @@ class Scenario:
                 and self.iat_s > MAX_PSM_TIME_S):
             out.append(f"iat_s={self.iat_s:.0f} s: a mobile-terminated PSM_TAU cycle "
                        f"exceeds the {MAX_PSM_TIME_S / 3600.0:.0f} h PSM maximum")
-        out.extend(self.timers.violations())
         return out
 
 
@@ -331,71 +286,100 @@ def validate_scenario(s: Scenario) -> Scenario:
 # Plain key=value tokens separated by whitespace or newlines, '#' comments.
 # A minimal file: procedure=CP case=UL coverage=Normal iat=3600
 
-def _finite_float(raw) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("not finite")
-    return value
-
-
 # Scenario fields that group keys, by target name in _SCENARIO_KEYS.
 _PARTS = {"traffic": TrafficModel, "power": PowerProfile, "timers": TimerConfig}
 
+# Bounds of the keys that 3GPP leaves open.  Each keeps every output finite
+# and the work per scenario bounded, over every combination of the others:
+_US = 1e-6             # a positive time is at least one us, the timeline's grid
+_MAX_S = 1e9           # times up to ~32 years stay exact whole us (2^53 us is 285 years)
+_MAGNITUDE = (1e-6, 1e12)  # mW, Wh and units/s: lifetimes and capacities stay above 0
+_MAX_BYTES = 65535     # one IP datagram: a message is a few thousand transport blocks at most
+_DB = (-300.0, 300.0)  # 10^(dBm/10) of any power-control sum stays inside a float
+
 _SCENARIO_KEYS: dict[str, tuple] = {
-    # key: (target, field, parser); target is "scenario" or a key of _PARTS
-    "procedure":        ("scenario", "procedure", Procedure),
-    "case":             ("scenario", "traffic_case", TrafficCase),
-    "coverage":         ("scenario", "coverage", builtin_coverage_profile),
-    "iat":              ("scenario", "iat_s", _finite_float),
-    "battery_wh":       ("scenario", "battery_wh", _finite_float),
-    "reachability":     ("scenario", "mt_reachability", Reachability),
-    "sync_base_ms":     ("scenario", "sync_base_ms", _finite_float),
-    "ra_cap":           ("scenario", "ra_attempt_cap", int),
-    "rar_bytes":        ("scenario", "rar_bytes", int),
-    "budget_npdcch":    ("scenario", "budget_npdcch_sf_per_s", _finite_float),
-    "budget_npdsch":    ("scenario", "budget_npdsch_sf_per_s", _finite_float),
-    "budget_npusch":    ("scenario", "budget_npusch_sc_ms_per_s", _finite_float),
-    "budget_nprach":    ("scenario", "budget_nprach_slots_per_s", _finite_float),
-    "payload_bytes":    ("traffic", "data_payload_bytes", int),
-    "overhead_bytes":   ("traffic", "protocol_overhead_bytes", int),
-    "ack_payload_bytes": ("traffic", "ack_payload_bytes", int),
-    "deep_sleep_mw":    ("power", "deep_sleep_mw", _finite_float),
-    "inactive_mw":      ("power", "inactive_mw", _finite_float),
-    "rx_mw":            ("power", "rx_mw", _finite_float),
-    "tx_max_mw":        ("power", "tx_max_mw", _finite_float),
-    "p_cmax_dbm":       ("power", "p_cmax_dbm", _finite_float),
-    "p_o_npusch_dbm":   ("power", "p_o_npusch_dbm", _finite_float),
-    "alpha":            ("power", "alpha", _finite_float),
-    "initial_target_dbm": ("power", "initial_received_target_power_dbm", _finite_float),
-    "delta_preamble_db": ("power", "delta_preamble_db", _finite_float),
-    "cp_inactivity_periods": ("timers", "cp_inactivity_npdcch_periods", int),
-    "idle_timer_base_s": ("timers", "idle_active_timer_base_s", _finite_float),
-    "drx_cycle_base_s": ("timers", "drx_long_cycle_base_s", _finite_float),
-    "tau_period_s":     ("timers", "psm_tau_period_s", _finite_float),
+    # key: (target, field, parser, lo, hi); target is "scenario" or a key of
+    # _PARTS, and a number must lie in the closed bounds [lo, hi]
+    "procedure":        ("scenario", "procedure", Procedure, None, None),
+    "case":             ("scenario", "traffic_case", TrafficCase, None, None),
+    "coverage":         ("scenario", "coverage", builtin_coverage_profile, None, None),
+    "iat":              ("scenario", "iat_s", float, _US, _MAX_S),
+    "battery_wh":       ("scenario", "battery_wh", float, *_MAGNITUDE),
+    "reachability":     ("scenario", "mt_reachability", Reachability, None, None),
+    "sync_base_ms":     ("scenario", "sync_base_ms", float, 0.0, _MAX_S * 1000.0),
+    # preambleTransMax-CE: at most n200 (TS 36.331)
+    "ra_cap":           ("scenario", "ra_attempt_cap", int, 1, 200),
+    "rar_bytes":        ("scenario", "rar_bytes", int, 1, _MAX_BYTES),
+    "budget_npdcch":    ("scenario", "budget_npdcch_sf_per_s", float, *_MAGNITUDE),
+    "budget_npdsch":    ("scenario", "budget_npdsch_sf_per_s", float, *_MAGNITUDE),
+    "budget_npusch":    ("scenario", "budget_npusch_sc_ms_per_s", float, *_MAGNITUDE),
+    "budget_nprach":    ("scenario", "budget_nprach_slots_per_s", float, *_MAGNITUDE),
+    "payload_bytes":    ("traffic", "data_payload_bytes", int, 0, _MAX_BYTES),
+    "overhead_bytes":   ("traffic", "protocol_overhead_bytes", int, 1, _MAX_BYTES),
+    "ack_payload_bytes": ("traffic", "ack_payload_bytes", int, 0, _MAX_BYTES),
+    "deep_sleep_mw":    ("power", "deep_sleep_mw", float, *_MAGNITUDE),
+    "inactive_mw":      ("power", "inactive_mw", float, *_MAGNITUDE),
+    "rx_mw":            ("power", "rx_mw", float, *_MAGNITUDE),
+    "tx_max_mw":        ("power", "tx_max_mw", float, *_MAGNITUDE),
+    "p_cmax_dbm":       ("power", "p_cmax_dbm", float, *_DB),
+    "p_o_npusch_dbm":   ("power", "p_o_npusch_dbm", float, *_DB),
+    # pathloss compensation factor of NPUSCH power control (TS 36.213 16.2.1.1.1)
+    "alpha":            ("power", "alpha", float, 0.0, 1.0),
+    "initial_target_dbm": ("power", "initial_received_target_power_dbm", float, *_DB),
+    "delta_preamble_db": ("power", "delta_preamble_db", float, *_DB),
+    # the connected window of 10^9 periods of at most 768 ms stays below _MAX_S
+    "cp_inactivity_periods": ("timers", "cp_inactivity_npdcch_periods", int, 0, 10**9),
+    "idle_timer_base_s": ("timers", "idle_active_timer_base_s", float, 0.0, _MAX_S),
+    # Rel-13 caps: the idle eDRX cycle (TS 36.304) and the extended T3412 (TS 24.008)
+    "drx_cycle_base_s": ("timers", "drx_long_cycle_base_s", float, _US, MAX_IDLE_DRX_CYCLE_S),
+    "tau_period_s":     ("timers", "psm_tau_period_s", float, _US, MAX_PSM_TIME_S),
 }
+
+# The rows of the numeric keys, and one getter of their field values in the
+# same order, for Scenario.violations
+_NUMERIC_ROWS = tuple(row for row in _SCENARIO_KEYS.values() if row[3] is not None)
+_numeric_values = attrgetter(*(fname if target == "scenario" else f"{target}.{fname}"
+                               for target, fname, *_ in _NUMERIC_ROWS))
+
+
+def _out_of_bounds(rows, values) -> list[tuple]:
+    """(row, value) of every value outside its numeric key's closed bounds.
+
+    NaN lies outside all bounds; None, a budget left at its default, inside.
+    """
+    return [(row, value) for row, value in zip(rows, values)
+            if value is not None and not row[3] <= value <= row[4]]
+
+
+def _bounds(row) -> str:
+    return f"[{row[3]:.15g}, {row[4]:.15g}]"
 
 
 def scenario_value(key: str, raw):
     """Parse the text of one scenario key into its field value.
 
-    Values that are already parsed (enum members, numbers) pass through
-    unchanged.  Raises ConfigurationError for an unknown key or a bad value;
-    for procedure, case, coverage and reachability the message lists the
-    allowed values.
+    Values that are already parsed (enum members, numbers inside the key's
+    bounds) pass through unchanged.  Raises ConfigurationError for an unknown
+    key or a bad value; the message states the key's closed bounds, or for
+    procedure, case, coverage and reachability lists the allowed values.
     """
     if key not in _SCENARIO_KEYS:
         raise ConfigurationError(f"unknown key {key!r}")
-    parser = _SCENARIO_KEYS[key][2]
+    row = _SCENARIO_KEYS[key]
+    parser, bounded = row[2], row[3] is not None
     try:
-        return parser(raw)
-    except (TypeError, ValueError):
-        if parser is builtin_coverage_profile:
-            allowed = "; expected one of " + ", ".join(COVERAGE_NAMES)
-        elif isinstance(parser, enum.EnumMeta):
-            allowed = "; expected one of " + ", ".join(m.value for m in parser)
-        else:
-            allowed = ""
-        raise ConfigurationError(f"bad value {raw!r} for {key!r}{allowed}") from None
+        value = parser(raw)
+        if not (bounded and _out_of_bounds((row,), (value,))):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if bounded:
+        expected = "a number in " + _bounds(row)
+    elif parser is builtin_coverage_profile:
+        expected = "one of " + ", ".join(COVERAGE_NAMES)
+    else:
+        expected = "one of " + ", ".join(m.value for m in parser)
+    raise ConfigurationError(f"bad value {raw!r} for {key!r}; expected {expected}")
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -412,7 +396,7 @@ def parse_scenario(text: str) -> Scenario:
                 value = scenario_value(key, raw)
             except ConfigurationError as exc:
                 raise ConfigurationError(f"line {lineno}: {exc}") from None
-            target, fname, _ = _SCENARIO_KEYS[key]
+            target, fname = _SCENARIO_KEYS[key][:2]
             kw[target][fname] = value
     for target, part in _PARTS.items():
         if kw[target]:
@@ -428,7 +412,7 @@ def parse_scenario_file(path) -> Scenario:
 def format_scenario(s: Scenario) -> str:
     """Serialize a scenario to the key=value format (round-trips exactly)."""
     lines = []
-    for key, (target, fname, _) in _SCENARIO_KEYS.items():
+    for key, (target, fname, *_) in _SCENARIO_KEYS.items():
         obj = s if target == "scenario" else getattr(s, target)
         value = getattr(obj, fname)
         if value is None:

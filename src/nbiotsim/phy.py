@@ -8,6 +8,7 @@ gaps, and the open-loop transmit-power formulas.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import hashlib
 import math
@@ -88,7 +89,8 @@ def _tbs_table(direction: LinkDirection) -> tuple[tuple[int, ...], ...]:
         if not line or line.startswith("#"):
             continue
         cells = [int(c) for c in line.split()]
-        if len(cells) != len(ALLOCATION_UNITS) + 1:
+        # a row's TBS grows with the allocation, which transport_block_units bisects
+        if len(cells) != len(ALLOCATION_UNITS) + 1 or cells[1:] != sorted(cells[1:]):
             raise ConfigurationError(f"{fname}: bad row {line!r}")
         rows.append(tuple(cells[1:]))
     return tuple(rows)
@@ -124,19 +126,10 @@ def transport_block_units(size_bits: int, c: CoverageProfile,
     if size_bits <= 0:
         raise ConfigurationError("shared-channel message must have size > 0")
     row = _tbs_row(c, direction)
-    max_tbs = row[-1]
-    blocks = []
-    remaining = size_bits
-    while remaining > 0:
-        if remaining >= max_tbs:
-            blocks.append(ALLOCATION_UNITS[-1])
-            remaining -= max_tbs
-        else:
-            for units, tbs in zip(ALLOCATION_UNITS, row):
-                if tbs >= remaining:
-                    blocks.append(units)
-                    remaining = 0
-                    break
+    full, rem = divmod(size_bits, row[-1])
+    blocks = [ALLOCATION_UNITS[-1]] * full
+    if rem:
+        blocks.append(ALLOCATION_UNITS[bisect.bisect_left(row, rem)])
     return blocks
 
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import strategies as st
 
 from nbiotsim import Scenario, builtin_coverage_profile
-from nbiotsim.config import Procedure, TrafficCase
+from nbiotsim.config import _SCENARIO_KEYS, COVERAGE_NAMES, Procedure, TrafficCase
 
 
 def make_scenario(proc="CP", case="UL", cov="Normal", iat_h=1.0, **kw) -> Scenario:
@@ -40,3 +43,36 @@ def binned_energy_mj(timeline, bin_ms=1.0):
 @pytest.fixture(scope="session")
 def base_scenario() -> Scenario:
     return Scenario()
+
+
+# --- scenario text drawn from the key table ----------------------------------
+
+def domain_values(key):
+    """Numbers inside a numeric key's closed domain, its two bounds included."""
+    parser, lo, hi = _SCENARIO_KEYS[key][2:]
+    inside = st.integers(lo, hi) if parser is int else st.floats(lo, hi)
+    return st.one_of(st.sampled_from([lo, hi]), inside)
+
+
+def raw_values(key):
+    """Text for one key: values inside, at and just outside its domain, and
+    the values no domain holds (nan, +-inf, 1e308, -0.0, huge integers)."""
+    parser, lo, hi = _SCENARIO_KEYS[key][2:]
+    if lo is None:
+        names = COVERAGE_NAMES if key == "coverage" else [m.value for m in parser]
+        return st.sampled_from([*names, "Deep", "0"])
+    if parser is int:
+        outside = [lo - 1, hi + 1]
+    else:
+        outside = [math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+    odd = ["nan", "inf", "-inf", "1e308", "-1e308", "-0.0", str(10 ** 30), "9" * 5000]
+    return st.one_of(domain_values(key).map(repr),
+                     st.sampled_from([*map(repr, outside), *odd]))
+
+
+@st.composite
+def scenario_texts(draw, max_keys=8):
+    """key=value text over a few distinct keys of the scenario key table."""
+    keys = draw(st.lists(st.sampled_from(list(_SCENARIO_KEYS)), unique=True,
+                         max_size=max_keys))
+    return " ".join(f"{key}={draw(raw_values(key))}" for key in keys)

@@ -8,6 +8,7 @@ from nbiotsim import (ChannelKind, Scenario, build_flow, capacity_gain_pct,
                       message_airtime)
 from nbiotsim.capacity import (BOTTLENECK_ORDER, DOWNLINK_CHANNELS,
                                UPLINK_CHANNELS, CapacityReport)
+from nbiotsim.config import ConfigurationError
 from nbiotsim.flows import ProcedureFlow
 from nbiotsim.ra import expected_attempts
 from tests.conftest import make_scenario
@@ -150,3 +151,13 @@ def test_bottleneck_tie_break_order():
                    budget_nprach_slots_per_s=usage[ChannelKind.NPRACH] * 1e6)
     assert cell_capacity(tied).bottleneck is ChannelKind.NPDCCH
     assert BOTTLENECK_ORDER[0] is ChannelKind.NPDCCH
+
+
+def test_zero_reference_capacity_is_a_configuration_error():
+    # no valid scenario reaches it (budgets are at least 1e-06 units/s), but
+    # a report built by hand can
+    opt = cell_capacity(make_scenario("CP", "UL"))
+    zero = CapacityReport(per_channel_usage={}, bottleneck=ChannelKind.NPDCCH,
+                          reports_per_hour=0.0)
+    with pytest.raises(ConfigurationError, match="reference capacity is zero"):
+        capacity_gain_pct(opt, zero)

@@ -1,15 +1,21 @@
 """Command-line front end: sweeps, grids, emit formats, exit codes."""
 
+import csv
 import io
+import math
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nbiotsim import Procedure, Scenario, TrafficCase, cell_capacity
 from nbiotsim.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, SweepSpec, Table,
                           emit, main, run_capacity_report, run_lifetime_sweep,
                           LIFETIME_COLUMNS)
 from nbiotsim.config import ConfigurationError
+from tests.conftest import scenario_texts
 
 
 def test_lifetime_sweep_monotone_and_baseline():
@@ -144,11 +150,13 @@ def test_cli_bad_sweep_exit_code(capsys):
     assert main(["lifetime", "--sweep", "iat=7200,3600"]) == EXIT_VALIDATION
 
 
+IAT_DOMAIN = "; expected a number in [1e-06, 1000000000]"
 BAD_IAT_ERRORS = {
-    ("--iat", "nan"): "error: bad value 'nan' for 'iat'",
-    ("--iat", "inf"): "error: bad value 'inf' for 'iat'",
-    ("--sweep", "iat=abc"): "error: iat sweep values: bad value 'abc' for 'iat'",
-    ("--sweep", "iat=3600,nan"): "error: iat sweep values: bad value 'nan' for 'iat'",
+    ("--iat", "nan"): "error: bad value 'nan' for 'iat'" + IAT_DOMAIN,
+    ("--iat", "inf"): "error: bad value 'inf' for 'iat'" + IAT_DOMAIN,
+    ("--sweep", "iat=abc"): "error: iat sweep values: bad value 'abc' for 'iat'" + IAT_DOMAIN,
+    ("--sweep", "iat=3600,nan"): "error: iat sweep values: bad value 'nan' for 'iat'"
+                                 + IAT_DOMAIN,
 }
 
 
@@ -165,7 +173,7 @@ def test_cli_bad_iat_is_one_error_line(argv, capsys):
     (["lifetime", "--sweep", "case=ZZ"], "error: case sweep values"),
     (["lifetime", "--sweep", "coverage=Deep"], "error: coverage sweep values"),
     (["lifetime", "--sweep", "speed=1,2"], "error: unknown sweep axis"),
-    (["capacity", "--iat", "-5"], "error: invalid scenario: iat_s"),
+    (["capacity", "--iat", "-5"], "error: bad value '-5' for 'iat'" + IAT_DOMAIN),
     (["capacity", "--iat", "nan"], "error: bad value 'nan' for 'iat'"),
     (["lifetime", "--iat", "abc"], "error: bad value 'abc' for 'iat'"),
     (["capacity", "--coverage", "Deep"], "error: bad value 'Deep' for 'coverage'; "
@@ -191,7 +199,9 @@ def test_cli_bad_sweep_or_capacity_iat_is_one_error_line(argv, prefix, capsys):
     ("idle_timer_base_s=1e7", ["lifetime", "--iat", "3600"],
      "error: invalid scenario: idle active timer 10000004.160 s must be shorter "
      "than the 432000 s TAU period"),
-    ("budget_npdcch=1e-320", ["capacity"], "error: reference capacity is zero"),
+    ("budget_npdcch=1e-320", ["capacity"], "error: line 1: bad value '1e-320' for "
+                                           "'budget_npdcch'; expected a number in "
+                                           "[1e-06, 1000000000000]"),
 ], ids=["idle-timer-above-tau-period", "zero-reference-capacity"])
 def test_cli_bad_scenario_file_is_one_error_line(text, argv, line, tmp_path, capsys):
     f = tmp_path / "s.cfg"
@@ -230,3 +240,83 @@ def test_cli_unwritable_out_exit_code(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
     assert main(["capacity", "--out", str(blocker / "sub")]) == EXIT_IO
+
+
+# --- key domains at the command line -----------------------------------------
+
+@pytest.mark.parametrize("text,argv,line", [
+    (None, ["--iat", "1e308"],
+     "error: bad value '1e308' for 'iat'; expected a number in [1e-06, 1000000000]"),
+    ("battery_wh=1e308", [], "error: line 1: bad value '1e308' for 'battery_wh'; "
+                             "expected a number in [1e-06, 1000000000000]"),
+    ("deep_sleep_mw=1e-320", [], "error: line 1: bad value '1e-320' for "
+                                 "'deep_sleep_mw'; expected a number in "
+                                 "[1e-06, 1000000000000]"),
+    ("tx_max_mw=1e308", [], "error: line 1: bad value '1e308' for 'tx_max_mw'; "
+                            "expected a number in [1e-06, 1000000000000]"),
+    ("ra_cap=100000000", [], "error: line 1: bad value '100000000' for 'ra_cap'; "
+                             "expected a number in [1, 200]"),
+    ("payload_bytes=10000000000", [], "error: line 1: bad value '10000000000' for "
+                                      "'payload_bytes'; expected a number in [0, 65535]"),
+], ids=["iat-1e308", "battery-1e308", "deep-sleep-1e-320", "tx-max-1e308",
+        "ra-cap-1e8", "payload-1e10"])
+def test_cli_value_outside_domain_is_one_fast_error_line(text, argv, line, tmp_path,
+                                                          capsys):
+    # each once overflowed, printed inf or nan, or ran for seconds
+    if text is not None:
+        f = tmp_path / "s.cfg"
+        f.write_text(text + "\n")
+        argv = argv + ["--scenario", str(f), "--iat", "3600"]
+    start = time.perf_counter()
+    assert main(["lifetime"] + argv) == EXIT_VALIDATION
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+
+
+IAT_TEXT = st.sampled_from(["3600", "86400", "604800", "10", "1e-06", "1000000000",
+                            "-5", "0", "nan", "inf", "-inf", "1e308", "abc", ""])
+CHOICE_FLAGS = st.fixed_dictionaries({}, optional={
+    "--procedure": st.sampled_from(["SR", "CP", "UP", "XX"]),
+    "--case": st.sampled_from(["UL", "UL_ACK", "DL", "DL_ACK", "ZZ"]),
+    "--coverage": st.sampled_from(["Normal", "Robust", "Extreme", "Deep"]),
+})
+
+
+@st.composite
+def cli_argvs(draw):
+    """(argv, scenario text or None): lifetime with --iat, a short --sweep or
+    a --scenario file, or capacity with or without one."""
+    command = draw(st.sampled_from(["iat", "sweep", "scenario", "capacity"]))
+    argv = ["capacity" if command == "capacity" else "lifetime"]
+    argv += [f"{flag}={value}" for flag, value in draw(CHOICE_FLAGS).items()]
+    if command == "sweep":
+        argv.append("--sweep=iat=" + ",".join(draw(st.lists(IAT_TEXT, max_size=3))))
+    elif command != "capacity":
+        argv.append(f"--iat={draw(IAT_TEXT)}")
+    text = draw(scenario_texts()) if command in ("scenario", "capacity") else None
+    return argv, text
+
+
+@given(case=cli_argvs())
+@settings(max_examples=60, deadline=None)
+def test_cli_main_fuzz_exits_cleanly_with_finite_cells(case, tmp_path_factory):
+    # main returns 0, 1 or 2 and never raises; every number it prints is finite
+    argv, text = case
+    if text is not None:
+        f = tmp_path_factory.mktemp("fuzz") / "s.cfg"
+        f.write_text(text + "\n")
+        argv = argv + [f"--scenario={f}"]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_IO)
+    header, *rows = list(csv.reader(io.StringIO(out.getvalue()))) or [[]]
+    for row in rows:
+        for column, cell in zip(header, row):
+            try:
+                number = float(cell)
+            except ValueError:
+                continue
+            assert column == "error" or math.isfinite(number), row

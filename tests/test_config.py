@@ -1,15 +1,19 @@
 """Coverage profiles, validation, and the scenario file format."""
 
-import pytest
-from hypothesis import given, strategies as st
+import math
+from dataclasses import astuple
 
-from nbiotsim import (ConfigurationError, Scenario, build_flow,
-                      builtin_coverage_profile, format_scenario, parse_scenario,
-                      validate_scenario)
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from nbiotsim import (ConfigurationError, Scenario, battery_lifetime_years, build_flow,
+                      builtin_coverage_profile, cell_capacity, cycle_energy,
+                      format_scenario, parse_scenario, validate_scenario)
 from nbiotsim.config import (MAX_PSM_TIME_S, _SCENARIO_KEYS, PowerProfile, Procedure,
                              Reachability, TimerConfig, TrafficCase, TrafficModel,
                              scenario_value)
 from dataclasses import replace
+from tests.conftest import domain_values, scenario_texts
 
 
 def test_builtin_normal_profile():
@@ -64,7 +68,8 @@ def test_builtin_profiles_validate_with_default_powers(cov):
 
 def test_psm_timer_cap_reported():
     s = Scenario(timers=TimerConfig(psm_tau_period_s=400 * 3600.0))
-    with pytest.raises(ConfigurationError, match="310"):
+    with pytest.raises(ConfigurationError,
+                       match=r"psm_tau_period_s=1440000.0: must be in \[1e-06, 1116000\]"):
         validate_scenario(s)
     assert 400 * 3600.0 > MAX_PSM_TIME_S
 
@@ -226,7 +231,9 @@ def test_non_finite_float_values_are_bad_values(key, value):
     assert len(FLOAT_KEYS) == 19
     with pytest.raises(ConfigurationError) as err:
         parse_scenario(f"{key}={value}")
-    assert str(err.value) == f"line 1: bad value '{value}' for '{key}'"
+    lo, hi = _SCENARIO_KEYS[key][3:]
+    assert str(err.value) == (f"line 1: bad value '{value}' for '{key}'; "
+                              f"expected a number in [{lo:.15g}, {hi:.15g}]")
 
 
 @pytest.mark.parametrize("text,message", [
@@ -241,7 +248,9 @@ def test_scenario_file_bad_choice_names_allowed_values(text, message):
 
 
 def test_scenario_file_invalid_scenario_rejected():
-    with pytest.raises(ConfigurationError, match="310"):
+    with pytest.raises(ConfigurationError,
+                       match=r"bad value '1440000' for 'tau_period_s'; "
+                             r"expected a number in \[1e-06, 1116000\]"):
         parse_scenario("procedure=CP tau_period_s=1440000")
 
 
@@ -250,19 +259,67 @@ def test_round_trip_defaults():
     assert parse_scenario(format_scenario(s)) == s
 
 
+NUMERIC_KEYS = [key for key, row in _SCENARIO_KEYS.items() if row[3] is not None]
+POWER_KEYS = ["deep_sleep_mw", "inactive_mw", "rx_mw", "tx_max_mw"]
+
+
 @given(
     proc=st.sampled_from(list(Procedure)),
     case=st.sampled_from(list(TrafficCase)),
     cov=st.sampled_from(["Normal", "Robust", "Extreme"]),
-    iat=st.floats(min_value=60.0, max_value=1e6, allow_nan=False),
-    battery=st.floats(min_value=0.1, max_value=100.0),
-    payload=st.integers(min_value=0, max_value=1000),
     reach=st.sampled_from(list(Reachability)),
-    sync=st.floats(min_value=0.0, max_value=5000.0),
+    values=st.fixed_dictionaries({key: domain_values(key) for key in NUMERIC_KEYS}),
+    powers=st.lists(st.floats(*_SCENARIO_KEYS["deep_sleep_mw"][3:]), min_size=4,
+                    max_size=4, unique=True),
 )
-def test_round_trip_property(proc, case, cov, iat, battery, payload, reach, sync):
-    s = Scenario(procedure=proc, traffic_case=case,
-                 coverage=builtin_coverage_profile(cov), iat_s=iat,
-                 battery_wh=battery, mt_reachability=reach, sync_base_ms=sync,
-                 traffic=TrafficModel(data_payload_bytes=payload))
-    assert parse_scenario(format_scenario(s)) == s
+def test_round_trip_property(proc, case, cov, reach, values, powers):
+    # every numeric key from its domain, bounds included; the state powers
+    # are drawn as one sorted set, so their ordering rule mostly holds
+    values.update(zip(POWER_KEYS, sorted(powers)))
+    kw = {"scenario": {}, "traffic": {}, "power": {}, "timers": {}}
+    for key, value in values.items():
+        target, fname = _SCENARIO_KEYS[key][:2]
+        kw[target][fname] = value
+    s = Scenario(procedure=proc, traffic_case=case, coverage=builtin_coverage_profile(cov),
+                 mt_reachability=reach, traffic=TrafficModel(**kw["traffic"]),
+                 power=PowerProfile(**kw["power"]), timers=TimerConfig(**kw["timers"]),
+                 **kw["scenario"])
+    problems = s.violations()
+    if problems:
+        # the text carries the same values, so it breaks the same rules
+        with pytest.raises(ConfigurationError) as err:
+            parse_scenario(format_scenario(s))
+        assert str(err.value) == "invalid scenario: " + "; ".join(problems)
+    else:
+        assert parse_scenario(format_scenario(s)) == s
+
+
+@given(text=scenario_texts())
+@settings(max_examples=200, deadline=None)
+# valid corners of the domains: longest IAT, largest and smallest magnitudes,
+# largest messages, and a TAU period just above the shortest idle window
+@example("iat=1000000000 battery_wh=1000000000000 deep_sleep_mw=1e-06")
+@example("battery_wh=1e-06 tx_max_mw=1000000000000 rx_mw=1000000000 ra_cap=200 "
+         "payload_bytes=65535 overhead_bytes=65535 ack_payload_bytes=65535 "
+         "rar_bytes=65535 coverage=Extreme case=UL_ACK iat=1000000000")
+@example("budget_npdcch=1e-06 budget_npdsch=1e-06 budget_npusch=1e-06 "
+         "budget_nprach=1e-06 p_cmax_dbm=-300 p_o_npusch_dbm=300 alpha=0")
+@example("idle_timer_base_s=0 drx_cycle_base_s=1e-06 tau_period_s=0.07 iat=1000000000 "
+         "deep_sleep_mw=1e-06 inactive_mw=2e-06 rx_mw=3e-06 tx_max_mw=4e-06")
+def test_parsed_scenarios_give_finite_outputs(text):
+    # text from the key table is refused (a ConfigurationError, also one from
+    # the energy or capacity calls, such as an IAT shorter than the active
+    # cycle) or gives finite, non-negative energies and a positive total,
+    # lifetime and capacity
+    try:
+        s = parse_scenario(text)
+        breakdown = cycle_energy(s)
+        years = battery_lifetime_years(s)
+        report = cell_capacity(s)
+    except ConfigurationError:
+        return
+    fields = astuple(breakdown)
+    assert all(math.isfinite(v) and v >= 0.0 for v in fields), fields
+    assert breakdown.total_mj > 0.0
+    assert math.isfinite(years) and years > 0.0
+    assert math.isfinite(report.reports_per_hour) and report.reports_per_hour > 0.0

@@ -111,6 +111,41 @@ def test_message_airtime_64b_npusch_extreme_segments():
     assert at.ul_subcarrier_fraction == pytest.approx(1.0 / 48.0)
 
 
+def greedy_blocks(size_bits: int, row: tuple) -> list[int]:
+    """Reference segmentation, one block per loop turn: the first allocation
+    that holds the rest, or a full maximum-TBS block while none does."""
+    blocks = []
+    while size_bits > 0:
+        units = next((n for n, tbs in zip(ALLOCATION_UNITS, row) if tbs >= size_bits),
+                     ALLOCATION_UNITS[-1])
+        blocks.append(units)
+        size_bits -= row[ALLOCATION_UNITS.index(units)]
+    return blocks
+
+
+@pytest.mark.parametrize("cov", [NORMAL, ROBUST, EXTREME], ids=lambda c: c.name)
+@pytest.mark.parametrize("direction", list(LinkDirection))
+def test_transport_block_units_matches_greedy_reference(cov, direction):
+    row = tuple(tbs_bits(cov, direction, n) for n in ALLOCATION_UNITS)
+    for size_bits in range(1, 3 * row[-1] + 1):
+        assert transport_block_units(size_bits, cov, direction) == \
+            greedy_blocks(size_bits, row), size_bits
+
+
+def test_tbs_table_row_must_grow_with_allocation(monkeypatch):
+    # transport_block_units bisects a row, so a row whose TBS falls is refused
+    from nbiotsim import phy
+    monkeypatch.setattr(phy, "verified_data_text",
+                        lambda name: "0\t16\t32\t56\t88\t120\t152\t256\t208\n")
+    phy._tbs_table.cache_clear()
+    try:
+        with pytest.raises(ConfigurationError, match="bad row"):
+            phy._tbs_table(LinkDirection.UL)
+    finally:
+        monkeypatch.undo()
+        phy._tbs_table.cache_clear()
+
+
 def test_robust_strictly_slower_than_normal():
     a = message_airtime(64, NORMAL, ChannelKind.NPUSCH).duration_ms
     b = message_airtime(64, ROBUST, ChannelKind.NPUSCH).duration_ms

@@ -11,9 +11,9 @@ from .config import (ConfigurationError, CoverageProfile, PowerProfile, Procedur
                      TrafficModel, UeState, builtin_coverage_profile,
                      format_scenario, parse_scenario, parse_scenario_file,
                      scenario_value, validate_scenario)
-from .phy import (Airtime, ChannelKind, LinkDirection, message_airtime,
-                  nprach_tx_power_dbm, npusch_tx_power_dbm, schedule_gap_ms,
-                  tbs_bits, tx_power_consumption_mw)
+from .phy import (ChannelKind, message_airtime, nprach_tx_power_dbm,
+                  npusch_tx_power_dbm, schedule_gap_ms, tbs_bits,
+                  tx_power_consumption_mw)
 from .ra import detection_probability, expected_attempts
 from .flows import (EnergyCategory, Interval, Plane, ProcedureFlow,
                     SignalingMessage, build_flow, build_tau_flow, flow_timeline)

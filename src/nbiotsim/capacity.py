@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import flows, phy, ra
 from .config import ConfigurationError, Scenario, validate_scenario
 from .flows import ProcedureFlow
-from .phy import ChannelKind, LinkDirection
+from .phy import ChannelKind
 
 # Downlink subframe availability on the anchor carrier: NPSS takes 1 subframe
 # per 10 ms frame, NPBCH 1 per frame, NSSS 1 every other frame.
@@ -59,19 +59,20 @@ def flow_channel_usage(flow: ProcedureFlow, s: Scenario) -> dict[ChannelKind, fl
 
     NPUSCH usage in subcarrier-ms, NPDSCH and NPDCCH in subframes, NPRACH in
     expected preamble slots.  Every shared-channel message adds one NPDCCH
-    assignment of rep_npdcch subframes.
+    assignment.
     """
     c = s.coverage
     usage = {ch: 0.0 for ch in ChannelKind}
     if not flow.messages:
         return usage          # no exchange, no connection, no random access
+    ul_fraction = phy.ul_carrier_fraction(c)
     for msg in flow.messages:
-        airtime = phy.message_airtime(msg.size_bytes, c, msg.channel)
-        if msg.direction is LinkDirection.UL:
-            usage[ChannelKind.NPUSCH] += airtime.duration_ms * airtime.ul_subcarrier_fraction * 12.0
-        else:
-            usage[ChannelKind.NPDSCH] += airtime.duration_ms / phy.SUBFRAME_MS
-        usage[ChannelKind.NPDCCH] += float(c.rep_npdcch)
+        airtime_ms = phy.message_airtime(msg.size_bytes, c, msg.channel)
+        usage[msg.channel] += (airtime_ms * ul_fraction * 12.0
+                               if msg.channel is ChannelKind.NPUSCH
+                               else airtime_ms / phy.SUBFRAME_MS)
+    npdcch_sf = phy.message_airtime(1, c, ChannelKind.NPDCCH) / phy.SUBFRAME_MS
+    usage[ChannelKind.NPDCCH] += len(flow.messages) * npdcch_sf
     usage[ChannelKind.NPRACH] += ra.expected_attempts(s.ra_attempt_cap)
     return usage
 
@@ -106,7 +107,3 @@ def capacity_gain_pct(opt: CapacityReport, sr: CapacityReport) -> float:
     if sr.reports_per_hour <= 0.0:
         raise ConfigurationError("reference capacity is zero")
     return (opt.reports_per_hour / sr.reports_per_hour - 1.0) * 100.0
-
-
-UPLINK_CHANNELS = (ChannelKind.NPUSCH, ChannelKind.NPRACH)
-DOWNLINK_CHANNELS = (ChannelKind.NPDCCH, ChannelKind.NPDSCH)

@@ -40,7 +40,8 @@ class SweepSpec:
     """One swept axis over a fixed base scenario.
 
     Values may be given as text or already parsed; every axis and value is
-    checked here, so a bad sweep fails before any point is evaluated.
+    checked and parsed here, once, so a bad sweep fails before any point is
+    evaluated and `values` holds the parsed values.
     """
 
     axis: str                    # iat | coverage | procedure | case
@@ -59,11 +60,12 @@ class SweepSpec:
             raise ConfigurationError(f"{self.axis} sweep values: {exc}") from None
         if self.axis == "iat" and any(b <= a for a, b in zip(parsed, parsed[1:])):
             raise ConfigurationError("iat sweep values must be strictly increasing")
+        object.__setattr__(self, "values", tuple(parsed))
 
     def scenarios(self):
         field = _SWEEP_AXES[self.axis]
         for value in self.values:
-            yield replace(self.fixed, **{field: scenario_value(self.axis, value)})
+            yield replace(self.fixed, **{field: value})
 
 
 @dataclass(frozen=True)
@@ -193,6 +195,20 @@ def _lifetime_table(args) -> Table:
     return Table(LIFETIME_COLUMNS, rows)
 
 
+def _glue_dash_values(argv: list[str]) -> list[str]:
+    """Write `--flag -value` as `--flag=-value`, so that scenario_value, not
+    argparse, judges a value such as -inf or -1e3 (argparse takes it for a
+    flag).  Every long option but --help takes a value."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1][:2] == "--" and out[-1] != "--help" and "=" not in out[-1]
+                and arg[:1] == "-" and arg[:2] != "--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nbiotsim",
@@ -215,7 +231,7 @@ def main(argv=None) -> int:
     p_cap = sub.add_parser("capacity", help="capacity gain grid vs SR")
     add_common(p_cap)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_dash_values(sys.argv[1:] if argv is None else argv))
 
     try:
         ext = _format(args.format)[0]

@@ -14,6 +14,7 @@ An IAT sweep therefore builds its timelines once, not once per point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import flows
@@ -89,22 +90,22 @@ class CycleProfile:
         release assistance applies.
         """
         iat_us = int(round(iat_s * flows.US_PER_S))
-        if iat_us < self.active_us:
+        fraction = iat_s / self.tau_period_s      # amortized TAUs per cycle
+        # the active cycle includes the amortized TAUs' awake time, rounded up
+        # to the timeline's microsecond grid
+        awake_us = self.active_us + math.ceil(self.tau_active_s * fraction * flows.US_PER_S)
+        if iat_us < awake_us:
             raise ConfigurationError(
-                f"iat_s={iat_s}: shorter than the "
-                f"{self.active_us / flows.US_PER_S} s active cycle")
+                f"iat_s={iat_s}: shorter than the {awake_us / flows.US_PER_S} s active cycle")
         cats = dict(self.active_mj)
         # deep sleep fills the period after the active timeline
         cats[EnergyCategory.PSM] += self.deep_sleep_mw * (iat_us - self.active_us) * 1e-6
         if self.tau_mj is not None:
-            fraction = iat_s / self.tau_period_s
             for cat in EnergyCategory:
                 target = EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat
                 cats[target] += self.tau_mj[cat] * fraction
             # The amortized TAU's active time is spent awake, not in deep sleep.
-            cats[EnergyCategory.PSM] = max(
-                0.0, cats[EnergyCategory.PSM]
-                - self.tau_active_s * fraction * self.deep_sleep_mw)
+            cats[EnergyCategory.PSM] -= self.tau_active_s * fraction * self.deep_sleep_mw
         return EnergyBreakdown(**{_FIELDS[cat]: cats[cat] for cat in EnergyCategory})
 
 

@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import phy, ra
 from .config import (ConfigurationError, PowerProfile, Procedure, Reachability,
                      Scenario, UeState)
-from .phy import LinkDirection
+from .phy import ChannelKind
 
 US_PER_MS = 1000
 US_PER_S = 1_000_000
@@ -40,9 +40,8 @@ class EnergyCategory(str, enum.Enum):
 @dataclass(frozen=True)
 class SignalingMessage:
     name: str
-    direction: LinkDirection
+    channel: ChannelKind        # NPUSCH for uplink, NPDSCH for downlink
     plane: Plane
-    channel: phy.ChannelKind
     size_bytes: int
 
 
@@ -75,16 +74,15 @@ class Interval:
 _SIZE_BASES = {"data": "data_message_bytes", "ack": "ack_message_bytes"}
 
 
-def _parse_message(name, direction, plane, channel, size) -> tuple:
+def _parse_message(name, channel, plane, size) -> tuple:
     """One `message` record: the message and its size base (None if fixed)."""
     base, plus, extra = size.rpartition("+")
-    msg = SignalingMessage(name, LinkDirection(direction), Plane(plane),
-                           phy.ChannelKind(channel), int(extra))
+    msg = SignalingMessage(name, ChannelKind(channel), Plane(plane), int(extra))
     if (plus and base not in _SIZE_BASES) or bool(plus) != (msg.plane is Plane.DATA):
         raise ConfigurationError(f"size {size!r}: DATA messages, and only they, "
                                  "take a data+N or ack+N size")
-    if f"{direction} {channel}" not in ("UL NPUSCH", "DL NPDSCH"):
-        raise ConfigurationError("UL messages use NPUSCH, DL messages NPDSCH")
+    if msg.channel not in phy.SHARED_CHANNELS:
+        raise ConfigurationError("a message rides NPUSCH or NPDSCH")
     return msg, _SIZE_BASES.get(base)
 
 
@@ -98,7 +96,7 @@ def _parse_catalog(text: str) -> dict[str, tuple]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         kind, *cells = line.split("#", 1)[0].split() or [""]
         try:
-            if kind == "message" and len(cells) == 5:
+            if kind == "message" and len(cells) == 4:
                 if cells[0] in messages:
                     raise ConfigurationError(f"message {cells[0]!r} defined twice")
                 messages[cells[0]] = _parse_message(*cells)
@@ -107,8 +105,8 @@ def _parse_catalog(text: str) -> dict[str, tuple]:
                     raise ConfigurationError(f"flow {cells[0]!r} listed twice")
                 flows[cells[0]] = tuple(messages[name] for name in cells[1:])
             elif kind:
-                raise ConfigurationError("expected 'message name direction plane "
-                                         "channel size' or 'flow id name...'")
+                raise ConfigurationError("expected 'message name channel plane size' "
+                                         "or 'flow id name...'")
         except KeyError as exc:         # a flow names an undefined message
             raise ConfigurationError(f"catalog line {lineno}: unknown message {exc}") from None
         except ValueError as exc:       # ConfigurationError, enum or int parse
@@ -143,7 +141,7 @@ def _build(flow_id: str, s: Scenario) -> ProcedureFlow:
     # exchanges that carry uplink data release without an idle-DRX window;
     # everywhere else the idle active timer runs.
     rai = s.procedure is Procedure.CP and any(
-        m.plane is Plane.DATA and m.direction is LinkDirection.UL for m in messages)
+        m.plane is Plane.DATA and m.channel is ChannelKind.NPUSCH for m in messages)
     return ProcedureFlow(flow_id=flow_id, messages=messages,
                          idle_drx_s=0.0 if rai else s.idle_active_timer_s)
 
@@ -215,33 +213,29 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
     npusch_dbm = phy.npusch_tx_power_dbm(c, p, c.target_mcl_db)
     npusch_mw = phy.tx_power_consumption_mw(p, npusch_dbm)
     conn_drx_us = int(round(s.connected_inactivity_s * US_PER_S))
+    npdcch_us = int(round(phy.message_airtime(1, c, ChannelKind.NPDCCH) * US_PER_MS))
 
     for index, msg in enumerate(flow.messages):
         last = index == len(flow.messages) - 1
         if last:
             # inactivity timer runs after the data exchange, before release;
             # it spans whole NPDCCH periods, so no cycle is truncated
-            on_us = c.rep_npdcch * US_PER_MS
-            _emit_drx_cycles(tb, conn_drx_us, on_us=on_us,
-                             off_us=max(0, period_us - on_us),
+            _emit_drx_cycles(tb, conn_drx_us, on_us=npdcch_us,
+                             off_us=max(0, period_us - npdcch_us),
                              p=p, category=EnergyCategory.CONNECTED_DRX,
                              label="connected_drx")
         # wait for the next NPDCCH occasion
         align_us = (-tb.t_us) % period_us
         tb.emit(align_us, UeState.INACTIVE, p.inactive_mw,
                 EnergyCategory.MESSAGES, "npdcch_align")
-        cch = phy.message_airtime(1, c, phy.ChannelKind.NPDCCH)
-        tb.emit_ms(cch.duration_ms, UeState.RX, p.rx_mw,
-                   EnergyCategory.MESSAGES, f"npdcch:{msg.name}")
+        tb.emit(npdcch_us, UeState.RX, p.rx_mw,
+                EnergyCategory.MESSAGES, f"npdcch:{msg.name}")
         tb.emit_ms(phy.schedule_gap_ms(msg.channel), UeState.INACTIVE, p.inactive_mw,
                    EnergyCategory.MESSAGES, "schedule_gap")
-        airtime = phy.message_airtime(msg.size_bytes, c, msg.channel)
-        if msg.direction is LinkDirection.UL:
-            tb.emit_ms(airtime.duration_ms, UeState.TX, npusch_mw,
-                       EnergyCategory.MESSAGES, msg.name)
-        else:
-            tb.emit_ms(airtime.duration_ms, UeState.RX, p.rx_mw,
-                       EnergyCategory.MESSAGES, msg.name)
+        state, power_mw = ((UeState.TX, npusch_mw) if msg.channel is ChannelKind.NPUSCH
+                           else (UeState.RX, p.rx_mw))
+        tb.emit_ms(phy.message_airtime(msg.size_bytes, c, msg.channel), state, power_mw,
+                   EnergyCategory.MESSAGES, msg.name)
 
     # idle DRX: the active timer keeps the UE reachable before PSM
     idle_us = int(round(flow.idle_drx_s * US_PER_S))

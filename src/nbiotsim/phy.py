@@ -12,7 +12,6 @@ import bisect
 import enum
 import hashlib
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -35,17 +34,9 @@ class ChannelKind(str, enum.Enum):
     NPDSCH = "NPDSCH"
 
 
-class LinkDirection(str, enum.Enum):
-    UL = "UL"
-    DL = "DL"
-
-
-@dataclass(frozen=True)
-class Airtime:
-    """Resource-accounting unit: on-air time and carrier fraction of one message."""
-
-    duration_ms: float
-    ul_subcarrier_fraction: float   # 1.0 for full-carrier DL
+# The channels that carry transport blocks (TS 36.211): NPUSCH is the uplink
+# side of a message exchange, NPDSCH the downlink side.
+SHARED_CHANNELS = (ChannelKind.NPUSCH, ChannelKind.NPDSCH)
 
 
 # --- TBS table loading ------------------------------------------------------
@@ -81,8 +72,10 @@ def verified_data_text(name: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _tbs_table(direction: LinkDirection) -> tuple[tuple[int, ...], ...]:
-    fname = "npusch_tbs.tsv" if direction is LinkDirection.UL else "npdsch_tbs.tsv"
+def _tbs_table(ch: ChannelKind) -> tuple[tuple[int, ...], ...]:
+    if ch not in SHARED_CHANNELS:
+        raise ConfigurationError(f"{ch.value} is not a shared channel and has no TBS table")
+    fname = f"{ch.value.lower()}_tbs.tsv"
     rows = []
     for line in verified_data_text(fname).splitlines():
         line = line.strip()
@@ -96,28 +89,28 @@ def _tbs_table(direction: LinkDirection) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _tbs_row(c: CoverageProfile, direction: LinkDirection) -> tuple[int, ...]:
-    table = _tbs_table(direction)
+def _tbs_row(c: CoverageProfile, ch: ChannelKind) -> tuple[int, ...]:
+    table = _tbs_table(ch)
     if not 0 <= c.mcs_index < len(table):
         raise ConfigurationError(f"mcs_index={c.mcs_index} outside the TBS table")
     return table[c.mcs_index]
 
 
-def tbs_bits(c: CoverageProfile, direction: LinkDirection, resource_units: int) -> int:
+def tbs_bits(c: CoverageProfile, ch: ChannelKind, resource_units: int) -> int:
     """Transport block size in bits for the profile's MCS and an allocation size.
 
-    resource_units counts NPUSCH resource units (UL) or NPDSCH subframes (DL)
-    and must be one of the standard allocation sizes.
+    resource_units counts NPUSCH resource units or NPDSCH subframes and must
+    be one of the standard allocation sizes.
     """
     if resource_units not in ALLOCATION_UNITS:
         raise ConfigurationError(
             f"resource_units={resource_units} not a valid allocation "
             f"(expected one of {ALLOCATION_UNITS})")
-    return _tbs_row(c, direction)[ALLOCATION_UNITS.index(resource_units)]
+    return _tbs_row(c, ch)[ALLOCATION_UNITS.index(resource_units)]
 
 
 def transport_block_units(size_bits: int, c: CoverageProfile,
-                          direction: LinkDirection) -> list[int]:
+                          ch: ChannelKind) -> list[int]:
     """Allocation sizes of the transport blocks carrying a PDU of size_bits.
 
     Greedy segmentation: full maximum-TBS blocks first, then the smallest
@@ -125,7 +118,7 @@ def transport_block_units(size_bits: int, c: CoverageProfile,
     """
     if size_bits <= 0:
         raise ConfigurationError("shared-channel message must have size > 0")
-    row = _tbs_row(c, direction)
+    row = _tbs_row(c, ch)
     full, rem = divmod(size_bits, row[-1])
     blocks = [ALLOCATION_UNITS[-1]] * full
     if rem:
@@ -147,8 +140,8 @@ def ul_carrier_fraction(c: CoverageProfile) -> float:
     return c.ul_subcarriers_per_burst * c.subcarrier_spacing_khz / CARRIER_KHZ
 
 
-def message_airtime(size_bytes: int, c: CoverageProfile, ch: ChannelKind) -> Airtime:
-    """On-air duration of one message, repetitions included.
+def message_airtime(size_bytes: int, c: CoverageProfile, ch: ChannelKind) -> float:
+    """On-air duration in milliseconds of one message, repetitions included.
 
     NPUSCH/NPDSCH messages are segmented into transport blocks against the TBS
     tables; NPDCCH carries one control assignment (rep_npdcch subframes, format
@@ -156,19 +149,13 @@ def message_airtime(size_bytes: int, c: CoverageProfile, ch: ChannelKind) -> Air
     preamble format and repetition count, independent of size.
     """
     if ch is ChannelKind.NPRACH:
-        return Airtime(c.rep_nprach * c.nprach_preamble_ms, 0.25)
+        return c.rep_nprach * c.nprach_preamble_ms
     if ch is ChannelKind.NPDCCH:
-        return Airtime(c.rep_npdcch * SUBFRAME_MS, 1.0)
-    bits = size_bytes * 8
+        return c.rep_npdcch * SUBFRAME_MS
+    units = sum(transport_block_units(size_bytes * 8, c, ch))
     if ch is ChannelKind.NPUSCH:
-        units = transport_block_units(bits, c, LinkDirection.UL)
-        duration = sum(units) * ul_resource_unit_ms(c) * c.rep_npusch
-        return Airtime(duration, ul_carrier_fraction(c))
-    if ch is ChannelKind.NPDSCH:
-        units = transport_block_units(bits, c, LinkDirection.DL)
-        duration = sum(units) * SUBFRAME_MS * c.rep_npdsch
-        return Airtime(duration, 1.0)
-    raise ConfigurationError(f"unknown channel {ch}")
+        return units * ul_resource_unit_ms(c) * c.rep_npusch
+    return units * SUBFRAME_MS * c.rep_npdsch
 
 
 def schedule_gap_ms(ch: ChannelKind) -> float:

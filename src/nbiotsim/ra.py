@@ -13,6 +13,7 @@ import math
 
 from . import phy
 from .config import ConfigurationError, CoverageProfile, PowerProfile, UeState
+from .phy import ChannelKind
 
 # Random access opportunities recur every 40 ms; a UE with a pending attempt
 # waits on average half a period for the next one.
@@ -54,16 +55,14 @@ def attempt_components(c: CoverageProfile, p: PowerProfile,
     its repetitions, then receive the response (control assignment, scheduling
     gap, response block on the downlink shared channel).
     """
-    preamble = phy.message_airtime(1, c, phy.ChannelKind.NPRACH)
     preamble_dbm = phy.nprach_tx_power_dbm(p, c.target_mcl_db)
     preamble_mw = phy.tx_power_consumption_mw(p, preamble_dbm)
-    rar_cch = phy.message_airtime(1, c, phy.ChannelKind.NPDCCH)
-    rar = phy.message_airtime(rar_bytes, c, phy.ChannelKind.NPDSCH)
     return [
         ("ra_wait", UeState.INACTIVE, EXPECTED_OPPORTUNITY_WAIT_MS, p.inactive_mw),
-        ("preamble", UeState.TX, preamble.duration_ms, preamble_mw),
-        ("rar_npdcch", UeState.RX, rar_cch.duration_ms, p.rx_mw),
-        ("rar_gap", UeState.INACTIVE, phy.schedule_gap_ms(phy.ChannelKind.NPDSCH),
+        ("preamble", UeState.TX, phy.message_airtime(1, c, ChannelKind.NPRACH), preamble_mw),
+        ("rar_npdcch", UeState.RX, phy.message_airtime(1, c, ChannelKind.NPDCCH), p.rx_mw),
+        ("rar_gap", UeState.INACTIVE, phy.schedule_gap_ms(ChannelKind.NPDSCH),
          p.inactive_mw),
-        ("rar_npdsch", UeState.RX, rar.duration_ms, p.rx_mw),
+        ("rar_npdsch", UeState.RX, phy.message_airtime(rar_bytes, c, ChannelKind.NPDSCH),
+         p.rx_mw),
     ]

@@ -6,10 +6,10 @@ from dataclasses import replace
 from nbiotsim import (ChannelKind, Scenario, build_flow, capacity_gain_pct,
                       cell_capacity, default_budgets, flow_channel_usage,
                       message_airtime)
-from nbiotsim.capacity import (BOTTLENECK_ORDER, DOWNLINK_CHANNELS,
-                               UPLINK_CHANNELS, CapacityReport)
+from nbiotsim.capacity import BOTTLENECK_ORDER, CapacityReport
 from nbiotsim.config import ConfigurationError
 from nbiotsim.flows import ProcedureFlow
+from nbiotsim.phy import ul_carrier_fraction
 from nbiotsim.ra import expected_attempts
 from tests.conftest import make_scenario
 
@@ -40,9 +40,9 @@ def test_single_message_flow_usage_assembly():
     flow = build_flow(s)
     one = replace(flow, messages=flow.messages[3:4])    # the 64 B uplink report
     usage = flow_channel_usage(one, s)
-    airtime = message_airtime(64, s.coverage, ChannelKind.NPUSCH)
     assert usage[ChannelKind.NPUSCH] == pytest.approx(
-        airtime.duration_ms * airtime.ul_subcarrier_fraction * 12.0)
+        message_airtime(64, s.coverage, ChannelKind.NPUSCH)
+        * ul_carrier_fraction(s.coverage) * 12.0)
     assert usage[ChannelKind.NPDCCH] == 1.0             # one assignment, rep 1
     assert usage[ChannelKind.NPDSCH] == 0.0
     assert usage[ChannelKind.NPRACH] == pytest.approx(expected_attempts(10))
@@ -74,10 +74,12 @@ def test_simple_budget_division():
 
 
 def test_bottleneck_flip_with_coverage():
+    uplink = (ChannelKind.NPUSCH, ChannelKind.NPRACH)
+    downlink = (ChannelKind.NPDCCH, ChannelKind.NPDSCH)
     for proc in ("CP", "UP"):
-        assert cell_capacity(make_scenario(proc, "UL", "Normal")).bottleneck in UPLINK_CHANNELS
+        assert cell_capacity(make_scenario(proc, "UL", "Normal")).bottleneck in uplink
         for cov in ("Robust", "Extreme"):
-            assert cell_capacity(make_scenario(proc, "UL", cov)).bottleneck in DOWNLINK_CHANNELS
+            assert cell_capacity(make_scenario(proc, "UL", cov)).bottleneck in downlink
 
 
 def test_cp_gain_grows_with_worse_coverage():

@@ -42,6 +42,17 @@ def test_sweep_values_must_be_ordered():
         SweepSpec("iat", (), Scenario())
 
 
+def test_sweep_values_are_parsed_once(monkeypatch):
+    import nbiotsim.cli as cli_mod
+    calls = []
+    real = cli_mod.scenario_value
+    monkeypatch.setattr(cli_mod, "scenario_value", lambda *a: calls.append(a) or real(*a))
+    spec = SweepSpec("iat", ("3600", "7200"), Scenario())
+    assert spec.values == (3600.0, 7200.0) and len(calls) == 2
+    assert [s.iat_s for s in spec.scenarios()] == [3600.0, 7200.0]
+    assert len(calls) == 2
+
+
 def test_sweep_other_axes():
     spec = SweepSpec("coverage", ("Normal", "Robust", "Extreme"), Scenario())
     assert [s.coverage.name for s in spec.scenarios()] == ["Normal", "Robust", "Extreme"]
@@ -184,9 +195,14 @@ def test_cli_bad_iat_is_one_error_line(argv, capsys):
     (["capacity", "--case", "DL", "--iat", "2000000"],
      "error: invalid scenario: iat_s=2000000 s: a mobile-terminated PSM_TAU cycle "
      "exceeds the 310 h PSM maximum"),
+    # a value that starts with '-' but is not a plain negative number
+    (["lifetime", "--iat", "-inf"], "error: bad value '-inf' for 'iat'" + IAT_DOMAIN),
+    (["lifetime", "--iat", "-1e3"], "error: bad value '-1e3' for 'iat'" + IAT_DOMAIN),
+    (["lifetime", "--iat", "-nan"], "error: bad value '-nan' for 'iat'" + IAT_DOMAIN),
 ], ids=["procedure", "case", "coverage", "axis", "capacity-iat-negative",
         "capacity-iat-nan", "iat-flag", "coverage-flag", "procedure-flag",
-        "case-flag", "format-flag", "capacity-dl-iat-above-psm-max"])
+        "case-flag", "format-flag", "capacity-dl-iat-above-psm-max",
+        "iat-minus-inf", "iat-minus-1e3", "iat-minus-nan"])
 def test_cli_bad_sweep_or_capacity_iat_is_one_error_line(argv, prefix, capsys):
     assert main(argv) == EXIT_VALIDATION
     captured = capsys.readouterr()
@@ -234,6 +250,17 @@ def test_cli_iat_shorter_than_active_cycle_is_row_error(capsys):
     assert rc == EXIT_VALIDATION
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
     assert "shorter than" in rows[0][-1] and rows[1][-1] == ""
+
+
+def test_cli_amortized_taus_longer_than_iat_is_row_error(tmp_path, capsys):
+    # 0.774-s TAUs every 0.07 s keep the UE awake longer than the 3,600-s cycle
+    f = tmp_path / "s.cfg"
+    f.write_text("idle_timer_base_s=0\ndrx_cycle_base_s=1e-06\ntau_period_s=0.07\n")
+    assert main(["lifetime", "--scenario", str(f), "--iat", "3600"]) == EXIT_VALIDATION
+    row = capsys.readouterr().out.splitlines()[2].split(",")
+    assert row[:5] == ["CP", "UL", "Normal", "3600.000000", "0.000000"]
+    assert row[-1].startswith("iat_s=3600.0: shorter than the 39806.")
+    assert row[-1].endswith(" s active cycle")
 
 
 def test_cli_unwritable_out_exit_code(tmp_path, capsys):

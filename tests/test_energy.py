@@ -197,6 +197,23 @@ def test_iat_shorter_than_active_cycle_rejected():
         cycle_energy(replace(s, iat_s=30.0))
 
 
+def test_amortized_taus_longer_than_iat_rejected():
+    # the amortized TAUs' awake time counts toward the active cycle, so a TAU
+    # period shorter than one TAU is an error at every IAT, not a clamped
+    # deep-sleep energy
+    timers = replace(Scenario().timers, idle_active_timer_base_s=0.0,
+                     drx_long_cycle_base_s=1e-6, psm_tau_period_s=0.07)
+    profile = cycle_profile(make_scenario("CP", "UL", timers=timers))
+    assert profile.tau_active_s > 0.07
+    for iat_s in (3600.0, 86400.0):
+        with pytest.raises(ConfigurationError, match=f"iat_s={iat_s}: shorter than the"):
+            profile.breakdown(iat_s)
+    # a TAU period longer than one TAU leaves deep sleep in the cycle
+    profile = cycle_profile(make_scenario("CP", "UL", timers=replace(timers,
+                                                                     psm_tau_period_s=7.0)))
+    assert profile.breakdown(3600.0).psm_mj > 0.0
+
+
 def test_dl_cycles_have_no_amortized_tau():
     s = make_scenario("CP", "DL", iat_h=2.0)
     main = integrate_timeline(flow_timeline(build_flow(s), s))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from nbiotsim import build_flow, build_tau_flow, flow_timeline
 from nbiotsim.config import ConfigurationError, Reachability, TimerConfig, TrafficModel
 from nbiotsim.flows import EnergyCategory, Plane, _parse_catalog, active_duration_s
-from nbiotsim.phy import LinkDirection
+from nbiotsim.phy import ChannelKind
 from tests.conftest import make_scenario
 
 ALL_COMBOS = list(itertools.product(["SR", "CP", "UP"],
@@ -44,7 +44,7 @@ def test_sr_has_strictly_more_messages(case):
 @pytest.mark.parametrize("proc,case", ALL_COMBOS)
 def test_rai_only_for_cp_with_uplink_data(proc, case):
     flow = build_flow(make_scenario(proc, case))
-    has_ul_data = any(m.plane is Plane.DATA and m.direction is LinkDirection.UL
+    has_ul_data = any(m.plane is Plane.DATA and m.channel is ChannelKind.NPUSCH
                       for m in flow.messages)
     assert (flow.idle_drx_s == 0.0) == (proc == "CP" and has_ul_data)
     if proc == "CP":
@@ -67,12 +67,10 @@ def test_paging_variant_replaces_tau(proc):
 
 
 def test_ul_messages_on_npusch_dl_on_npdsch():
+    # a message's channel is its direction: every message rides a shared channel
     for proc, case in ALL_COMBOS:
         for m in build_flow(make_scenario(proc, case)).messages:
-            if m.direction is LinkDirection.UL:
-                assert m.channel.value == "NPUSCH"
-            else:
-                assert m.channel.value == "NPDSCH"
+            assert m.channel in (ChannelKind.NPUSCH, ChannelKind.NPDSCH)
             assert m.size_bytes > 0
 
 
@@ -115,7 +113,9 @@ def test_tau_flow_contents():
 # SHA-256 of every built flow, main and TAU, over all procedure x case x
 # reachability x coverage points; data and ack sizes differ from the defaults
 # so a DATA message added to the wrong traffic-model size changes the digest.
+# Each message's direction is hashed as UL/DL text, read from its channel.
 FLOW_DIGEST = "13c951462699a588ed58bffe2e6e9ac56a496cf5c3b475b6ecde3f51312bdfe9"
+DIRECTION = {ChannelKind.NPUSCH: "UL", ChannelKind.NPDSCH: "DL"}
 
 
 def test_built_flows_match_pinned_digest():
@@ -131,35 +131,36 @@ def test_built_flows_match_pinned_digest():
             flow_ids.add(flow.flow_id)
             digest.update(f"{flow.flow_id} {flow.idle_drx_s!r}\n".encode())
             for m in flow.messages:
-                digest.update(f"{m.name} {m.direction.value} {m.plane.value} "
+                digest.update(f"{m.name} {DIRECTION[m.channel]} {m.plane.value} "
                               f"{m.channel.value} {m.size_bytes}\n".encode())
     assert len(flow_ids) == 21
     assert digest.hexdigest() == FLOW_DIGEST
 
 
-DEFS = "message ul_data UL DATA NPUSCH data+0\nmessage rrc_release DL AS NPDSCH 7\n"
+DEFS = "message ul_data NPUSCH DATA data+0\nmessage rrc_release NPDSCH AS 7\n"
 SIZE_RULE = "DATA messages, and only they, take a data+N or ack+N size"
-CHANNEL_RULE = "UL messages use NPUSCH, DL messages NPDSCH"
-RECORDS = "expected 'message name direction plane channel size' or 'flow id name...'"
+CHANNEL_RULE = "a message rides NPUSCH or NPDSCH"
+RECORDS = "expected 'message name channel plane size' or 'flow id name...'"
 
 
 @pytest.mark.parametrize("text,message", [
     (DEFS + "flow x ul_data dl_ack rrc_release", "line 3: unknown message 'dl_ack'"),
-    (DEFS + "flow x dl_ack\nmessage dl_ack DL DATA NPDSCH ack+0",
+    (DEFS + "flow x dl_ack\nmessage dl_ack NPDSCH DATA ack+0",
      "line 3: unknown message 'dl_ack'"),
-    (DEFS + "message ul_data UL DATA NPUSCH data+7",
+    (DEFS + "message ul_data NPUSCH DATA data+7",
      "line 3: message 'ul_data' defined twice"),
     (DEFS + "flow x ul_data\nflow x rrc_release", "line 4: flow 'x' listed twice"),
     (DEFS + "flow x  # no messages", f"line 3: {RECORDS}"),
-    ("message rrc_release DL AS NPDSCH ack+7", f"line 1: size 'ack+7': {SIZE_RULE}"),
-    ("message ul_data UL DATA NPUSCH 7", f"line 1: size '7': {SIZE_RULE}"),
-    ("message ul_data UL DATA NPUSCH body+7", f"line 1: size 'body+7': {SIZE_RULE}"),
-    ("message tau_request UL NAS NPDSCH 90", f"line 1: {CHANNEL_RULE}"),
-    ("message tau_accept DL NAS NPUSCH 68", f"line 1: {CHANNEL_RULE}"),
-    ("message tau_accept DL NAS NPDSCH", f"line 1: {RECORDS}"),
+    ("message rrc_release NPDSCH AS ack+7", f"line 1: size 'ack+7': {SIZE_RULE}"),
+    ("message ul_data NPUSCH DATA 7", f"line 1: size '7': {SIZE_RULE}"),
+    ("message ul_data NPUSCH DATA body+7", f"line 1: size 'body+7': {SIZE_RULE}"),
+    (DEFS + "message paging_grant NPDCCH AS 13", f"line 3: {CHANNEL_RULE}"),
+    (DEFS + "message preamble NPRACH AS 1", f"line 3: {CHANNEL_RULE}"),
+    ("message tau_accept NPDSCH NAS", f"line 1: {RECORDS}"),
+    ("message tau_accept DL NAS NPDSCH 68", f"line 1: {RECORDS}"),
 ], ids=["unknown-message", "message-defined-below", "message-twice", "flow-twice",
         "empty-flow", "rule-off-data", "data-without-rule", "unknown-rule",
-        "ul-off-npusch", "dl-off-npdsch", "short-record"])
+        "on-npdcch", "on-nprach", "short-record", "direction-record"])
 def test_catalog_parser_rejects(text, message):
     with pytest.raises(ConfigurationError) as err:
         _parse_catalog(text)

@@ -8,7 +8,7 @@ from nbiotsim import (ChannelKind, ConfigurationError, PowerProfile,
                       builtin_coverage_profile, message_airtime,
                       nprach_tx_power_dbm, npusch_tx_power_dbm, schedule_gap_ms,
                       tbs_bits, tx_power_consumption_mw)
-from nbiotsim.phy import ALLOCATION_UNITS, LinkDirection, transport_block_units
+from nbiotsim.phy import ALLOCATION_UNITS, transport_block_units, ul_carrier_fraction
 
 NORMAL = builtin_coverage_profile("Normal")
 ROBUST = builtin_coverage_profile("Robust")
@@ -47,7 +47,7 @@ def test_npdcch_fits_in_one_period():
 ])
 def test_ul_tbs_spot_values(mcs, units, expected):
     c = replace(NORMAL, mcs_index=mcs)
-    assert tbs_bits(c, LinkDirection.UL, units) == expected
+    assert tbs_bits(c, ChannelKind.NPUSCH, units) == expected
 
 
 @pytest.mark.parametrize("mcs,units,expected", [
@@ -55,26 +55,34 @@ def test_ul_tbs_spot_values(mcs, units, expected):
 ])
 def test_dl_tbs_spot_values(mcs, units, expected):
     c = replace(NORMAL, mcs_index=mcs)
-    assert tbs_bits(c, LinkDirection.DL, units) == expected
+    assert tbs_bits(c, ChannelKind.NPDSCH, units) == expected
 
 
 def test_mcs_outside_tbs_table_rejected():
     c = replace(NORMAL, mcs_index=13)          # the tables hold MCS 0..12
     with pytest.raises(ConfigurationError, match="mcs_index=13 outside the TBS table"):
-        tbs_bits(c, LinkDirection.UL, 1)
+        tbs_bits(c, ChannelKind.NPUSCH, 1)
     with pytest.raises(ConfigurationError, match="mcs_index=13 outside the TBS table"):
-        transport_block_units(512, c, LinkDirection.DL)
+        transport_block_units(512, c, ChannelKind.NPDSCH)
+
+
+@pytest.mark.parametrize("ch", [ChannelKind.NPDCCH, ChannelKind.NPRACH])
+def test_tbs_needs_a_shared_channel(ch):
+    with pytest.raises(ConfigurationError, match="not a shared channel"):
+        tbs_bits(NORMAL, ch, 1)
+    with pytest.raises(ConfigurationError, match="not a shared channel"):
+        transport_block_units(512, NORMAL, ch)
 
 
 def test_tbs_out_of_range_units():
     with pytest.raises(ConfigurationError, match="allocation"):
-        tbs_bits(NORMAL, LinkDirection.UL, 7)
+        tbs_bits(NORMAL, ChannelKind.NPUSCH, 7)
 
 
 def test_tbs_monotone_in_allocation():
     for mcs in (0, 3, 9):
         c = replace(NORMAL, mcs_index=mcs)
-        values = [tbs_bits(c, LinkDirection.UL, n) for n in ALLOCATION_UNITS]
+        values = [tbs_bits(c, ChannelKind.NPUSCH, n) for n in ALLOCATION_UNITS]
         assert values == sorted(values)
 
 
@@ -83,32 +91,32 @@ def test_64_byte_pdu_minimal_allocation():
     # holding it has TBS >= 512
     n = minimal_allocation(512, UL_ROW_MCS9)
     assert n == 4
-    assert transport_block_units(512, NORMAL, LinkDirection.UL) == [4]
+    assert transport_block_units(512, NORMAL, ChannelKind.NPUSCH) == [4]
 
 
 def test_message_airtime_64b_npusch_normal():
     # one transport block of 4 RUs at 1 ms/RU, repeated twice
     n = minimal_allocation(512, UL_ROW_MCS9)
-    at = message_airtime(64, NORMAL, ChannelKind.NPUSCH)
-    assert at.duration_ms == pytest.approx(n * 1.0 * NORMAL.rep_npusch)
-    assert at.ul_subcarrier_fraction == pytest.approx(1.0)
+    assert message_airtime(64, NORMAL, ChannelKind.NPUSCH) == \
+        pytest.approx(n * 1.0 * NORMAL.rep_npusch)
+    assert ul_carrier_fraction(NORMAL) == pytest.approx(1.0)
 
 
 def test_message_airtime_64b_npusch_robust():
     # 3 subcarriers at 15 kHz: 4 ms per RU; 512 bits need 10 RUs at MCS 3
     n = minimal_allocation(512, UL_ROW_MCS3)
-    at = message_airtime(64, ROBUST, ChannelKind.NPUSCH)
-    assert at.duration_ms == pytest.approx(n * 4.0 * ROBUST.rep_npusch)
-    assert at.ul_subcarrier_fraction == pytest.approx(0.25)
+    assert message_airtime(64, ROBUST, ChannelKind.NPUSCH) == \
+        pytest.approx(n * 4.0 * ROBUST.rep_npusch)
+    assert ul_carrier_fraction(ROBUST) == pytest.approx(0.25)
 
 
 def test_message_airtime_64b_npusch_extreme_segments():
     # single tone at 3.75 kHz: 32 ms per RU; 512 bits exceed the 256-bit
     # maximum TBS at MCS 0, so the message splits into two full blocks
-    assert transport_block_units(512, EXTREME, LinkDirection.UL) == [10, 10]
-    at = message_airtime(64, EXTREME, ChannelKind.NPUSCH)
-    assert at.duration_ms == pytest.approx(20 * 32.0 * EXTREME.rep_npusch)
-    assert at.ul_subcarrier_fraction == pytest.approx(1.0 / 48.0)
+    assert transport_block_units(512, EXTREME, ChannelKind.NPUSCH) == [10, 10]
+    assert message_airtime(64, EXTREME, ChannelKind.NPUSCH) == \
+        pytest.approx(20 * 32.0 * EXTREME.rep_npusch)
+    assert ul_carrier_fraction(EXTREME) == pytest.approx(1.0 / 48.0)
 
 
 def greedy_blocks(size_bits: int, row: tuple) -> list[int]:
@@ -124,11 +132,11 @@ def greedy_blocks(size_bits: int, row: tuple) -> list[int]:
 
 
 @pytest.mark.parametrize("cov", [NORMAL, ROBUST, EXTREME], ids=lambda c: c.name)
-@pytest.mark.parametrize("direction", list(LinkDirection))
-def test_transport_block_units_matches_greedy_reference(cov, direction):
-    row = tuple(tbs_bits(cov, direction, n) for n in ALLOCATION_UNITS)
+@pytest.mark.parametrize("ch", [ChannelKind.NPUSCH, ChannelKind.NPDSCH], ids=["UL", "DL"])
+def test_transport_block_units_matches_greedy_reference(cov, ch):
+    row = tuple(tbs_bits(cov, ch, n) for n in ALLOCATION_UNITS)
     for size_bits in range(1, 3 * row[-1] + 1):
-        assert transport_block_units(size_bits, cov, direction) == \
+        assert transport_block_units(size_bits, cov, ch) == \
             greedy_blocks(size_bits, row), size_bits
 
 
@@ -140,26 +148,26 @@ def test_tbs_table_row_must_grow_with_allocation(monkeypatch):
     phy._tbs_table.cache_clear()
     try:
         with pytest.raises(ConfigurationError, match="bad row"):
-            phy._tbs_table(LinkDirection.UL)
+            phy._tbs_table(ChannelKind.NPUSCH)
     finally:
         monkeypatch.undo()
         phy._tbs_table.cache_clear()
 
 
 def test_robust_strictly_slower_than_normal():
-    a = message_airtime(64, NORMAL, ChannelKind.NPUSCH).duration_ms
-    b = message_airtime(64, ROBUST, ChannelKind.NPUSCH).duration_ms
+    a = message_airtime(64, NORMAL, ChannelKind.NPUSCH)
+    b = message_airtime(64, ROBUST, ChannelKind.NPUSCH)
     assert b > a
 
 
 def test_npdcch_grant_extreme():
-    assert message_airtime(1, EXTREME, ChannelKind.NPDCCH).duration_ms == 512.0
+    assert message_airtime(1, EXTREME, ChannelKind.NPDCCH) == 512.0
 
 
 def test_nprach_airtime_size_independent():
     a = message_airtime(1, EXTREME, ChannelKind.NPRACH)
     b = message_airtime(999, EXTREME, ChannelKind.NPRACH)
-    assert a.duration_ms == b.duration_ms == pytest.approx(32 * 6.4)
+    assert a == b == pytest.approx(32 * 6.4)
 
 
 def test_zero_size_shared_channel_rejected():
@@ -183,8 +191,7 @@ def test_schedule_gaps():
 def test_airtime_monotone_in_size(size1, size2, cov, ch):
     c = builtin_coverage_profile(cov)
     lo, hi = min(size1, size2), max(size1, size2)
-    assert (message_airtime(lo, c, ch).duration_ms
-            <= message_airtime(hi, c, ch).duration_ms)
+    assert message_airtime(lo, c, ch) <= message_airtime(hi, c, ch)
 
 
 @pytest.mark.parametrize("field", ["rep_npusch", "rep_npdsch", "rep_npdcch", "rep_nprach"])
@@ -193,8 +200,7 @@ def test_airtime_monotone_in_repetitions(field):
                "rep_npdcch": ChannelKind.NPDCCH, "rep_nprach": ChannelKind.NPRACH}[field]
     base = builtin_coverage_profile("Normal")
     doubled = replace(base, **{field: getattr(base, field) * 2})
-    assert (message_airtime(64, doubled, channel).duration_ms
-            >= message_airtime(64, base, channel).duration_ms)
+    assert message_airtime(64, doubled, channel) >= message_airtime(64, base, channel)
 
 
 # --- transmit power ----------------------------------------------------------

@@ -7,10 +7,9 @@ coverage levels and traffic cases.
 """
 
 from .config import (ConfigurationError, CoverageProfile, PowerProfile, Procedure,
-                     Reachability, Scenario, TimerConfig, TrafficCase,
-                     TrafficModel, UeState, builtin_coverage_profile,
-                     format_scenario, parse_scenario, parse_scenario_file,
-                     scenario_value, validate_scenario)
+                     Reachability, Scenario, TrafficCase, UeState,
+                     builtin_coverage_profile, format_scenario, parse_scenario,
+                     parse_scenario_file, scenario_value, validate_scenario)
 from .phy import (ChannelKind, message_airtime, nprach_tx_power_dbm,
                   npusch_tx_power_dbm, schedule_gap_ms, tbs_bits,
                   tx_power_consumption_mw)

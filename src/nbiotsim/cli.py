@@ -62,11 +62,6 @@ class SweepSpec:
             raise ConfigurationError("iat sweep values must be strictly increasing")
         object.__setattr__(self, "values", tuple(parsed))
 
-    def scenarios(self):
-        field = _SWEEP_AXES[self.axis]
-        for value in self.values:
-            yield replace(self.fixed, **{field: value})
-
 
 @dataclass(frozen=True)
 class Table:
@@ -86,23 +81,30 @@ LIFETIME_COLUMNS = ("procedure", "case", "coverage", "iat_s", "lifetime_years",
 
 
 def _baseline_row(base: Scenario) -> tuple:
-    return ("PSM_BASELINE", "-", "-", 0.0,
-            energy.psm_baseline_lifetime_years(base), 0.0, 0.0, 0.0, 1.0, "")
+    try:
+        return ("PSM_BASELINE", "-", "-", 0.0,
+                energy.psm_baseline_lifetime_years(base), 0.0, 0.0, 0.0, 1.0, "")
+    except ConfigurationError as exc:
+        return ("PSM_BASELINE", "-", "-", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, str(exc))
 
 
-def run_lifetime_sweep(spec: SweepSpec) -> Table:
-    """One row per sweep point plus the deep-sleep-only baseline row.
+def _lifetime_rows(base: Scenario, points) -> Table:
+    """The deep-sleep-only baseline row of base, then one row per point.
 
-    The points of an IAT sweep differ only in the IAT, so they share the
-    cycle profile of the first valid point; other axes build one per point.
+    A point is a dict of the sweep-axis fields it sets on base; its scenario
+    is one `replace` of base.  Consecutive points with the same procedure,
+    case and coverage differ at most in the IAT, so they share the cycle
+    profile of the first valid one.
     """
-    rows = [_baseline_row(spec.fixed)]
-    profile = None
-    for s in spec.scenarios():
+    rows = [_baseline_row(base)]
+    shared = profile = None
+    for fields in points:
+        s = replace(base, **fields)
         ident = (s.procedure.value, s.traffic_case.value, s.coverage.name, s.iat_s)
+        key = (s.procedure, s.traffic_case, s.coverage)
         try:
-            if profile is None or spec.axis != "iat":
-                profile = energy.cycle_profile(s)       # validates s
+            if key != shared:
+                profile, shared = energy.cycle_profile(s), key     # validates s
             else:
                 validate_scenario(s)
             breakdown = profile.breakdown(s.iat_s)
@@ -117,6 +119,12 @@ def run_lifetime_sweep(spec: SweepSpec) -> Table:
                              breakdown.share(EnergyCategory.PSM),
                              ""))
     return Table(LIFETIME_COLUMNS, rows)
+
+
+def run_lifetime_sweep(spec: SweepSpec) -> Table:
+    """One row per sweep point plus the deep-sleep-only baseline row."""
+    field = _SWEEP_AXES[spec.axis]
+    return _lifetime_rows(spec.fixed, ({field: value} for value in spec.values))
 
 
 CAPACITY_COLUMNS = ("procedure", "case", "coverage", "reports_per_hour",
@@ -153,19 +161,17 @@ def emit(table: Table, fmt: str, stream) -> None:
     _, prefix, sep, empty = _format(fmt)
     stream.write(prefix + sep.join(table.columns) + "\n")
     for row in table.rows:
-        stream.write(sep.join(_fmt(v) if v != "" else empty for v in row) + "\n")
+        cells = (_fmt(v) if v != "" else empty for v in row)
+        # a cell that holds the separator, such as an error text, is quoted
+        stream.write(sep.join(f'"{c}"' if sep in c else c for c in cells) + "\n")
 
 
-def _base_scenario(args) -> Scenario:
-    if args.scenario:
-        s = parse_scenario_file(args.scenario)
-    else:
-        s = Scenario()
-    for key, field in _SWEEP_AXES.items():
-        raw = getattr(args, key)
-        if raw is not None:
-            s = replace(s, **{field: scenario_value(key, raw)})
-    return s
+def _file_and_flags(args) -> tuple[Scenario, dict]:
+    """The scenario file's scenario (the defaults without one) and the
+    fields that the procedure, case, coverage and iat flags set on it."""
+    base = parse_scenario_file(args.scenario) if args.scenario else Scenario()
+    return base, {field: scenario_value(key, getattr(args, key))
+                  for key, field in _SWEEP_AXES.items() if getattr(args, key) is not None}
 
 
 def _parse_sweep(text: str) -> tuple[str, tuple]:
@@ -176,23 +182,20 @@ def _parse_sweep(text: str) -> tuple[str, tuple]:
 
 
 def _lifetime_table(args) -> Table:
-    base = _base_scenario(args)
+    base, flags = _file_and_flags(args)
     if args.sweep:
         axis, values = _parse_sweep(args.sweep)
-        return run_lifetime_sweep(SweepSpec(axis, values, fixed=base))
-    if args.iat is not None:
+        spec = SweepSpec(axis, values, fixed=base)
+        points = ({**flags, _SWEEP_AXES[axis]: value} for value in spec.values)
+    elif args.iat is not None:
         # a pinned inter-arrival time means a single evaluation point
-        return run_lifetime_sweep(SweepSpec("iat", (base.iat_s,), fixed=base))
-    # default: the full lifetime picture, one sweep per procedure and coverage
-    iat_values = tuple(h * 3600.0 for h in DEFAULT_IAT_HOURS)
-    rows: list[tuple] = [_baseline_row(base)]
-    for proc in Procedure:
-        for cov in COVERAGE_NAMES:
-            fixed = replace(base, procedure=proc,
-                            coverage=scenario_value("coverage", cov))
-            table = run_lifetime_sweep(SweepSpec("iat", iat_values, fixed))
-            rows.extend(table.rows[1:])   # skip the duplicate baseline
-    return Table(LIFETIME_COLUMNS, rows)
+        points = [flags]
+    else:
+        # default: the full lifetime picture, every procedure and coverage
+        points = ({**flags, "procedure": proc, "coverage": scenario_value("coverage", cov),
+                   "iat_s": h * 3600.0}
+                  for proc in Procedure for cov in COVERAGE_NAMES for h in DEFAULT_IAT_HOURS)
+    return _lifetime_rows(base, points)
 
 
 def _glue_dash_values(argv: list[str]) -> list[str]:
@@ -238,7 +241,8 @@ def main(argv=None) -> int:
         if args.command == "lifetime":
             table = _lifetime_table(args)
         else:
-            table = run_capacity_report(_base_scenario(args))
+            base, flags = _file_and_flags(args)
+            table = run_capacity_report(replace(base, **flags))
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,8 +1,8 @@
 """Scenario model for NB-IoT small-data transfers.
 
-Defines the three coverage enhancement profiles, the UE power model, DRX/PSM
-timer configuration, the traffic model, scenario validation, and a key=value
-scenario file format.  Every other module consumes only these types.
+Defines the three coverage enhancement profiles, the UE power model, the
+scenario with its traffic sizes and DRX/PSM timers, scenario validation, and a
+key=value scenario file format.  Every other module consumes only these types.
 """
 
 from __future__ import annotations
@@ -161,38 +161,6 @@ class PowerProfile:
 
 
 @dataclass(frozen=True)
-class TrafficModel:
-    """Application report and acknowledgment sizes."""
-
-    data_payload_bytes: int = 20
-    protocol_overhead_bytes: int = 44
-    ack_payload_bytes: int = 0
-
-    @property
-    def data_message_bytes(self) -> int:
-        return self.data_payload_bytes + self.protocol_overhead_bytes
-
-    @property
-    def ack_message_bytes(self) -> int:
-        return self.ack_payload_bytes + self.protocol_overhead_bytes
-
-
-@dataclass(frozen=True)
-class TimerConfig:
-    """DRX/PSM timer configuration.
-
-    The connected-state inactivity timer is 0 for UP/SR and a number of NPDCCH
-    periods for CP; the idle-state active timer is base + 2 long DRX cycles,
-    where one long cycle is drx_long_cycle_base_s plus one NPDCCH period.
-    """
-
-    cp_inactivity_npdcch_periods: int = 5
-    idle_active_timer_base_s: float = 10.0
-    drx_long_cycle_base_s: float = 2.048
-    psm_tau_period_s: float = 5 * 24 * 3600.0   # periodic TAU every 5 days
-
-
-@dataclass(frozen=True)
 class Scenario:
     """One evaluation point: procedure, traffic case, coverage, and parameters."""
 
@@ -201,11 +169,21 @@ class Scenario:
     coverage: CoverageProfile = field(
         default_factory=lambda: builtin_coverage_profile("Normal"))
     iat_s: float = 3600.0
-    traffic: TrafficModel = field(default_factory=TrafficModel)
     power: PowerProfile = field(default_factory=PowerProfile)
-    timers: TimerConfig = field(default_factory=TimerConfig)
     battery_wh: float = 5.0
     mt_reachability: Reachability = Reachability.PSM_TAU
+
+    # application report and acknowledgment sizes
+    data_payload_bytes: int = 20
+    protocol_overhead_bytes: int = 44
+    ack_payload_bytes: int = 0
+
+    # DRX/PSM timers: the CP connected-state inactivity timer counts NPDCCH
+    # periods; the idle active timer and the long DRX cycle resolve below
+    cp_inactivity_npdcch_periods: int = 5
+    idle_active_timer_base_s: float = 10.0
+    drx_long_cycle_base_s: float = 2.048
+    psm_tau_period_s: float = 5 * 24 * 3600.0   # periodic TAU every 5 days
 
     # model knobs
     sync_base_ms: float = 330.0           # cell-search time at Normal coverage
@@ -219,23 +197,31 @@ class Scenario:
     budget_npusch_sc_ms_per_s: float | None = None
     budget_nprach_slots_per_s: float | None = None
 
+    @property
+    def data_message_bytes(self) -> int:
+        return self.data_payload_bytes + self.protocol_overhead_bytes
+
+    @property
+    def ack_message_bytes(self) -> int:
+        return self.ack_payload_bytes + self.protocol_overhead_bytes
+
     # --- resolved timers -------------------------------------------------
 
     @property
     def idle_drx_cycle_s(self) -> float:
         """One long DRX cycle: off period plus one NPDCCH period of monitoring."""
-        return self.timers.drx_long_cycle_base_s + self.coverage.npdcch_period_ms / 1000.0
+        return self.drx_long_cycle_base_s + self.coverage.npdcch_period_ms / 1000.0
 
     @property
     def idle_active_timer_s(self) -> float:
         """Idle-state active timer (T3324): base plus 2 long DRX cycles."""
-        return self.timers.idle_active_timer_base_s + 2.0 * self.idle_drx_cycle_s
+        return self.idle_active_timer_base_s + 2.0 * self.idle_drx_cycle_s
 
     @property
     def connected_inactivity_s(self) -> float:
         """Connected-state inactivity timer: 0 for UP/SR, N NPDCCH periods for CP."""
         if self.procedure is Procedure.CP:
-            return (self.timers.cp_inactivity_npdcch_periods
+            return (self.cp_inactivity_npdcch_periods
                     * self.coverage.npdcch_period_ms / 1000.0)
         return 0.0
 
@@ -257,9 +243,9 @@ class Scenario:
             out.append(f"idle DRX cycle {self.idle_drx_cycle_s:.3f} s exceeds the "
                        f"{MAX_IDLE_DRX_CYCLE_S / 3600.0:.2f} h maximum")
         # T3324 runs out before the periodic TAU timer T3412 (TS 24.008, TS 23.682)
-        if self.idle_active_timer_s >= self.timers.psm_tau_period_s:
+        if self.idle_active_timer_s >= self.psm_tau_period_s:
             out.append(f"idle active timer {self.idle_active_timer_s:.3f} s must be "
-                       f"shorter than the {self.timers.psm_tau_period_s:.0f} s TAU period")
+                       f"shorter than the {self.psm_tau_period_s:.0f} s TAU period")
         # a mobile-terminated PSM_TAU cycle reaches the UE at its TAU, so its
         # traffic period is its TAU period
         if (self.traffic_case.mobile_terminated
@@ -287,7 +273,7 @@ def validate_scenario(s: Scenario) -> Scenario:
 # A minimal file: procedure=CP case=UL coverage=Normal iat=3600
 
 # Scenario fields that group keys, by target name in _SCENARIO_KEYS.
-_PARTS = {"traffic": TrafficModel, "power": PowerProfile, "timers": TimerConfig}
+_PARTS = {"power": PowerProfile}
 
 # Bounds of the keys that 3GPP leaves open.  Each keeps every output finite
 # and the work per scenario bounded, over every combination of the others:
@@ -314,9 +300,9 @@ _SCENARIO_KEYS: dict[str, tuple] = {
     "budget_npdsch":    ("scenario", "budget_npdsch_sf_per_s", float, *_MAGNITUDE),
     "budget_npusch":    ("scenario", "budget_npusch_sc_ms_per_s", float, *_MAGNITUDE),
     "budget_nprach":    ("scenario", "budget_nprach_slots_per_s", float, *_MAGNITUDE),
-    "payload_bytes":    ("traffic", "data_payload_bytes", int, 0, _MAX_BYTES),
-    "overhead_bytes":   ("traffic", "protocol_overhead_bytes", int, 1, _MAX_BYTES),
-    "ack_payload_bytes": ("traffic", "ack_payload_bytes", int, 0, _MAX_BYTES),
+    "payload_bytes":    ("scenario", "data_payload_bytes", int, 0, _MAX_BYTES),
+    "overhead_bytes":   ("scenario", "protocol_overhead_bytes", int, 1, _MAX_BYTES),
+    "ack_payload_bytes": ("scenario", "ack_payload_bytes", int, 0, _MAX_BYTES),
     "deep_sleep_mw":    ("power", "deep_sleep_mw", float, *_MAGNITUDE),
     "inactive_mw":      ("power", "inactive_mw", float, *_MAGNITUDE),
     "rx_mw":            ("power", "rx_mw", float, *_MAGNITUDE),
@@ -328,11 +314,11 @@ _SCENARIO_KEYS: dict[str, tuple] = {
     "initial_target_dbm": ("power", "initial_received_target_power_dbm", float, *_DB),
     "delta_preamble_db": ("power", "delta_preamble_db", float, *_DB),
     # the connected window of 10^9 periods of at most 768 ms stays below _MAX_S
-    "cp_inactivity_periods": ("timers", "cp_inactivity_npdcch_periods", int, 0, 10**9),
-    "idle_timer_base_s": ("timers", "idle_active_timer_base_s", float, 0.0, _MAX_S),
+    "cp_inactivity_periods": ("scenario", "cp_inactivity_npdcch_periods", int, 0, 10**9),
+    "idle_timer_base_s": ("scenario", "idle_active_timer_base_s", float, 0.0, _MAX_S),
     # Rel-13 caps: the idle eDRX cycle (TS 36.304) and the extended T3412 (TS 24.008)
-    "drx_cycle_base_s": ("timers", "drx_long_cycle_base_s", float, _US, MAX_IDLE_DRX_CYCLE_S),
-    "tau_period_s":     ("timers", "psm_tau_period_s", float, _US, MAX_PSM_TIME_S),
+    "drx_cycle_base_s": ("scenario", "drx_long_cycle_base_s", float, _US, MAX_IDLE_DRX_CYCLE_S),
+    "tau_period_s":     ("scenario", "psm_tau_period_s", float, _US, MAX_PSM_TIME_S),
 }
 
 # The rows of the numeric keys, and one getter of their field values in the

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import flows
 from .config import (HOURS_PER_YEAR, ConfigurationError, Reachability, Scenario,
-                     validate_scenario)
+                     scenario_value, validate_scenario)
 from .flows import EnergyCategory, Interval
 
 
@@ -126,7 +126,7 @@ def cycle_profile(s: Scenario) -> CycleProfile:
         active_mj=integrate_timeline(timeline),
         active_us=timeline[-1].end_us if timeline else 0,
         deep_sleep_mw=s.power.deep_sleep_mw,
-        tau_period_s=s.timers.psm_tau_period_s,
+        tau_period_s=s.psm_tau_period_s,
         tau_mj=tau_mj,
         tau_active_s=tau_active_s,
     )
@@ -149,5 +149,11 @@ def battery_lifetime_years(s: Scenario) -> float:
 
 
 def psm_baseline_lifetime_years(s: Scenario) -> float:
-    """Lifetime of a traffic-free UE that only deep-sleeps (the PSM floor)."""
+    """Lifetime of a traffic-free UE that only deep-sleeps (the PSM floor).
+
+    Raises ConfigurationError if the battery or the deep-sleep power lies
+    outside its key's domain.
+    """
+    scenario_value("battery_wh", s.battery_wh)
+    scenario_value("deep_sleep_mw", s.power.deep_sleep_mw)
     return s.battery_wh / (s.power.deep_sleep_mw / 1000.0) / HOURS_PER_YEAR

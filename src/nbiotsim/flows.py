@@ -70,7 +70,7 @@ class Interval:
 
 # --- catalog ----------------------------------------------------------------
 
-# size base of a DATA message -> the TrafficModel size its catalog extra adds to
+# size base of a DATA message -> the Scenario size its catalog extra adds to
 _SIZE_BASES = {"data": "data_message_bytes", "ack": "ack_message_bytes"}
 
 
@@ -135,7 +135,7 @@ def _build(flow_id: str, s: Scenario) -> ProcedureFlow:
     except KeyError:
         raise ConfigurationError(f"message catalog has no flow {flow_id!r}") from None
     messages = tuple(msg if base is None else
-                     replace(msg, size_bytes=getattr(s.traffic, base) + msg.size_bytes)
+                     replace(msg, size_bytes=getattr(s, base) + msg.size_bytes)
                      for msg, base in template)
     # Release assistance rides only in uplink NAS data PDUs, so only CP
     # exchanges that carry uplink data release without an idle-DRX window;
@@ -240,7 +240,7 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
     # idle DRX: the active timer keeps the UE reachable before PSM
     idle_us = int(round(flow.idle_drx_s * US_PER_S))
     _emit_drx_cycles(tb, idle_us, on_us=period_us,
-                     off_us=int(round(s.timers.drx_long_cycle_base_s * US_PER_S)),
+                     off_us=int(round(s.drx_long_cycle_base_s * US_PER_S)),
                      p=p, category=EnergyCategory.IDLE_DRX, label="drx")
 
     if fill_psm_to_iat:

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import shlex
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -10,10 +11,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nbiotsim import Procedure, Scenario, TrafficCase, cell_capacity
+from nbiotsim import PowerProfile, Procedure, Scenario, TrafficCase, cell_capacity
 from nbiotsim.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, SweepSpec, Table,
                           emit, main, run_capacity_report, run_lifetime_sweep,
                           LIFETIME_COLUMNS)
+from nbiotsim import energy
 from nbiotsim.config import ConfigurationError
 from tests.conftest import scenario_texts
 
@@ -29,10 +31,16 @@ def test_lifetime_sweep_monotone_and_baseline():
 
 
 def test_lifetime_sweep_reports_bad_rows_and_continues():
-    spec = SweepSpec("iat", (3600.0,), Scenario(battery_wh=-1.0))
-    table = run_lifetime_sweep(spec)
-    bad = [row for row in table.rows if row[-1]]
-    assert len(bad) == 1 and "battery_wh" in bad[0][-1]
+    # the baseline row, too, reports a battery or a deep-sleep power outside
+    # its domain, instead of a negative lifetime or a division by zero
+    for s, key in [(Scenario(battery_wh=-1.0), "battery_wh"),
+                   (Scenario(power=PowerProfile(deep_sleep_mw=0.0)), "deep_sleep_mw")]:
+        table = run_lifetime_sweep(SweepSpec("iat", (3600.0, 7200.0), s))
+        baseline, *points = table.rows
+        assert baseline[:9] == ("PSM_BASELINE", "-", "-") + (0.0,) * 6
+        assert key in baseline[-1]
+        assert [row[3] for row in points] == [3600.0, 7200.0]
+        assert all(key in row[-1] for row in points)
 
 
 def test_sweep_values_must_be_ordered():
@@ -49,18 +57,24 @@ def test_sweep_values_are_parsed_once(monkeypatch):
     monkeypatch.setattr(cli_mod, "scenario_value", lambda *a: calls.append(a) or real(*a))
     spec = SweepSpec("iat", ("3600", "7200"), Scenario())
     assert spec.values == (3600.0, 7200.0) and len(calls) == 2
-    assert [s.iat_s for s in spec.scenarios()] == [3600.0, 7200.0]
+    assert [row[3] for row in run_lifetime_sweep(spec).rows[1:]] == [3600.0, 7200.0]
     assert len(calls) == 2
 
 
 def test_sweep_other_axes():
     spec = SweepSpec("coverage", ("Normal", "Robust", "Extreme"), Scenario())
-    assert [s.coverage.name for s in spec.scenarios()] == ["Normal", "Robust", "Extreme"]
+    assert [c.name for c in spec.values] == ["Normal", "Robust", "Extreme"]
+    assert [row[2] for row in run_lifetime_sweep(spec).rows[1:]] == [
+        "Normal", "Robust", "Extreme"]
     # already-parsed values are accepted as they are
     spec = SweepSpec("procedure", ("SR", "CP", "UP", Procedure.UP), Scenario())
-    assert [s.procedure.value for s in spec.scenarios()] == ["SR", "CP", "UP", "UP"]
+    assert spec.values == (Procedure.SR, Procedure.CP, Procedure.UP, Procedure.UP)
+    rows = run_lifetime_sweep(spec).rows[1:]
+    assert [row[0] for row in rows] == ["SR", "CP", "UP", "UP"]
+    assert rows[2] == rows[3] and all(row[-1] == "" for row in rows)
     spec = SweepSpec("case", ("UL", "DL", TrafficCase.DL), Scenario())
-    assert [s.traffic_case.value for s in spec.scenarios()] == ["UL", "DL", "DL"]
+    assert spec.values == (TrafficCase.UL, TrafficCase.DL, TrafficCase.DL)
+    assert [row[1] for row in run_lifetime_sweep(spec).rows[1:]] == ["UL", "DL", "DL"]
 
 
 def test_mcs_outside_tbs_table_is_row_error():
@@ -235,6 +249,59 @@ def test_cli_dl_iat_above_psm_maximum_is_row_error(capsys):
     assert row[:4] == ["CP", "DL", "Normal", "2000000.000000"]
     assert row[-1].endswith("a mobile-terminated PSM_TAU cycle exceeds the 310 h "
                             "PSM maximum")
+
+
+# --- one-step composition: file scenario, then flags, then the row's fields --
+
+@pytest.fixture
+def long_iat_file(tmp_path):
+    # 2e6 s is a valid uplink IAT but past the 310 h PSM maximum of downlink
+    f = tmp_path / "long.cfg"
+    f.write_text("iat=2000000\n")
+    return str(f)
+
+
+def test_cli_default_rows_replace_the_file_iat(long_iat_file, capsys, monkeypatch):
+    # the default table sets each row's own IAT, so the file's IAT, invalid
+    # for downlink, never reaches a row; each procedure and coverage builds
+    # one cycle profile for its 24 rows
+    calls = []
+    real = energy.cycle_profile
+    monkeypatch.setattr(energy, "cycle_profile", lambda s: calls.append(s) or real(s))
+    assert main(["lifetime", "--scenario", long_iat_file, "--case", "DL"]) == EXIT_OK
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[2:]
+    assert len(rows) == 216 and all(row[-1] == "" for row in rows)
+    assert {row[1] for row in rows} == {"DL"} and len(calls) == 9
+
+
+def test_cli_sweep_row_past_psm_maximum_is_row_error(long_iat_file, capsys):
+    argv = ["lifetime", "--scenario", long_iat_file, "--case", "DL",
+            "--sweep", "iat=3600,2000000"]
+    assert main(argv) == EXIT_VALIDATION
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[2:]
+    assert rows[0][:4] == ["CP", "DL", "Normal", "3600.000000"] and rows[0][-1] == ""
+    assert rows[1][-1] == ("invalid scenario: iat_s=2000000 s: a mobile-terminated "
+                           "PSM_TAU cycle exceeds the 310 h PSM maximum")
+
+
+def test_cli_repeated_sweep_value_repeats_its_row(long_iat_file, capsys):
+    argv = ["lifetime", "--scenario", long_iat_file, "--sweep", "coverage=Normal,Normal",
+            "--iat", "3600"]
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[2] == lines[3]
+    assert lines[2].startswith("CP,UL,Normal,3600.000000,")
+
+
+def test_cli_error_cell_is_one_quoted_field(capsys):
+    argv = ["lifetime", "--case", "DL", "--sweep", "iat=3600,2000000"]
+    assert main(argv + ["--format", "plot-data"]) == EXIT_VALIDATION
+    lines = capsys.readouterr().out.splitlines()
+    assert [len(shlex.split(line.removeprefix("# "))) for line in lines] == [10] * 4
+    assert shlex.split(lines[3])[-1].startswith("invalid scenario: iat_s=2000000 s:")
+    assert main(argv) == EXIT_VALIDATION
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [len(row) for row in rows] == [10] * 4
 
 
 def test_cli_capacity_does_not_depend_on_iat(capsys):

@@ -10,8 +10,7 @@ from nbiotsim import (ConfigurationError, Scenario, battery_lifetime_years, buil
                       builtin_coverage_profile, cell_capacity, cycle_energy,
                       format_scenario, parse_scenario, validate_scenario)
 from nbiotsim.config import (MAX_PSM_TIME_S, _SCENARIO_KEYS, PowerProfile, Procedure,
-                             Reachability, TimerConfig, TrafficCase, TrafficModel,
-                             scenario_value)
+                             Reachability, TrafficCase, scenario_value)
 from dataclasses import replace
 from tests.conftest import domain_values, scenario_texts
 
@@ -67,7 +66,7 @@ def test_builtin_profiles_validate_with_default_powers(cov):
 
 
 def test_psm_timer_cap_reported():
-    s = Scenario(timers=TimerConfig(psm_tau_period_s=400 * 3600.0))
+    s = Scenario(psm_tau_period_s=400 * 3600.0)
     with pytest.raises(ConfigurationError,
                        match=r"psm_tau_period_s=1440000.0: must be in \[1e-06, 1116000\]"):
         validate_scenario(s)
@@ -84,13 +83,11 @@ def test_idle_drx_cycle_cap_reported():
 
 def test_idle_active_timer_must_be_shorter_than_tau_period():
     # T3324 (base + 2 long DRX cycles, 2.08 s each at Normal) < T3412
-    validate_scenario(Scenario(timers=TimerConfig(idle_active_timer_base_s=95.0,
-                                                  psm_tau_period_s=100.0)))
+    validate_scenario(Scenario(idle_active_timer_base_s=95.0, psm_tau_period_s=100.0))
     with pytest.raises(ConfigurationError,
                        match="idle active timer 100.160 s must be shorter than "
                              "the 100 s TAU period"):
-        validate_scenario(Scenario(timers=TimerConfig(idle_active_timer_base_s=96.0,
-                                                      psm_tau_period_s=100.0)))
+        validate_scenario(Scenario(idle_active_timer_base_s=96.0, psm_tau_period_s=100.0))
     with pytest.raises(ConfigurationError, match="idle active timer 10000004.160 s"):
         parse_scenario("idle_timer_base_s=1e7")
 
@@ -276,13 +273,12 @@ def test_round_trip_property(proc, case, cov, reach, values, powers):
     # every numeric key from its domain, bounds included; the state powers
     # are drawn as one sorted set, so their ordering rule mostly holds
     values.update(zip(POWER_KEYS, sorted(powers)))
-    kw = {"scenario": {}, "traffic": {}, "power": {}, "timers": {}}
+    kw = {"scenario": {}, "power": {}}
     for key, value in values.items():
         target, fname = _SCENARIO_KEYS[key][:2]
         kw[target][fname] = value
     s = Scenario(procedure=proc, traffic_case=case, coverage=builtin_coverage_profile(cov),
-                 mt_reachability=reach, traffic=TrafficModel(**kw["traffic"]),
-                 power=PowerProfile(**kw["power"]), timers=TimerConfig(**kw["timers"]),
+                 mt_reachability=reach, power=PowerProfile(**kw["power"]),
                  **kw["scenario"])
     problems = s.violations()
     if problems:

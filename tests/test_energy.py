@@ -120,7 +120,7 @@ def test_amortized_tau_assembly():
     main = integrate_timeline(flow_timeline(build_flow(s), s))
     tau_tl = flow_timeline(build_tau_flow(s), s, fill_psm_to_iat=False)
     tau = integrate_timeline(tau_tl)
-    frac = s.iat_s / s.timers.psm_tau_period_s
+    frac = s.iat_s / s.psm_tau_period_s
     expected_total = (sum(main.values()) + frac * sum(tau.values())
                       - active_duration_s(tau_tl) * frac * s.power.deep_sleep_mw)
     assert cycle_energy(s).total_mj == pytest.approx(expected_total, rel=1e-12)
@@ -135,7 +135,7 @@ def assembled_breakdown(s):
     if (not s.traffic_case.mobile_terminated
             and s.mt_reachability is Reachability.PSM_TAU):
         tau_tl = flow_timeline(build_tau_flow(s), s, fill_psm_to_iat=False)
-        frac = s.iat_s / s.timers.psm_tau_period_s
+        frac = s.iat_s / s.psm_tau_period_s
         for cat, value in integrate_timeline(tau_tl).items():
             target = EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat
             cats[target] += value * frac
@@ -201,16 +201,15 @@ def test_amortized_taus_longer_than_iat_rejected():
     # the amortized TAUs' awake time counts toward the active cycle, so a TAU
     # period shorter than one TAU is an error at every IAT, not a clamped
     # deep-sleep energy
-    timers = replace(Scenario().timers, idle_active_timer_base_s=0.0,
-                     drx_long_cycle_base_s=1e-6, psm_tau_period_s=0.07)
-    profile = cycle_profile(make_scenario("CP", "UL", timers=timers))
+    s = make_scenario("CP", "UL", idle_active_timer_base_s=0.0,
+                      drx_long_cycle_base_s=1e-6, psm_tau_period_s=0.07)
+    profile = cycle_profile(s)
     assert profile.tau_active_s > 0.07
     for iat_s in (3600.0, 86400.0):
         with pytest.raises(ConfigurationError, match=f"iat_s={iat_s}: shorter than the"):
             profile.breakdown(iat_s)
     # a TAU period longer than one TAU leaves deep sleep in the cycle
-    profile = cycle_profile(make_scenario("CP", "UL", timers=replace(timers,
-                                                                     psm_tau_period_s=7.0)))
+    profile = cycle_profile(replace(s, psm_tau_period_s=7.0))
     assert profile.breakdown(3600.0).psm_mj > 0.0
 
 

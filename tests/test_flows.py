@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbiotsim import build_flow, build_tau_flow, flow_timeline
-from nbiotsim.config import ConfigurationError, Reachability, TimerConfig, TrafficModel
+from nbiotsim.config import ConfigurationError, Reachability
 from nbiotsim.flows import EnergyCategory, Plane, _parse_catalog, active_duration_s
 from nbiotsim.phy import ChannelKind
 from tests.conftest import make_scenario
@@ -92,8 +92,7 @@ def test_cp_merged_data_message():
 
 def test_payload_size_changes_only_data_messages():
     small = build_flow(make_scenario("SR", "DL_ACK"))
-    big = build_flow(make_scenario("SR", "DL_ACK",
-                                   traffic=TrafficModel(data_payload_bytes=200)))
+    big = build_flow(make_scenario("SR", "DL_ACK", data_payload_bytes=200))
     assert [m.name for m in small.messages] == [m.name for m in big.messages]
     for a, b in zip(small.messages, big.messages):
         if a.plane is Plane.DATA and a.name != "dl_ack":
@@ -119,14 +118,13 @@ DIRECTION = {ChannelKind.NPUSCH: "UL", ChannelKind.NPDSCH: "DL"}
 
 
 def test_built_flows_match_pinned_digest():
-    traffic = TrafficModel(data_payload_bytes=37, protocol_overhead_bytes=51,
-                           ack_payload_bytes=5)
+    sizes = dict(data_payload_bytes=37, protocol_overhead_bytes=51, ack_payload_bytes=5)
     digest = hashlib.sha256()
     flow_ids = set()
     for proc, case, reach, cov in itertools.product(
             ["SR", "CP", "UP"], ["UL", "UL_ACK", "DL", "DL_ACK"],
             list(Reachability), ["Normal", "Robust", "Extreme"]):
-        s = make_scenario(proc, case, cov, mt_reachability=reach, traffic=traffic)
+        s = make_scenario(proc, case, cov, mt_reachability=reach, **sizes)
         for flow in (build_flow(s), build_tau_flow(s)):
             flow_ids.add(flow.flow_id)
             digest.update(f"{flow.flow_id} {flow.idle_drx_s!r}\n".encode())
@@ -209,9 +207,8 @@ def test_rai_follows_the_exchange_not_the_scenario(case):
 def test_timeline_length_does_not_grow_with_the_timers(proc, case):
     lengths = set()
     for idle_base, periods in itertools.product([10.0, 1e3, 1e5], [5, 1000]):
-        timers = TimerConfig(idle_active_timer_base_s=idle_base,
-                             cp_inactivity_npdcch_periods=periods)
-        s = make_scenario(proc, case, iat_h=48.0, timers=timers)
+        s = make_scenario(proc, case, iat_h=48.0, idle_active_timer_base_s=idle_base,
+                          cp_inactivity_npdcch_periods=periods)
         lengths.add(len(flow_timeline(build_flow(s), s)))
     assert len(lengths) == 1
 
@@ -228,8 +225,7 @@ def test_timeline_length_does_not_grow_with_the_timers(proc, case):
 ], ids=["idle-tail-in-off", "idle-tail-in-on", "idle-whole-cycles", "connected"])
 def test_drx_window_totals_follow_cycle_arithmetic(proc, cov, idle_base, label,
                                                    on_us, off_us):
-    s = make_scenario(proc, "UL", cov,
-                      timers=TimerConfig(idle_active_timer_base_s=idle_base))
+    s = make_scenario(proc, "UL", cov, idle_active_timer_base_s=idle_base)
     window = [iv for iv in flow_timeline(build_flow(s), s)
               if iv.label in (f"{label}_on", f"{label}_off")]
     assert [(iv.label, iv.duration_us) for iv in window] == [

@@ -9,6 +9,7 @@ deterministic: fixed column order, fixed 6-decimal precision, no timestamps.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -30,6 +31,9 @@ DEFAULT_IAT_HOURS = tuple(range(1, 25))
 # config.scenario_value parses their values.
 _SWEEP_AXES = {"iat": "iat_s", "coverage": "coverage",
                "procedure": "procedure", "case": "traffic_case"}
+
+# the coverage axis of the default lifetime table and of the capacity grid
+_COVERAGES = tuple(scenario_value("coverage", name) for name in COVERAGE_NAMES)
 
 # output format: (file extension, header prefix, cell separator, empty cell)
 FORMATS = {"csv": ("csv", "", ",", ""), "plot-data": ("dat", "# ", " ", "-")}
@@ -121,6 +125,12 @@ def _lifetime_rows(base: Scenario, points) -> Table:
     return Table(LIFETIME_COLUMNS, rows)
 
 
+def _grid(flags: dict, **axes) -> list[dict]:
+    """Fields of each point, last axis fastest, with flags; a flag fixes its axis."""
+    choices = [(flags[f],) if f in flags else values for f, values in axes.items()]
+    return [{**flags, **dict(zip(axes, point))} for point in itertools.product(*choices)]
+
+
 def run_lifetime_sweep(spec: SweepSpec) -> Table:
     """One row per sweep point plus the deep-sleep-only baseline row."""
     field = _SWEEP_AXES[spec.axis]
@@ -131,20 +141,19 @@ CAPACITY_COLUMNS = ("procedure", "case", "coverage", "reports_per_hour",
                     "bottleneck", "gain_vs_sr_pct")
 
 
-def run_capacity_report(s: Scenario) -> Table:
-    """Gain grid of CP and UP against SR: 2 procedures x 4 cases x 3 coverages."""
+def run_capacity_report(s: Scenario, fixed=()) -> Table:
+    """CP and UP gain over SR per case and coverage; fields in fixed keep s's value."""
     validate_scenario(s)
     rows = []
-    for proc in (Procedure.CP, Procedure.UP):
-        for case in TrafficCase:
-            for cov_name in COVERAGE_NAMES:
-                point = replace(s, procedure=proc, traffic_case=case,
-                                coverage=scenario_value("coverage", cov_name))
-                report = cap.cell_capacity(point)
-                sr_report = cap.cell_capacity(replace(point, procedure=Procedure.SR))
-                rows.append((proc.value, case.value, cov_name,
-                             report.reports_per_hour, report.bottleneck.value,
-                             cap.capacity_gain_pct(report, sr_report)))
+    for fields in _grid({f: getattr(s, f) for f in fixed},
+                        procedure=(Procedure.CP, Procedure.UP),
+                        traffic_case=tuple(TrafficCase), coverage=_COVERAGES):
+        point = replace(s, **fields)
+        report = cap.cell_capacity(point)
+        sr_report = cap.cell_capacity(replace(point, procedure=Procedure.SR))
+        rows.append((point.procedure.value, point.traffic_case.value, point.coverage.name,
+                     report.reports_per_hour, report.bottleneck.value,
+                     cap.capacity_gain_pct(report, sr_report)))
     return Table(CAPACITY_COLUMNS, rows)
 
 
@@ -186,15 +195,17 @@ def _lifetime_table(args) -> Table:
     if args.sweep:
         axis, values = _parse_sweep(args.sweep)
         spec = SweepSpec(axis, values, fixed=base)
+        if _SWEEP_AXES[axis] in flags:
+            raise ConfigurationError(f"--{axis} and --sweep {axis}=... both set "
+                                     f"the {axis} axis")
         points = ({**flags, _SWEEP_AXES[axis]: value} for value in spec.values)
     elif args.iat is not None:
         # a pinned inter-arrival time means a single evaluation point
         points = [flags]
     else:
         # default: the full lifetime picture, every procedure and coverage
-        points = ({**flags, "procedure": proc, "coverage": scenario_value("coverage", cov),
-                   "iat_s": h * 3600.0}
-                  for proc in Procedure for cov in COVERAGE_NAMES for h in DEFAULT_IAT_HOURS)
+        points = _grid(flags, procedure=tuple(Procedure), coverage=_COVERAGES,
+                       iat_s=tuple(h * 3600.0 for h in DEFAULT_IAT_HOURS))
     return _lifetime_rows(base, points)
 
 
@@ -242,7 +253,7 @@ def main(argv=None) -> int:
             table = _lifetime_table(args)
         else:
             base, flags = _file_and_flags(args)
-            table = run_capacity_report(replace(base, **flags))
+            table = run_capacity_report(replace(base, **flags), fixed=tuple(flags))
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

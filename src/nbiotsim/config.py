@@ -391,8 +391,12 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def parse_scenario_file(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_scenario(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"scenario file {str(path)!r} is not UTF-8 text: "
+                                 f"{exc.reason} at byte {exc.start}") from None
 
 
 def format_scenario(s: Scenario) -> str:

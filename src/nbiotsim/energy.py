@@ -23,19 +23,9 @@ from .config import (HOURS_PER_YEAR, ConfigurationError, Reachability, Scenario,
 from .flows import EnergyCategory, Interval
 
 
-# EnergyBreakdown field holding each category's energy.
-_FIELDS = {
-    EnergyCategory.RA_SYNC: "ra_sync_mj",
-    EnergyCategory.MESSAGES: "post_ra_messages_mj",
-    EnergyCategory.CONNECTED_DRX: "connected_drx_mj",
-    EnergyCategory.IDLE_DRX: "idle_drx_mj",
-    EnergyCategory.PSM: "psm_mj",
-}
-
-
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Millijoules per traffic cycle, by consumption category."""
+    """Millijoules per traffic cycle; each field is named by an EnergyCategory value."""
 
     ra_sync_mj: float
     post_ra_messages_mj: float
@@ -50,7 +40,7 @@ class EnergyBreakdown:
 
     def share(self, *categories: EnergyCategory) -> float:
         """Fraction of the cycle total attributed to the given categories."""
-        return sum(getattr(self, _FIELDS[cat]) for cat in categories) / self.total_mj
+        return sum(getattr(self, cat.value) for cat in categories) / self.total_mj
 
 
 def interval_energy_mj(iv: Interval) -> float:
@@ -70,16 +60,17 @@ class CycleProfile:
     """The part of a traffic cycle that does not depend on the IAT.
 
     Holds the per-category energy of the active timeline (everything before
-    deep sleep), its length, and for uplink PSM_TAU scenarios the energy and
-    active time of one standalone periodic TAU.
+    deep sleep) and its length, and the same for one amortized periodic TAU.
+    Only uplink PSM_TAU cycles amortize a TAU; every other cycle carries a
+    zero TAU, all of whose energies and whose length are 0.
     """
 
     active_mj: dict[EnergyCategory, float]
     active_us: int
     deep_sleep_mw: float
     tau_period_s: float
-    tau_mj: dict[EnergyCategory, float] | None = None
-    tau_active_s: float = 0.0
+    tau_mj: dict[EnergyCategory, float]
+    tau_active_us: int
 
     def breakdown(self, iat_s: float) -> EnergyBreakdown:
         """Energy of one inter-arrival period of iat_s seconds, split by category.
@@ -93,42 +84,39 @@ class CycleProfile:
         fraction = iat_s / self.tau_period_s      # amortized TAUs per cycle
         # the active cycle includes the amortized TAUs' awake time, rounded up
         # to the timeline's microsecond grid
-        awake_us = self.active_us + math.ceil(self.tau_active_s * fraction * flows.US_PER_S)
+        tau_active_s = self.tau_active_us / flows.US_PER_S
+        awake_us = self.active_us + math.ceil(tau_active_s * fraction * flows.US_PER_S)
         if iat_us < awake_us:
             raise ConfigurationError(
                 f"iat_s={iat_s}: shorter than the {awake_us / flows.US_PER_S} s active cycle")
         cats = dict(self.active_mj)
         # deep sleep fills the period after the active timeline
         cats[EnergyCategory.PSM] += self.deep_sleep_mw * (iat_us - self.active_us) * 1e-6
-        if self.tau_mj is not None:
-            for cat in EnergyCategory:
-                target = EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat
-                cats[target] += self.tau_mj[cat] * fraction
-            # The amortized TAU's active time is spent awake, not in deep sleep.
-            cats[EnergyCategory.PSM] -= self.tau_active_s * fraction * self.deep_sleep_mw
-        return EnergyBreakdown(**{_FIELDS[cat]: cats[cat] for cat in EnergyCategory})
+        for cat, mj in self.tau_mj.items():
+            target = EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat
+            cats[target] += mj * fraction
+        # The amortized TAU's active time is spent awake, not in deep sleep.
+        cats[EnergyCategory.PSM] -= tau_active_s * fraction * self.deep_sleep_mw
+        return EnergyBreakdown(**{cat.value: mj for cat, mj in cats.items()})
 
 
 def cycle_profile(s: Scenario) -> CycleProfile:
     """Active-cycle profile of a scenario, valid for any inter-arrival time."""
     validate_scenario(s)
     timeline = flows.flow_timeline(flows.build_flow(s), s, fill_psm_to_iat=False)
-    tau_mj, tau_active_s = None, 0.0
     # Downlink flows carry their TAU inside the flow, and paging reachability
     # models no periodic TAU; only uplink PSM_TAU cycles amortize one.
-    if (not s.traffic_case.mobile_terminated
-            and s.mt_reachability is Reachability.PSM_TAU):
-        tau_timeline = flows.flow_timeline(flows.build_tau_flow(s), s,
-                                           fill_psm_to_iat=False)
-        tau_mj = integrate_timeline(tau_timeline)
-        tau_active_s = flows.active_duration_s(tau_timeline)
+    amortizes_tau = (not s.traffic_case.mobile_terminated
+                     and s.mt_reachability is Reachability.PSM_TAU)
+    tau_timeline = (flows.flow_timeline(flows.build_tau_flow(s), s, fill_psm_to_iat=False)
+                    if amortizes_tau else [])
     return CycleProfile(
         active_mj=integrate_timeline(timeline),
-        active_us=timeline[-1].end_us if timeline else 0,
+        active_us=timeline[-1].end_us,
         deep_sleep_mw=s.power.deep_sleep_mw,
         tau_period_s=s.psm_tau_period_s,
-        tau_mj=tau_mj,
-        tau_active_s=tau_active_s,
+        tau_mj=integrate_timeline(tau_timeline),
+        tau_active_us=tau_timeline[-1].end_us if tau_timeline else 0,
     )
 
 

@@ -30,11 +30,13 @@ class Plane(str, enum.Enum):
 
 
 class EnergyCategory(str, enum.Enum):
-    RA_SYNC = "ra_sync"       # cell search plus random access
-    MESSAGES = "post_ra"      # everything between RA completion and release
-    CONNECTED_DRX = "connected_drx"
-    IDLE_DRX = "idle_drx"
-    PSM = "psm"
+    """A consumption category; its value names its energy.EnergyBreakdown field."""
+
+    RA_SYNC = "ra_sync_mj"            # cell search plus random access
+    MESSAGES = "post_ra_messages_mj"  # everything between RA completion and release
+    CONNECTED_DRX = "connected_drx_mj"
+    IDLE_DRX = "idle_drx_mj"
+    PSM = "psm_mj"
 
 
 @dataclass(frozen=True)
@@ -248,9 +250,3 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
         tb.emit(max(0, iat_us - tb.t_us), UeState.DEEP_SLEEP, p.deep_sleep_mw,
                 EnergyCategory.PSM, "psm")
     return tb.intervals
-
-
-def active_duration_s(timeline: list[Interval]) -> float:
-    """Cycle time spent outside deep sleep."""
-    return sum(iv.duration_us for iv in timeline
-               if iv.category is not EnergyCategory.PSM) / US_PER_S

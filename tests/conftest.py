@@ -9,11 +9,18 @@ from hypothesis import strategies as st
 
 from nbiotsim import Scenario, builtin_coverage_profile
 from nbiotsim.config import _SCENARIO_KEYS, COVERAGE_NAMES, Procedure, TrafficCase
+from nbiotsim.flows import US_PER_S, EnergyCategory, Interval
 
 
 def make_scenario(proc="CP", case="UL", cov="Normal", iat_h=1.0, **kw) -> Scenario:
     return Scenario(procedure=Procedure(proc), traffic_case=TrafficCase(case),
                     coverage=builtin_coverage_profile(cov), iat_s=iat_h * 3600.0, **kw)
+
+
+def active_duration_s(timeline: list[Interval]) -> float:
+    """Cycle time spent outside deep sleep."""
+    return sum(iv.duration_us for iv in timeline
+               if iv.category is not EnergyCategory.PSM) / US_PER_S
 
 
 def binned_energy_mj(timeline, bin_ms=1.0):

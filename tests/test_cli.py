@@ -304,6 +304,42 @@ def test_cli_error_cell_is_one_quoted_field(capsys):
     assert [len(row) for row in rows] == [10] * 4
 
 
+# --- a flag fixes its axis of the table -------------------------------------
+
+def test_cli_default_lifetime_flags_fix_their_axes(capsys):
+    assert main(["lifetime", "--procedure", "UP", "--coverage", "Extreme"]) == EXIT_OK
+    baseline, *rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert baseline[0] == "PSM_BASELINE"
+    assert [row[:4] for row in rows] == [["UP", "UL", "Extreme", f"{h * 3600.0:.6f}"]
+                                         for h in range(1, 25)]
+    assert all(row[-1] == "" for row in rows)
+
+
+@pytest.mark.parametrize("flag,sweep", [("--coverage=Robust", "coverage=Normal,Extreme"),
+                                        ("--iat=3600", "iat=3600,7200")])
+def test_cli_flag_and_sweep_on_one_axis_is_an_error(flag, sweep, capsys):
+    axis = sweep.split("=")[0]
+    assert main(["lifetime", flag, "--sweep", sweep]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: --{axis} and --sweep {axis}=... both set the {axis} axis"]
+
+
+def test_cli_capacity_flags_fix_their_axes(capsys):
+    assert main(["capacity", "--case", "DL", "--coverage", "Extreme"]) == EXIT_OK
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert [row[:3] for row in rows] == [["CP", "DL", "Extreme"], ["UP", "DL", "Extreme"]]
+    # the full grid holds the same rows, byte for byte
+    assert main(["capacity"]) == EXIT_OK
+    grid = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert all(row in grid for row in rows)
+    assert main(["capacity", "--procedure", "SR"]) == EXIT_OK
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+    assert len(rows) == 4 * 3
+    assert all(row[0] == "SR" and row[-1] == "0.000000" for row in rows)
+
+
 def test_cli_capacity_does_not_depend_on_iat(capsys):
     assert main(["capacity"]) == EXIT_OK
     default = capsys.readouterr().out
@@ -328,6 +364,17 @@ def test_cli_amortized_taus_longer_than_iat_is_row_error(tmp_path, capsys):
     assert row[:5] == ["CP", "UL", "Normal", "3600.000000", "0.000000"]
     assert row[-1].startswith("iat_s=3600.0: shorter than the 39806.")
     assert row[-1].endswith(" s active cycle")
+
+
+@pytest.mark.parametrize("command", ["lifetime", "capacity"])
+def test_cli_scenario_file_not_utf8_is_one_error_line(command, tmp_path, capsys):
+    f = tmp_path / "s.cfg"
+    f.write_bytes(b"iat=3600\n\xff\n")
+    assert main([command, "--scenario", str(f), "--iat", "3600"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: scenario file {str(f)!r} is not UTF-8 text: invalid start byte at byte 9"]
 
 
 def test_cli_unwritable_out_exit_code(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from nbiotsim import (ConfigurationError, EnergyBreakdown, PowerProfile, Scenario,
                       battery_lifetime_years, build_flow, build_tau_flow,
@@ -13,8 +13,8 @@ from nbiotsim.config import (COVERAGE_NAMES, HOURS_PER_YEAR, Procedure, Reachabi
                              TrafficCase, UeState)
 from nbiotsim.energy import (cycle_profile, integrate_timeline, interval_energy_mj,
                              lifetime_years)
-from nbiotsim.flows import EnergyCategory, Interval, active_duration_s
-from tests.conftest import binned_energy_mj, make_scenario
+from nbiotsim.flows import EnergyCategory, Interval
+from tests.conftest import active_duration_s, binned_energy_mj, make_scenario
 
 
 def test_rx_interval_energy():
@@ -169,6 +169,33 @@ def test_profile_breakdown_equals_assembled_timeline(proc, case, cov, reach):
             s.battery_wh / (want.total_mj / 1000.0 / iat_s) / HOURS_PER_YEAR)
 
 
+def test_category_values_are_the_breakdown_fields():
+    # one name per category: share() and breakdown() read the field by value
+    assert [c.value for c in EnergyCategory] == [f.name for f in fields(EnergyBreakdown)]
+
+
+@pytest.mark.parametrize("reach", list(Reachability))
+@pytest.mark.parametrize("case", [c.value for c in TrafficCase])
+@pytest.mark.parametrize("proc", [p.value for p in Procedure])
+def test_profile_active_times_are_timeline_microseconds(proc, case, reach):
+    # both active times are the last end_us of an unfilled timeline; a cycle
+    # without an amortized TAU (downlink, or paging reachability) carries a
+    # zero TAU
+    s = make_scenario(proc, case, "Robust", mt_reachability=reach)
+    profile = cycle_profile(s)
+    timeline = flow_timeline(build_flow(s), s, fill_psm_to_iat=False)
+    assert profile.active_us == timeline[-1].end_us
+    if s.traffic_case.mobile_terminated or reach is Reachability.DRX_PAGING:
+        assert profile.tau_active_us == 0
+        assert profile.tau_mj == {cat: 0.0 for cat in EnergyCategory}
+    else:
+        tau_tl = flow_timeline(build_tau_flow(s), s, fill_psm_to_iat=False)
+        assert profile.tau_active_us == tau_tl[-1].end_us > 0
+        assert profile.tau_mj == integrate_timeline(tau_tl)
+        assert all(profile.tau_mj[cat] > 0.0 for cat in (EnergyCategory.RA_SYNC,
+                                                         EnergyCategory.MESSAGES))
+
+
 def test_iat_sweep_builds_timelines_once(monkeypatch):
     calls = []
     real = flows.flow_timeline
@@ -204,7 +231,7 @@ def test_amortized_taus_longer_than_iat_rejected():
     s = make_scenario("CP", "UL", idle_active_timer_base_s=0.0,
                       drx_long_cycle_base_s=1e-6, psm_tau_period_s=0.07)
     profile = cycle_profile(s)
-    assert profile.tau_active_s > 0.07
+    assert profile.tau_active_us > 70_000
     for iat_s in (3600.0, 86400.0):
         with pytest.raises(ConfigurationError, match=f"iat_s={iat_s}: shorter than the"):
             profile.breakdown(iat_s)

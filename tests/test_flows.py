@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from nbiotsim import build_flow, build_tau_flow, flow_timeline
 from nbiotsim.config import ConfigurationError, Reachability
-from nbiotsim.flows import EnergyCategory, Plane, _parse_catalog, active_duration_s
+from nbiotsim.flows import EnergyCategory, Plane, _parse_catalog
 from nbiotsim.phy import ChannelKind
-from tests.conftest import make_scenario
+from tests.conftest import active_duration_s, make_scenario
 
 ALL_COMBOS = list(itertools.product(["SR", "CP", "UP"],
                                     ["UL", "UL_ACK", "DL", "DL_ACK"]))

@@ -63,8 +63,6 @@ def flow_channel_usage(flow: ProcedureFlow, s: Scenario) -> dict[ChannelKind, fl
     """
     c = s.coverage
     usage = {ch: 0.0 for ch in ChannelKind}
-    if not flow.messages:
-        return usage          # no exchange, no connection, no random access
     ul_fraction = phy.ul_carrier_fraction(c)
     for msg in flow.messages:
         airtime_ms = phy.message_airtime(msg.size_bytes, c, msg.channel)
@@ -80,26 +78,14 @@ def flow_channel_usage(flow: ProcedureFlow, s: Scenario) -> dict[ChannelKind, fl
 def cell_capacity(s: Scenario) -> CapacityReport:
     """Supported reports per hour and the limiting channel for one scenario."""
     validate_scenario(s)
-    flow = flows.build_flow(s)
-    usage = flow_channel_usage(flow, s)
+    usage = flow_channel_usage(flows.build_flow(s), s)
     budgets = default_budgets(s)
     share = s.coverage.resource_share
-    if all(u == 0.0 for u in usage.values()):
-        raise ValueError("flow uses no radio resources; capacity is unbounded")
-    best_rate = None
-    bottleneck = None
-    for ch in BOTTLENECK_ORDER:
-        if usage[ch] <= 0.0:
-            continue
-        rate = share * budgets[ch] / usage[ch]
-        if best_rate is None or rate < best_rate:
-            best_rate = rate
-            bottleneck = ch
-    return CapacityReport(
-        per_channel_usage=usage,
-        bottleneck=bottleneck,
-        reports_per_hour=best_rate * 3600.0,
-    )
+    # NPRACH usage is the expected RA attempts, at least 1, so rates is never empty
+    rates = {ch: share * budgets[ch] / usage[ch] for ch in BOTTLENECK_ORDER if usage[ch] > 0.0}
+    bottleneck = min(rates, key=rates.get)      # the first channel wins a tie
+    return CapacityReport(per_channel_usage=usage, bottleneck=bottleneck,
+                          reports_per_hour=rates[bottleneck] * 3600.0)
 
 
 def capacity_gain_pct(opt: CapacityReport, sr: CapacityReport) -> float:

@@ -272,6 +272,9 @@ def main(argv=None) -> int:
                 emit(table, args.format, fh)
         else:
             emit(table, args.format, sys.stdout)
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`); the exit flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

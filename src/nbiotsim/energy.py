@@ -1,15 +1,13 @@
 """Energy integration, long-run average power, and battery lifetime.
 
-One cycle spans one inter-arrival period including its share of periodic
-tracking-area updates: uplink cases amortize one TAU per TAU period, downlink
-cases carry the TAU inside the flow (the TAU is what makes the UE reachable).
-
-Only the deep-sleep fill and the amortized TAU fraction depend on the
-inter-arrival time (IAT).  `cycle_profile` integrates the active timeline (and
-the standalone TAU) against the state powers once; `CycleProfile.breakdown`
-then gives the cycle energy at any IAT in closed form, filling the rest of the
-period with deep sleep on the same integer-microsecond grid as the timeline.
-An IAT sweep therefore builds its timelines once, not once per point.
+One cycle spans one inter-arrival period (IAT).  `cycle_profile` integrates the
+active timeline against the state powers once, and with it each periodic event
+the cycle amortizes: an uplink PSM_TAU cycle runs one standalone TAU per TAU
+period, while a downlink flow carries its TAU inside the flow (the TAU is what
+makes the UE reachable) and amortizes nothing.  `CycleProfile.breakdown` then
+gives the cycle energy at any IAT in closed form: iat / period of each event,
+and deep sleep filling the rest of the period on the timeline's
+integer-microsecond grid.  An IAT sweep therefore builds its timelines once.
 """
 
 from __future__ import annotations
@@ -56,47 +54,61 @@ def integrate_timeline(timeline: list[Interval]) -> dict[EnergyCategory, float]:
 
 
 @dataclass(frozen=True)
+class PeriodicEvent:
+    """A wake-up run once per period_s between reports, such as a periodic TAU:
+    its energy as (category, mJ) pairs, each under the category the cycle
+    charges it to, and its awake time in timeline microseconds."""
+
+    mj: tuple[tuple[EnergyCategory, float], ...]
+    active_us: int
+    period_s: float
+
+
+def standalone_event(flow: flows.ProcedureFlow, s: Scenario, period_s: float) -> PeriodicEvent:
+    """A standalone flow run once per period_s.  Its idle DRX is part of the
+    wake-up and charged to ra_sync, so a cycle's idle-DRX energy is only its
+    own reachability window, which is zero whenever release assistance applies."""
+    timeline = flows.flow_timeline(flow, s, fill_psm_to_iat=False)
+    return PeriodicEvent(
+        mj=tuple((EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat, mj)
+                 for cat, mj in integrate_timeline(timeline).items()),
+        active_us=timeline[-1].end_us, period_s=period_s)
+
+
+@dataclass(frozen=True)
 class CycleProfile:
     """The part of a traffic cycle that does not depend on the IAT.
 
     Holds the per-category energy of the active timeline (everything before
-    deep sleep) and its length, and the same for one amortized periodic TAU.
-    Only uplink PSM_TAU cycles amortize a TAU; every other cycle carries a
-    zero TAU, all of whose energies and whose length are 0.
+    deep sleep) and its length, and the periodic events the cycle amortizes.
     """
 
     active_mj: dict[EnergyCategory, float]
     active_us: int
     deep_sleep_mw: float
-    tau_period_s: float
-    tau_mj: dict[EnergyCategory, float]
-    tau_active_us: int
+    events: tuple[PeriodicEvent, ...]
 
     def breakdown(self, iat_s: float) -> EnergyBreakdown:
         """Energy of one inter-arrival period of iat_s seconds, split by category.
 
-        The amortized TAU is a separate wake-up event: its idle-DRX window is
-        charged to the wake-up (ra_sync) category, so the idle-DRX field always
-        reflects the cycle's own reachability window, which is zero whenever
-        release assistance applies.
+        Deep sleep fills the period after the active timeline; each event adds
+        iat_s / period_s of its energy and takes its awake time out of deep sleep.
         """
         iat_us = int(round(iat_s * flows.US_PER_S))
-        fraction = iat_s / self.tau_period_s      # amortized TAUs per cycle
-        # the active cycle includes the amortized TAUs' awake time, rounded up
-        # to the timeline's microsecond grid
-        tau_active_s = self.tau_active_us / flows.US_PER_S
-        awake_us = self.active_us + math.ceil(tau_active_s * fraction * flows.US_PER_S)
+        awake_us = self.active_us
+        cats = dict(self.active_mj)
+        cats[EnergyCategory.PSM] += self.deep_sleep_mw * (iat_us - self.active_us) * 1e-6
+        for event in self.events:
+            fraction = iat_s / event.period_s      # events per cycle
+            active_s = event.active_us / flows.US_PER_S
+            # the events' awake time, rounded up to the timeline's microsecond grid
+            awake_us += math.ceil(active_s * fraction * flows.US_PER_S)
+            for cat, mj in event.mj:
+                cats[cat] += mj * fraction
+            cats[EnergyCategory.PSM] -= active_s * fraction * self.deep_sleep_mw
         if iat_us < awake_us:
             raise ConfigurationError(
                 f"iat_s={iat_s}: shorter than the {awake_us / flows.US_PER_S} s active cycle")
-        cats = dict(self.active_mj)
-        # deep sleep fills the period after the active timeline
-        cats[EnergyCategory.PSM] += self.deep_sleep_mw * (iat_us - self.active_us) * 1e-6
-        for cat, mj in self.tau_mj.items():
-            target = EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat
-            cats[target] += mj * fraction
-        # The amortized TAU's active time is spent awake, not in deep sleep.
-        cats[EnergyCategory.PSM] -= tau_active_s * fraction * self.deep_sleep_mw
         return EnergyBreakdown(**{cat.value: mj for cat, mj in cats.items()})
 
 
@@ -104,19 +116,14 @@ def cycle_profile(s: Scenario) -> CycleProfile:
     """Active-cycle profile of a scenario, valid for any inter-arrival time."""
     validate_scenario(s)
     timeline = flows.flow_timeline(flows.build_flow(s), s, fill_psm_to_iat=False)
-    # Downlink flows carry their TAU inside the flow, and paging reachability
-    # models no periodic TAU; only uplink PSM_TAU cycles amortize one.
-    amortizes_tau = (not s.traffic_case.mobile_terminated
-                     and s.mt_reachability is Reachability.PSM_TAU)
-    tau_timeline = (flows.flow_timeline(flows.build_tau_flow(s), s, fill_psm_to_iat=False)
-                    if amortizes_tau else [])
     return CycleProfile(
         active_mj=integrate_timeline(timeline),
         active_us=timeline[-1].end_us,
         deep_sleep_mw=s.power.deep_sleep_mw,
-        tau_period_s=s.psm_tau_period_s,
-        tau_mj=integrate_timeline(tau_timeline),
-        tau_active_us=tau_timeline[-1].end_us if tau_timeline else 0,
+        # paging reachability models no periodic TAU
+        events=((standalone_event(flows.build_tau_flow(s), s, s.psm_tau_period_s),)
+                if not s.traffic_case.mobile_terminated
+                and s.mt_reachability is Reachability.PSM_TAU else ()),
     )
 
 

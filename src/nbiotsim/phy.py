@@ -100,7 +100,8 @@ def tbs_bits(c: CoverageProfile, ch: ChannelKind, resource_units: int) -> int:
     """Transport block size in bits for the profile's MCS and an allocation size.
 
     resource_units counts NPUSCH resource units or NPDSCH subframes and must
-    be one of the standard allocation sizes.
+    be one of the standard allocation sizes.  Kept public as the plain lookup
+    that the segmentation tests check transport_block_units against.
     """
     if resource_units not in ALLOCATION_UNITS:
         raise ConfigurationError(
@@ -193,7 +194,9 @@ def tx_power_consumption_mw(p: PowerProfile, radiated_dbm: float) -> float:
     """UE power draw while transmitting at a given radiated power.
 
     Linear PA model anchored at the two known points: the maximum-power draw at
-    p_cmax and the inactive floor at zero radiated power.
+    p_cmax and the inactive floor at zero radiated power.  So a higher p_cmax at
+    a fixed tx_max_mw is a more efficient amplifier: below the cap it draws
+    less, and lifetime can rise with p_cmax_dbm.
     """
     if radiated_dbm > p.p_cmax_dbm + 1e-9:
         raise ConfigurationError(

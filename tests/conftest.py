@@ -54,9 +54,11 @@ def base_scenario() -> Scenario:
 
 # --- scenario text drawn from the key table ----------------------------------
 
-def domain_values(key):
-    """Numbers inside a numeric key's closed domain, its two bounds included."""
-    parser, lo, hi = _SCENARIO_KEYS[key][2:]
+def domain_values(key, lo=None, hi=None):
+    """Numbers inside a numeric key's closed domain, or inside [lo, hi] where
+    given, the two bounds included."""
+    parser, key_lo, key_hi = _SCENARIO_KEYS[key][2:]
+    lo, hi = key_lo if lo is None else lo, key_hi if hi is None else hi
     inside = st.integers(lo, hi) if parser is int else st.floats(lo, hi)
     return st.one_of(st.sampled_from([lo, hi]), inside)
 

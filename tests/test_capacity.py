@@ -23,18 +23,6 @@ def test_cp_uses_less_npdcch_than_up():
         assert cp[ChannelKind.NPDCCH] < up[ChannelKind.NPDCCH]
 
 
-def test_empty_flow_zero_usage_and_error(monkeypatch):
-    s = make_scenario("CP", "UL")
-    empty = replace(build_flow(s), messages=())
-    usage = flow_channel_usage(empty, s)
-    assert all(v == 0.0 for v in usage.values())
-    # a valid scenario never produces an empty flow, so force one in
-    import nbiotsim.flows as flows_mod
-    monkeypatch.setattr(flows_mod, "build_flow", lambda *a, **k: empty)
-    with pytest.raises(ValueError, match="no radio resources"):
-        cell_capacity(s)
-
-
 def test_single_message_flow_usage_assembly():
     s = make_scenario("UP", "UL")
     flow = build_flow(s)

@@ -3,7 +3,10 @@
 import csv
 import io
 import math
+import os
 import shlex
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -11,6 +14,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nbiotsim
 from nbiotsim import PowerProfile, Procedure, Scenario, TrafficCase, cell_capacity
 from nbiotsim.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, SweepSpec, Table,
                           emit, main, run_capacity_report, run_lifetime_sweep,
@@ -381,6 +385,24 @@ def test_cli_unwritable_out_exit_code(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
     assert main(["capacity", "--out", str(blocker / "sub")]) == EXIT_IO
+
+
+def test_cli_reader_closing_the_pipe_early_is_quiet():
+    # `nbiotsim lifetime ... | head -n 1`: the table outgrows a pipe buffer, so
+    # the CLI is still writing when the reader closes its end.  It stops with
+    # no error line and the table's own status: 1, for the 0.1 s point's error row.
+    iats = ",".join(["0.1", *(str(3600 + i) for i in range(3000))])
+    src = os.path.dirname(os.path.dirname(nbiotsim.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nbiotsim.cli", "lifetime", "--sweep", f"iat={iats}"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"procedure,")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == EXIT_VALIDATION
 
 
 # --- key domains at the command line -----------------------------------------

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from dataclasses import fields, replace
 
-from nbiotsim import (ConfigurationError, EnergyBreakdown, PowerProfile, Scenario,
-                      battery_lifetime_years, build_flow, build_tau_flow,
+from nbiotsim import (ConfigurationError, CycleProfile, EnergyBreakdown, PowerProfile,
+                      Scenario, battery_lifetime_years, build_flow, build_tau_flow,
                       cycle_energy, flow_timeline, psm_baseline_lifetime_years)
 from nbiotsim import flows
 from nbiotsim.cli import SweepSpec, run_lifetime_sweep
@@ -178,22 +178,29 @@ def test_category_values_are_the_breakdown_fields():
 @pytest.mark.parametrize("case", [c.value for c in TrafficCase])
 @pytest.mark.parametrize("proc", [p.value for p in Procedure])
 def test_profile_active_times_are_timeline_microseconds(proc, case, reach):
-    # both active times are the last end_us of an unfilled timeline; a cycle
-    # without an amortized TAU (downlink, or paging reachability) carries a
-    # zero TAU
+    # both active times are the last end_us of an unfilled timeline; only an
+    # uplink PSM_TAU cycle amortizes an event, the standalone TAU, whose
+    # idle-DRX energy is charged to ra_sync
     s = make_scenario(proc, case, "Robust", mt_reachability=reach)
     profile = cycle_profile(s)
+    assert [f.name for f in fields(CycleProfile)] == [
+        "active_mj", "active_us", "deep_sleep_mw", "events"]
     timeline = flow_timeline(build_flow(s), s, fill_psm_to_iat=False)
     assert profile.active_us == timeline[-1].end_us
     if s.traffic_case.mobile_terminated or reach is Reachability.DRX_PAGING:
-        assert profile.tau_active_us == 0
-        assert profile.tau_mj == {cat: 0.0 for cat in EnergyCategory}
-    else:
-        tau_tl = flow_timeline(build_tau_flow(s), s, fill_psm_to_iat=False)
-        assert profile.tau_active_us == tau_tl[-1].end_us > 0
-        assert profile.tau_mj == integrate_timeline(tau_tl)
-        assert all(profile.tau_mj[cat] > 0.0 for cat in (EnergyCategory.RA_SYNC,
-                                                         EnergyCategory.MESSAGES))
+        assert profile.events == ()
+        return
+    (tau,) = profile.events
+    tau_tl = flow_timeline(build_tau_flow(s), s, fill_psm_to_iat=False)
+    assert tau.active_us == tau_tl[-1].end_us > 0
+    assert tau.period_s == s.psm_tau_period_s
+    want = integrate_timeline(tau_tl)
+    want[EnergyCategory.RA_SYNC] += want.pop(EnergyCategory.IDLE_DRX)
+    got = {cat: 0.0 for cat in want}
+    for cat, mj in tau.mj:
+        got[cat] += mj
+    assert got == want
+    assert got[EnergyCategory.RA_SYNC] > 0.0 and got[EnergyCategory.MESSAGES] > 0.0
 
 
 def test_iat_sweep_builds_timelines_once(monkeypatch):
@@ -231,7 +238,7 @@ def test_amortized_taus_longer_than_iat_rejected():
     s = make_scenario("CP", "UL", idle_active_timer_base_s=0.0,
                       drx_long_cycle_base_s=1e-6, psm_tau_period_s=0.07)
     profile = cycle_profile(s)
-    assert profile.tau_active_us > 70_000
+    assert profile.events[0].active_us > 70_000
     for iat_s in (3600.0, 86400.0):
         with pytest.raises(ConfigurationError, match=f"iat_s={iat_s}: shorter than the"):
             profile.breakdown(iat_s)

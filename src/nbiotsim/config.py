@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 
-# Rel-13 bounds on the power-saving timers
+# Rel-13 bounds on the power-saving timers; a longer DRX base than
+# defaultPagingCycle rf1024 (TS 36.331) is eDRX
+MAX_DRX_CYCLE_S = 10.24
 MAX_IDLE_DRX_CYCLE_S = 2.91 * 3600.0
 MAX_PSM_TIME_S = 310.0 * 3600.0
 

@@ -4,10 +4,11 @@ One cycle spans one inter-arrival period (IAT).  `cycle_profile` integrates the
 active timeline against the state powers once, and with it each periodic event
 the cycle amortizes: an uplink PSM_TAU cycle runs one standalone TAU per TAU
 period, while a downlink flow carries its TAU inside the flow (the TAU is what
-makes the UE reachable) and amortizes nothing.  `CycleProfile.breakdown` then
-gives the cycle energy at any IAT in closed form: iat / period of each event,
-and deep sleep filling the rest of the period on the timeline's
-integer-microsecond grid.  An IAT sweep therefore builds its timelines once.
+makes the UE reachable) and a paging UE pays in its rest state.
+`CycleProfile.breakdown` then gives the cycle energy at any IAT in closed
+form: iat / period of each event, and the rest state (`flows.rest_state`)
+filling the period on the timeline's integer-microsecond grid.  An IAT sweep
+therefore builds its timelines once.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def standalone_event(flow: flows.ProcedureFlow, s: Scenario, period_s: float) ->
     """A standalone flow run once per period_s.  Its idle DRX is part of the
     wake-up and charged to ra_sync, so a cycle's idle-DRX energy is only its
     own reachability window, which is zero whenever release assistance applies."""
-    timeline = flows.flow_timeline(flow, s, fill_psm_to_iat=False)
+    timeline = flows.flow_timeline(flow, s, fill_to_iat=False)
     return PeriodicEvent(
         mj=tuple((EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat, mj)
                  for cat, mj in integrate_timeline(timeline).items()),
@@ -79,25 +80,26 @@ def standalone_event(flow: flows.ProcedureFlow, s: Scenario, period_s: float) ->
 class CycleProfile:
     """The part of a traffic cycle that does not depend on the IAT.
 
-    Holds the per-category energy of the active timeline (everything before
-    deep sleep) and its length, and the periodic events the cycle amortizes.
+    Holds the per-category energy and the length of the active timeline, the
+    rest state's power and category, and the periodic events the cycle amortizes.
     """
 
     active_mj: dict[EnergyCategory, float]
     active_us: int
-    deep_sleep_mw: float
+    rest_mw: float
+    rest_category: EnergyCategory
     events: tuple[PeriodicEvent, ...]
 
     def breakdown(self, iat_s: float) -> EnergyBreakdown:
         """Energy of one inter-arrival period of iat_s seconds, split by category.
 
-        Deep sleep fills the period after the active timeline; each event adds
-        iat_s / period_s of its energy and takes its awake time out of deep sleep.
+        The rest state fills the period after the active timeline; each event
+        adds iat_s / period_s of its energy and takes its awake time out of it.
         """
         iat_us = int(round(iat_s * flows.US_PER_S))
         awake_us = self.active_us
         cats = dict(self.active_mj)
-        cats[EnergyCategory.PSM] += self.deep_sleep_mw * (iat_us - self.active_us) * 1e-6
+        cats[self.rest_category] += self.rest_mw * (iat_us - self.active_us) * 1e-6
         for event in self.events:
             fraction = iat_s / event.period_s      # events per cycle
             active_s = event.active_us / flows.US_PER_S
@@ -105,7 +107,7 @@ class CycleProfile:
             awake_us += math.ceil(active_s * fraction * flows.US_PER_S)
             for cat, mj in event.mj:
                 cats[cat] += mj * fraction
-            cats[EnergyCategory.PSM] -= active_s * fraction * self.deep_sleep_mw
+            cats[self.rest_category] -= active_s * fraction * self.rest_mw
         if iat_us < awake_us:
             raise ConfigurationError(
                 f"iat_s={iat_s}: shorter than the {awake_us / flows.US_PER_S} s active cycle")
@@ -115,12 +117,14 @@ class CycleProfile:
 def cycle_profile(s: Scenario) -> CycleProfile:
     """Active-cycle profile of a scenario, valid for any inter-arrival time."""
     validate_scenario(s)
-    timeline = flows.flow_timeline(flows.build_flow(s), s, fill_psm_to_iat=False)
+    timeline = flows.flow_timeline(flows.build_flow(s), s, fill_to_iat=False)
+    _, rest_mw, rest_category, _ = flows.rest_state(s)
     return CycleProfile(
         active_mj=integrate_timeline(timeline),
         active_us=timeline[-1].end_us,
-        deep_sleep_mw=s.power.deep_sleep_mw,
-        # paging reachability models no periodic TAU
+        rest_mw=rest_mw, rest_category=rest_category,
+        # reachability costs PSM_TAU a periodic TAU, carried inside a downlink
+        # flow, and DRX_PAGING the paging occasions of its rest state
         events=((standalone_event(flows.build_tau_flow(s), s, s.psm_tau_period_s),)
                 if not s.traffic_case.mobile_terminated
                 and s.mt_reachability is Reachability.PSM_TAU else ()),

@@ -3,7 +3,7 @@
 Builds the ordered message sequence for each (procedure, traffic case)
 combination from the message catalog, resolves the DRX timers, and lays the
 whole cycle out as a contiguous list of power-state intervals: sync, random
-access, per-message control/gap/airtime, connected DRX, idle DRX, deep sleep.
+access, per-message control/gap/airtime, connected DRX, idle DRX, rest state.
 A DRX window is laid out as two intervals, its total on time and then its
 total off time, so the timeline's length does not grow with the timers.
 """
@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import phy, ra
-from .config import (ConfigurationError, PowerProfile, Procedure, Reachability,
-                     Scenario, UeState)
+from .config import (MAX_DRX_CYCLE_S, ConfigurationError, PowerProfile, Procedure,
+                     Reachability, Scenario, UeState)
 from .phy import ChannelKind
 
 US_PER_MS = 1000
@@ -179,17 +179,40 @@ class _TimelineBuilder:
 
 
 def _emit_drx_cycles(tb: _TimelineBuilder, window_us: int, on_us: int, off_us: int,
-                     p: PowerProfile, category: EnergyCategory, label: str) -> None:
+                     p: PowerProfile, gap: tuple[UeState, float],
+                     category: EnergyCategory, label: str) -> None:
     """Emit a window of on/off DRX cycles (the last one truncated) as its total
-    on time, then its total off time: nothing later depends on the order."""
+    on time, then its total off time in the gap: nothing later depends on the order."""
     cycles, tail = divmod(window_us, on_us + off_us)
     on = cycles * on_us + min(on_us, tail)
     tb.emit(on, UeState.RX, p.rx_mw, category, f"{label}_on")
-    tb.emit(window_us - on, UeState.INACTIVE, p.inactive_mw, category, f"{label}_off")
+    tb.emit(window_us - on, *gap, category, f"{label}_off")
+
+
+def _idle_drx_gap(s: Scenario) -> tuple[UeState, float]:
+    """State and power between the paging occasions of an idle DRX cycle: light
+    sleep up to a 10.24 s base (regular DRX), deep sleep beyond (eDRX, which
+    sleeps between paging time windows, TS 36.304 clause 7.3)."""
+    if s.drx_long_cycle_base_s <= MAX_DRX_CYCLE_S:
+        return UeState.INACTIVE, s.power.inactive_mw
+    return UeState.DEEP_SLEEP, s.power.deep_sleep_mw
+
+
+def rest_state(s: Scenario) -> tuple[UeState, float, EnergyCategory, str]:
+    """State, power, category and label from the active timeline's end to the
+    next report.  PSM_TAU deep-sleeps.  DRX_PAGING monitors one paging occasion,
+    one NPDCCH period, per idle DRX cycle (TS 36.304 clause 7.1), as one interval
+    at the cycle's mean power, so the cycle energy stays affine in the IAT."""
+    if s.mt_reachability is Reachability.PSM_TAU:
+        return UeState.DEEP_SLEEP, s.power.deep_sleep_mw, EnergyCategory.PSM, "psm"
+    state, gap_mw = _idle_drx_gap(s)
+    on_mj = s.coverage.npdcch_period_ms * s.power.rx_mw / 1000.0
+    return (state, (on_mj + s.drx_long_cycle_base_s * gap_mw) / s.idle_drx_cycle_s,
+            EnergyCategory.IDLE_DRX, "paging")
 
 
 def flow_timeline(flow: ProcedureFlow, s: Scenario,
-                  fill_psm_to_iat: bool = True) -> list[Interval]:
+                  fill_to_iat: bool = True) -> list[Interval]:
     """Lay one traffic cycle out as contiguous power-state intervals.
 
     The random access phase uses expectation values (durations scaled by the
@@ -197,8 +220,8 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
     wait for the next NPDCCH occasion, the control assignment itself, and the
     standard scheduling gap; transmit and receive never overlap.  Connected
     DRX (when configured) runs before the final release message, idle DRX
-    until the active timer expires, then deep sleep up to the inter-arrival
-    time.
+    until the active timer expires, then the rest state up to the
+    inter-arrival time.
     """
     c, p = s.coverage, s.power
     tb = _TimelineBuilder()
@@ -224,7 +247,8 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
             # it spans whole NPDCCH periods, so no cycle is truncated
             _emit_drx_cycles(tb, conn_drx_us, on_us=npdcch_us,
                              off_us=max(0, period_us - npdcch_us),
-                             p=p, category=EnergyCategory.CONNECTED_DRX,
+                             p=p, gap=(UeState.INACTIVE, p.inactive_mw),
+                             category=EnergyCategory.CONNECTED_DRX,
                              label="connected_drx")
         # wait for the next NPDCCH occasion
         align_us = (-tb.t_us) % period_us
@@ -243,10 +267,9 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
     idle_us = int(round(flow.idle_drx_s * US_PER_S))
     _emit_drx_cycles(tb, idle_us, on_us=period_us,
                      off_us=int(round(s.drx_long_cycle_base_s * US_PER_S)),
-                     p=p, category=EnergyCategory.IDLE_DRX, label="drx")
+                     p=p, gap=_idle_drx_gap(s), category=EnergyCategory.IDLE_DRX, label="drx")
 
-    if fill_psm_to_iat:
+    if fill_to_iat:
         iat_us = int(round(s.iat_s * US_PER_S))
-        tb.emit(max(0, iat_us - tb.t_us), UeState.DEEP_SLEEP, p.deep_sleep_mw,
-                EnergyCategory.PSM, "psm")
+        tb.emit(max(0, iat_us - tb.t_us), *rest_state(s))
     return tb.intervals

@@ -118,7 +118,7 @@ def test_amortized_tau_assembly():
     # drop the matching slice of deep sleep
     s = make_scenario("UP", "UL", iat_h=2.0)
     main = integrate_timeline(flow_timeline(build_flow(s), s))
-    tau_tl = flow_timeline(build_tau_flow(s), s, fill_psm_to_iat=False)
+    tau_tl = flow_timeline(build_tau_flow(s), s, fill_to_iat=False)
     tau = integrate_timeline(tau_tl)
     frac = s.iat_s / s.psm_tau_period_s
     expected_total = (sum(main.values()) + frac * sum(tau.values())
@@ -134,7 +134,7 @@ def assembled_breakdown(s):
     cats = integrate_timeline(flow_timeline(build_flow(s), s))
     if (not s.traffic_case.mobile_terminated
             and s.mt_reachability is Reachability.PSM_TAU):
-        tau_tl = flow_timeline(build_tau_flow(s), s, fill_psm_to_iat=False)
+        tau_tl = flow_timeline(build_tau_flow(s), s, fill_to_iat=False)
         frac = s.iat_s / s.psm_tau_period_s
         for cat, value in integrate_timeline(tau_tl).items():
             target = EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat
@@ -178,20 +178,24 @@ def test_category_values_are_the_breakdown_fields():
 @pytest.mark.parametrize("case", [c.value for c in TrafficCase])
 @pytest.mark.parametrize("proc", [p.value for p in Procedure])
 def test_profile_active_times_are_timeline_microseconds(proc, case, reach):
-    # both active times are the last end_us of an unfilled timeline; only an
-    # uplink PSM_TAU cycle amortizes an event, the standalone TAU, whose
-    # idle-DRX energy is charged to ra_sync
+    # both active times are the last end_us of an unfilled timeline; the rest
+    # power and category are those of the filled timeline's last interval;
+    # only an uplink PSM_TAU cycle amortizes an event, the standalone TAU,
+    # whose idle-DRX energy is charged to ra_sync
     s = make_scenario(proc, case, "Robust", mt_reachability=reach)
     profile = cycle_profile(s)
     assert [f.name for f in fields(CycleProfile)] == [
-        "active_mj", "active_us", "deep_sleep_mw", "events"]
-    timeline = flow_timeline(build_flow(s), s, fill_psm_to_iat=False)
+        "active_mj", "active_us", "rest_mw", "rest_category", "events"]
+    timeline = flow_timeline(build_flow(s), s, fill_to_iat=False)
     assert profile.active_us == timeline[-1].end_us
+    rest = flow_timeline(build_flow(s), s)[-1]
+    assert rest.start_us == profile.active_us
+    assert (profile.rest_mw, profile.rest_category) == (rest.power_mw, rest.category)
     if s.traffic_case.mobile_terminated or reach is Reachability.DRX_PAGING:
         assert profile.events == ()
         return
     (tau,) = profile.events
-    tau_tl = flow_timeline(build_tau_flow(s), s, fill_psm_to_iat=False)
+    tau_tl = flow_timeline(build_tau_flow(s), s, fill_to_iat=False)
     assert tau.active_us == tau_tl[-1].end_us > 0
     assert tau.period_s == s.psm_tau_period_s
     want = integrate_timeline(tau_tl)
@@ -248,9 +252,23 @@ def test_amortized_taus_longer_than_iat_rejected():
 
 
 def test_dl_cycles_have_no_amortized_tau():
-    s = make_scenario("CP", "DL", iat_h=2.0)
-    main = integrate_timeline(flow_timeline(build_flow(s), s))
-    assert cycle_energy(s).total_mj == pytest.approx(sum(main.values()), rel=1e-12)
+    # a downlink cycle's energy is its IAT-filled timeline, under PSM_TAU and
+    # under paging alike
+    for reach in Reachability:
+        s = make_scenario("CP", "DL", iat_h=2.0, mt_reachability=reach)
+        main = integrate_timeline(flow_timeline(build_flow(s), s))
+        assert cycle_energy(s).total_mj == pytest.approx(sum(main.values()), rel=1e-12)
+
+
+@pytest.mark.parametrize("reach", list(Reachability))
+@pytest.mark.parametrize("case", [c.value for c in TrafficCase])
+def test_cycle_energy_affine_in_iat(case, reach):
+    # the rest state is one interval, so no whole-cycle count bends the line:
+    # second differences over 5 IATs 1 h apart vanish
+    base = make_scenario("UP", case, "Robust", mt_reachability=reach)
+    energies = [cycle_energy(replace(base, iat_s=3600.0 * k)).total_mj for k in range(1, 6)]
+    for a, b, c in zip(energies, energies[1:], energies[2:]):
+        assert abs(a - 2.0 * b + c) <= 1e-9 * max(energies)
 
 
 def test_lifetime_example_anchor():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbiotsim import build_flow, build_tau_flow, flow_timeline
-from nbiotsim.config import ConfigurationError, Reachability
+from nbiotsim.config import ConfigurationError, Reachability, UeState
 from nbiotsim.flows import EnergyCategory, Plane, _parse_catalog
 from nbiotsim.phy import ChannelKind
 from tests.conftest import active_duration_s, make_scenario
@@ -230,6 +230,31 @@ def test_drx_window_totals_follow_cycle_arithmetic(proc, cov, idle_base, label,
               if iv.label in (f"{label}_on", f"{label}_off")]
     assert [(iv.label, iv.duration_us) for iv in window] == [
         (f"{label}_on", on_us), (f"{label}_off", off_us)]
+
+
+@pytest.mark.parametrize("reach", list(Reachability))
+@pytest.mark.parametrize("base_s,gap_state,gap_field", [
+    (10.24, UeState.INACTIVE, "inactive_mw"),       # regular DRX: light sleep
+    (20.48, UeState.DEEP_SLEEP, "deep_sleep_mw"),   # eDRX: deep sleep
+])
+def test_idle_drx_gap_rule(base_s, gap_state, gap_field, reach):
+    # one rule for the gap of an idle DRX cycle, in the T3324 window and in
+    # the paging rest state; PSM_TAU rests in deep sleep at any cycle
+    s = make_scenario("UP", "DL", drx_long_cycle_base_s=base_s, mt_reachability=reach)
+    p, gap_mw = s.power, getattr(s.power, gap_field)
+    timeline = flow_timeline(build_flow(s), s)
+    (off,) = [iv for iv in timeline if iv.label == "drx_off"]
+    assert (off.state, off.power_mw) == (gap_state, gap_mw)
+    rest = timeline[-1]
+    if reach is Reachability.PSM_TAU:
+        assert (rest.state, rest.power_mw, rest.category) == (
+            UeState.DEEP_SLEEP, p.deep_sleep_mw, EnergyCategory.PSM)
+        return
+    on_us, off_us = s.coverage.npdcch_period_ms * 1000, base_s * 1e6
+    assert (rest.state, rest.category, rest.label) == (
+        gap_state, EnergyCategory.IDLE_DRX, "paging")
+    assert rest.power_mw == pytest.approx(
+        (on_us * p.rx_mw + off_us * gap_mw) / (on_us + off_us), rel=1e-12)
 
 
 # --- timeline ----------------------------------------------------------------

@@ -98,7 +98,8 @@ def _lifetime_rows(base: Scenario, points) -> Table:
     A point is a dict of the sweep-axis fields it sets on base; its scenario
     is one `replace` of base.  Consecutive points with the same procedure,
     case and coverage differ at most in the IAT, so they share the cycle
-    profile of the first valid one.
+    profile of the first valid one; they are not validated again, since
+    `scenario_value` parsed each IAT and `breakdown` checks it.
     """
     rows = [_baseline_row(base)]
     shared = profile = None
@@ -109,8 +110,6 @@ def _lifetime_rows(base: Scenario, points) -> Table:
         try:
             if key != shared:
                 profile, shared = energy.cycle_profile(s), key     # validates s
-            else:
-                validate_scenario(s)
             breakdown = profile.breakdown(s.iat_s)
         except ConfigurationError as exc:
             rows.append(ident + (0.0, 0.0, 0.0, 0.0, 0.0, str(exc)))

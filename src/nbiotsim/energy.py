@@ -7,8 +7,8 @@ period, while a downlink flow carries its TAU inside the flow (the TAU is what
 makes the UE reachable) and a paging UE pays in its rest state.
 `CycleProfile.breakdown` then gives the cycle energy at any IAT in closed
 form: iat / period of each event, and the rest state (`flows.rest_state`)
-filling the period on the timeline's integer-microsecond grid.  An IAT sweep
-therefore builds its timelines once.
+filling the period on the timeline's integer-microsecond grid, after checking
+the IAT against the cycle.  An IAT sweep therefore builds its timelines once.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from . import flows
-from .config import (HOURS_PER_YEAR, ConfigurationError, Reachability, Scenario,
-                     scenario_value, validate_scenario)
+from .config import (HOURS_PER_YEAR, MAX_PSM_TIME_S, ConfigurationError, Reachability,
+                     Scenario, scenario_value, validate_scenario)
 from .flows import EnergyCategory, Interval
 
 
@@ -81,7 +81,8 @@ class CycleProfile:
     """The part of a traffic cycle that does not depend on the IAT.
 
     Holds the per-category energy and the length of the active timeline, the
-    rest state's power and category, and the periodic events the cycle amortizes.
+    rest state's power and category, the periodic events the cycle amortizes,
+    and the longest IAT the cycle can take (inf where it has no ceiling).
     """
 
     active_mj: dict[EnergyCategory, float]
@@ -89,13 +90,18 @@ class CycleProfile:
     rest_mw: float
     rest_category: EnergyCategory
     events: tuple[PeriodicEvent, ...]
+    max_iat_s: float
 
     def breakdown(self, iat_s: float) -> EnergyBreakdown:
         """Energy of one inter-arrival period of iat_s seconds, split by category.
 
         The rest state fills the period after the active timeline; each event
         adds iat_s / period_s of its energy and takes its awake time out of it.
+        An IAT above max_iat_s or below the awake time raises ConfigurationError.
         """
+        if iat_s > self.max_iat_s:
+            raise ConfigurationError(f"iat_s={iat_s:.0f} s: a mobile-terminated PSM_TAU cycle "
+                                     f"exceeds the {self.max_iat_s / 3600.0:.0f} h PSM maximum")
         iat_us = int(round(iat_s * flows.US_PER_S))
         awake_us = self.active_us
         cats = dict(self.active_mj)
@@ -115,10 +121,12 @@ class CycleProfile:
 
 
 def cycle_profile(s: Scenario) -> CycleProfile:
-    """Active-cycle profile of a scenario, valid for any inter-arrival time."""
+    """Active-cycle profile of a scenario, which it validates; `breakdown` checks each IAT."""
     validate_scenario(s)
     timeline = flows.flow_timeline(flows.build_flow(s), s, fill_to_iat=False)
     _, rest_mw, rest_category, _ = flows.rest_state(s)
+    psm_tau = s.mt_reachability is Reachability.PSM_TAU
+    paced_by_tau = psm_tau and s.traffic_case.mobile_terminated
     return CycleProfile(
         active_mj=integrate_timeline(timeline),
         active_us=timeline[-1].end_us,
@@ -126,8 +134,9 @@ def cycle_profile(s: Scenario) -> CycleProfile:
         # reachability costs PSM_TAU a periodic TAU, carried inside a downlink
         # flow, and DRX_PAGING the paging occasions of its rest state
         events=((standalone_event(flows.build_tau_flow(s), s, s.psm_tau_period_s),)
-                if not s.traffic_case.mobile_terminated
-                and s.mt_reachability is Reachability.PSM_TAU else ()),
+                if psm_tau and not paced_by_tau else ()),
+        # a downlink PSM_TAU cycle's IAT is its T3412: at most 310 h (TS 24.008)
+        max_iat_s=MAX_PSM_TIME_S if paced_by_tau else math.inf,
     )
 
 

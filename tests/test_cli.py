@@ -210,17 +210,13 @@ def test_cli_bad_iat_is_one_error_line(argv, capsys):
     (["lifetime", "--procedure", "XX"], "error: bad value 'XX' for 'procedure'"),
     (["lifetime", "--case", "ZZ"], "error: bad value 'ZZ' for 'case'"),
     (["capacity", "--format", "xml"], "error: unknown output format 'xml'"),
-    (["capacity", "--case", "DL", "--iat", "2000000"],
-     "error: invalid scenario: iat_s=2000000 s: a mobile-terminated PSM_TAU cycle "
-     "exceeds the 310 h PSM maximum"),
     # a value that starts with '-' but is not a plain negative number
     (["lifetime", "--iat", "-inf"], "error: bad value '-inf' for 'iat'" + IAT_DOMAIN),
     (["lifetime", "--iat", "-1e3"], "error: bad value '-1e3' for 'iat'" + IAT_DOMAIN),
     (["lifetime", "--iat", "-nan"], "error: bad value '-nan' for 'iat'" + IAT_DOMAIN),
 ], ids=["procedure", "case", "coverage", "axis", "capacity-iat-negative",
         "capacity-iat-nan", "iat-flag", "coverage-flag", "procedure-flag",
-        "case-flag", "format-flag", "capacity-dl-iat-above-psm-max",
-        "iat-minus-inf", "iat-minus-1e3", "iat-minus-nan"])
+        "case-flag", "format-flag", "iat-minus-inf", "iat-minus-1e3", "iat-minus-nan"])
 def test_cli_bad_sweep_or_capacity_iat_is_one_error_line(argv, prefix, capsys):
     assert main(argv) == EXIT_VALIDATION
     captured = capsys.readouterr()
@@ -230,13 +226,10 @@ def test_cli_bad_sweep_or_capacity_iat_is_one_error_line(argv, prefix, capsys):
 
 
 @pytest.mark.parametrize("text,argv,line", [
-    ("idle_timer_base_s=1e7", ["lifetime", "--iat", "3600"],
-     "error: invalid scenario: idle active timer 10000004.160 s must be shorter "
-     "than the 432000 s TAU period"),
     ("budget_npdcch=1e-320", ["capacity"], "error: line 1: bad value '1e-320' for "
                                            "'budget_npdcch'; expected a number in "
                                            "[1e-06, 1000000000000]"),
-], ids=["idle-timer-above-tau-period", "zero-reference-capacity"])
+], ids=["zero-reference-capacity"])
 def test_cli_bad_scenario_file_is_one_error_line(text, argv, line, tmp_path, capsys):
     f = tmp_path / "s.cfg"
     f.write_text(text + "\n")
@@ -284,8 +277,8 @@ def test_cli_sweep_row_past_psm_maximum_is_row_error(long_iat_file, capsys):
     assert main(argv) == EXIT_VALIDATION
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[2:]
     assert rows[0][:4] == ["CP", "DL", "Normal", "3600.000000"] and rows[0][-1] == ""
-    assert rows[1][-1] == ("invalid scenario: iat_s=2000000 s: a mobile-terminated "
-                           "PSM_TAU cycle exceeds the 310 h PSM maximum")
+    assert rows[1][-1] == ("iat_s=2000000 s: a mobile-terminated PSM_TAU cycle exceeds "
+                           "the 310 h PSM maximum")
 
 
 def test_cli_repeated_sweep_value_repeats_its_row(long_iat_file, capsys):
@@ -302,7 +295,7 @@ def test_cli_error_cell_is_one_quoted_field(capsys):
     assert main(argv + ["--format", "plot-data"]) == EXIT_VALIDATION
     lines = capsys.readouterr().out.splitlines()
     assert [len(shlex.split(line.removeprefix("# "))) for line in lines] == [10] * 4
-    assert shlex.split(lines[3])[-1].startswith("invalid scenario: iat_s=2000000 s:")
+    assert shlex.split(lines[3])[-1].startswith("iat_s=2000000 s: a mobile-terminated")
     assert main(argv) == EXIT_VALIDATION
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert [len(row) for row in rows] == [10] * 4
@@ -351,6 +344,15 @@ def test_cli_capacity_does_not_depend_on_iat(capsys):
     assert capsys.readouterr().out == default
 
 
+def test_cli_capacity_dl_iat_above_psm_max_is_accepted(capsys):
+    # 2e6 s is past the 310 h PSM maximum of a downlink PSM_TAU cycle, which
+    # bounds its lifetime rows but not its capacity
+    assert main(["capacity", "--case", "DL"]) == EXIT_OK
+    dl = capsys.readouterr().out
+    assert main(["capacity", "--case", "DL", "--iat", "2000000"]) == EXIT_OK
+    assert capsys.readouterr().out == dl
+
+
 def test_cli_iat_shorter_than_active_cycle_is_row_error(capsys):
     # UP keeps a ~14 s idle-DRX window after the exchange, so 10 s is too short
     rc = main(["lifetime", "--procedure", "UP", "--sweep", "iat=10,3600"])
@@ -367,6 +369,18 @@ def test_cli_amortized_taus_longer_than_iat_is_row_error(tmp_path, capsys):
     row = capsys.readouterr().out.splitlines()[2].split(",")
     assert row[:5] == ["CP", "UL", "Normal", "3600.000000", "0.000000"]
     assert row[-1].startswith("iat_s=3600.0: shorter than the 39806.")
+    assert row[-1].endswith(" s active cycle")
+
+
+def test_cli_idle_timer_above_tau_period_is_row_error(tmp_path, capsys):
+    # each TAU holds its 10,000,004-s idle active timer, longer than its
+    # 432,000-s period (T3324 >= T3412), so the uplink cycle is all TAU
+    f = tmp_path / "s.cfg"
+    f.write_text("idle_timer_base_s=1e7\n")
+    assert main(["lifetime", "--scenario", str(f), "--iat", "3600"]) == EXIT_VALIDATION
+    row = capsys.readouterr().out.splitlines()[2].split(",")
+    assert row[:5] == ["CP", "UL", "Normal", "3600.000000", "0.000000"]
+    assert row[-1].startswith("iat_s=3600.0: shorter than the 83334.019917")
     assert row[-1].endswith(" s active cycle")
 
 

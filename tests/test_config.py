@@ -1,6 +1,8 @@
 """Coverage profiles, validation, and the scenario file format."""
 
+import itertools
 import math
+import re
 from dataclasses import astuple
 
 import pytest
@@ -9,8 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from nbiotsim import (ConfigurationError, Scenario, battery_lifetime_years, build_flow,
                       builtin_coverage_profile, cell_capacity, cycle_energy,
                       format_scenario, parse_scenario, validate_scenario)
-from nbiotsim.config import (MAX_PSM_TIME_S, _SCENARIO_KEYS, PowerProfile, Procedure,
-                             Reachability, TrafficCase, scenario_value)
+from nbiotsim.cli import SweepSpec, run_lifetime_sweep
+from nbiotsim.config import (MAX_IDLE_DRX_CYCLE_S, MAX_PSM_TIME_S, _SCENARIO_KEYS,
+                             PowerProfile, Procedure, Reachability, TrafficCase,
+                             scenario_value)
 from dataclasses import replace
 from tests.conftest import domain_values, scenario_texts
 
@@ -74,34 +78,68 @@ def test_psm_timer_cap_reported():
 
 
 def test_idle_drx_cycle_cap_reported():
-    # one idle DRX cycle is the base plus one NPDCCH period of the coverage level
-    parse_scenario("coverage=Normal drx_cycle_base_s=10475.5")        # 10475.532 s
+    # one idle DRX cycle is the base plus one NPDCCH period of the coverage
+    # level, at most 1024 hyperframes of 10.24 s (TS 36.304)
+    assert MAX_IDLE_DRX_CYCLE_S == 10485.76
+    parse_scenario("coverage=Normal drx_cycle_base_s=10485.7")        # 10485.732 s
     with pytest.raises(ConfigurationError,
-                       match="idle DRX cycle 10476.268 s exceeds the 2.91 h maximum"):
-        parse_scenario("coverage=Extreme drx_cycle_base_s=10475.5")
+                       match="idle DRX cycle 10485.768 s exceeds the 10485.76 s maximum"):
+        parse_scenario("coverage=Extreme drx_cycle_base_s=10485.0")
 
 
 def test_idle_active_timer_must_be_shorter_than_tau_period():
-    # T3324 (base + 2 long DRX cycles, 2.08 s each at Normal) < T3412
-    validate_scenario(Scenario(idle_active_timer_base_s=95.0, psm_tau_period_s=100.0))
-    with pytest.raises(ConfigurationError,
-                       match="idle active timer 100.160 s must be shorter than "
-                             "the 100 s TAU period"):
-        validate_scenario(Scenario(idle_active_timer_base_s=96.0, psm_tau_period_s=100.0))
-    with pytest.raises(ConfigurationError, match="idle active timer 10000004.160 s"):
-        parse_scenario("idle_timer_base_s=1e7")
+    # an uplink PSM_TAU cycle amortizes standalone TAUs, and each one's
+    # timeline holds the whole T3324 window (base + 2 long DRX cycles, 2.08 s
+    # each at Normal), so T3324 >= T3412 keeps the UE awake longer than any
+    # IAT: the scenario validates, and every row fails in breakdown
+    iats = (3600.0, 86400.0, 1e6, 1e9)
+    short = make(psm_tau_period_s=100.0)                             # T3324 14.160 s
+    long = replace(short, idle_active_timer_base_s=96.0)             # T3324 100.160 s
+    for proc, case in itertools.product(Procedure, (TrafficCase.UL, TrafficCase.UL_ACK)):
+        fields = {"procedure": proc, "traffic_case": case}
+        rows = run_lifetime_sweep(SweepSpec("iat", iats, replace(short, **fields))).rows
+        assert all(row[-1] == "" for row in rows)
+        s = validate_scenario(replace(long, **fields))
+        rows = run_lifetime_sweep(SweepSpec("iat", iats, s)).rows[1:]
+        assert [row[3] for row in rows] == list(iats)
+        assert all(re.fullmatch(r"iat_s=\S+: shorter than the \S+ s active cycle", row[-1])
+                   for row in rows), rows
+    # a paging cycle and a downlink PSM_TAU cycle amortize no TAU period, so
+    # the same timers evaluate
+    for case, reach in (("DL", Reachability.PSM_TAU), ("UL", Reachability.DRX_PAGING),
+                        ("DL_ACK", Reachability.DRX_PAGING)):
+        s = replace(long, traffic_case=TrafficCase(case), mt_reachability=reach)
+        assert cycle_energy(s).total_mj > 0.0
 
 
 @pytest.mark.parametrize("case", ["DL", "DL_ACK"])
 def test_mobile_terminated_iat_capped_at_psm_maximum(case):
-    # a downlink PSM_TAU cycle is reached at its TAU, paced at the IAT
-    validate_scenario(make(case=case, iat_s=MAX_PSM_TIME_S))
-    with pytest.raises(ConfigurationError, match="exceeds the 310 h PSM maximum"):
-        validate_scenario(make(case=case, iat_s=MAX_PSM_TIME_S + 1.0))
+    # a downlink PSM_TAU cycle is reached at its TAU, paced at the IAT; the
+    # scenario validates at any IAT of the key's domain, and the cycle
+    # evaluates up to 310 h
+    over = make(case=case, iat_s=MAX_PSM_TIME_S + 1.0)
+    assert parse_scenario(format_scenario(over)) == validate_scenario(over)
+    cycle_energy(replace(over, iat_s=MAX_PSM_TIME_S))
+    with pytest.raises(ConfigurationError) as err:
+        cycle_energy(over)
+    assert str(err.value) == ("iat_s=1116001 s: a mobile-terminated PSM_TAU cycle "
+                              "exceeds the 310 h PSM maximum")
     # uplink cycles and paged downlink cycles carry no IAT-paced TAU
-    validate_scenario(make(case="UL", iat_s=2 * MAX_PSM_TIME_S))
-    validate_scenario(make(case=case, iat_s=2 * MAX_PSM_TIME_S,
-                           mt_reachability=Reachability.DRX_PAGING))
+    cycle_energy(make(case="UL", iat_s=2 * MAX_PSM_TIME_S))
+    cycle_energy(make(case=case, iat_s=2 * MAX_PSM_TIME_S,
+                      mt_reachability=Reachability.DRX_PAGING))
+
+
+@pytest.mark.parametrize("case,reach", [("UL", "DRX_PAGING"), ("DL", "DRX_PAGING"),
+                                        ("DL", "PSM_TAU"), ("DL_ACK", "PSM_TAU")])
+def test_tau_period_moves_no_cycle_without_amortized_tau(case, reach):
+    # a paging cycle and a downlink PSM_TAU cycle amortize no TAU period, so a
+    # TAU period below their idle active timer parses and moves no output
+    text = f"case={case} reachability={reach} tau_period_s="
+    short, long = parse_scenario(text + "10"), parse_scenario(text + "360000")
+    assert short.idle_active_timer_s > short.psm_tau_period_s
+    assert battery_lifetime_years(short) == battery_lifetime_years(long)
+    assert cycle_energy(short) == cycle_energy(long)
 
 
 def test_zero_iat_rejected():

@@ -1,5 +1,7 @@
 """Energy integration, battery lifetime, and their invariants."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from dataclasses import fields, replace
@@ -9,8 +11,8 @@ from nbiotsim import (ConfigurationError, CycleProfile, EnergyBreakdown, PowerPr
                       cycle_energy, flow_timeline, psm_baseline_lifetime_years)
 from nbiotsim import flows
 from nbiotsim.cli import SweepSpec, run_lifetime_sweep
-from nbiotsim.config import (COVERAGE_NAMES, HOURS_PER_YEAR, Procedure, Reachability,
-                             TrafficCase, UeState)
+from nbiotsim.config import (COVERAGE_NAMES, HOURS_PER_YEAR, MAX_PSM_TIME_S, Procedure,
+                             Reachability, TrafficCase, UeState)
 from nbiotsim.energy import (cycle_profile, integrate_timeline, interval_energy_mj,
                              lifetime_years)
 from nbiotsim.flows import EnergyCategory, Interval
@@ -181,11 +183,14 @@ def test_profile_active_times_are_timeline_microseconds(proc, case, reach):
     # both active times are the last end_us of an unfilled timeline; the rest
     # power and category are those of the filled timeline's last interval;
     # only an uplink PSM_TAU cycle amortizes an event, the standalone TAU,
-    # whose idle-DRX energy is charged to ra_sync
+    # whose idle-DRX energy is charged to ra_sync; only a downlink PSM_TAU
+    # cycle, paced by its own TAU, has an IAT ceiling
     s = make_scenario(proc, case, "Robust", mt_reachability=reach)
     profile = cycle_profile(s)
     assert [f.name for f in fields(CycleProfile)] == [
-        "active_mj", "active_us", "rest_mw", "rest_category", "events"]
+        "active_mj", "active_us", "rest_mw", "rest_category", "events", "max_iat_s"]
+    paced_by_tau = s.traffic_case.mobile_terminated and reach is Reachability.PSM_TAU
+    assert profile.max_iat_s == (MAX_PSM_TIME_S if paced_by_tau else math.inf)
     timeline = flow_timeline(build_flow(s), s, fill_to_iat=False)
     assert profile.active_us == timeline[-1].end_us
     rest = flow_timeline(build_flow(s), s)[-1]
@@ -221,6 +226,19 @@ def test_iat_sweep_builds_timelines_once(monkeypatch):
     table = run_lifetime_sweep(spec)
     assert len(table.rows) == 1 + 24 and all(row[-1] == "" for row in table.rows)
     assert len(calls) <= 2     # the cycle's timeline and the standalone TAU
+
+
+def test_iat_sweep_validates_its_scenario_once(monkeypatch):
+    # rows that share a cycle profile differ only in their parsed IAT, whose
+    # bounds on the cycle breakdown checks, so the scenario is validated once
+    calls = []
+    real = Scenario.violations
+    monkeypatch.setattr(Scenario, "violations", lambda s: calls.append(s) or real(s))
+    spec = SweepSpec("iat", tuple(h * 3600.0 for h in range(1, 25)),
+                     make_scenario("CP", "DL"))
+    table = run_lifetime_sweep(spec)
+    assert len(table.rows) == 1 + 24 and all(row[-1] == "" for row in table.rows)
+    assert len(calls) == 1
 
 
 def test_iat_shorter_than_active_cycle_rejected():

@@ -4,7 +4,8 @@ Each direction property draws a valid scenario, raises one knob and checks
 that the lifetime, the cycle energy or the capacity moves in the knob's
 physical direction, as one weak inequality.  The paging properties compare a
 DRX_PAGING cycle with the same cycle resting in deep sleep and with PSM_TAU.
-A draw that `validate_scenario` rejects, or whose IAT is shorter than its
+No lifetime may reach the PSM floor, and no scenario's validity may depend on
+its IAT.  A draw that `validate_scenario` rejects, or whose IAT is shorter than its
 active cycle, is dropped.
 """
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from nbiotsim import (ConfigurationError, battery_lifetime_years, cell_capacity,
-                      cycle_energy, parse_scenario)
+                      cycle_energy, parse_scenario, psm_baseline_lifetime_years)
 from nbiotsim.config import (_SCENARIO_KEYS, COVERAGE_NAMES, MAX_DRX_CYCLE_S,
                              MAX_PSM_TIME_S, Procedure, Reachability, TrafficCase)
 from nbiotsim.energy import cycle_profile
@@ -78,10 +79,14 @@ def above(key, values):
     return st.floats(value, hi, exclude_min=True)
 
 
+def scenario_text(values) -> str:
+    return " ".join(f"{key}={value}" for key, value in values.items())
+
+
 def evaluate(fn, values):
     """fn of the scenario the values give; a rejected scenario drops the draw."""
     try:
-        return fn(parse_scenario(" ".join(f"{key}={value}" for key, value in values.items())))
+        return fn(parse_scenario(scenario_text(values)))
     except ConfigurationError:
         reject()
 
@@ -173,3 +178,42 @@ def test_paging_lifetime_below_psm_tau(values):
     paging = {**values, "reachability": Reachability.DRX_PAGING.value}
     assert (evaluate(battery_lifetime_years, paging)
             < evaluate(battery_lifetime_years, values))
+
+
+def lifetime_and_floor(s):
+    return battery_lifetime_years(s), psm_baseline_lifetime_years(s)
+
+
+@pytest.mark.parametrize("reach", list(Reachability), ids=[r.value for r in Reachability])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_lifetime_below_psm_floor(reach, data):
+    # every cycle draws more than deep sleep for its whole IAT, so no
+    # lifetime reaches that of a UE that only deep-sleeps
+    years, floor = evaluate(lifetime_and_floor, data.draw(scenario_values(reachability=(reach,))))
+    assert years - floor <= SLACK * floor, (years, floor)
+
+
+def verdict(values) -> str:
+    """validate_scenario's message for the scenario the values give, or ""."""
+    try:
+        parse_scenario(scenario_text(values))
+    except ConfigurationError as exc:
+        return str(exc)
+    return ""
+
+
+# The keys of the rules that join timers, over their whole domains, so that
+# some draws break a rule
+TIMERS = st.fixed_dictionaries({key: domain_values(key) for key in (
+    "idle_timer_base_s", "drx_cycle_base_s", "tau_period_s")})
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=scenario_values(), timers=TIMERS, iat=domain_values("iat"))
+def test_validation_does_not_depend_on_iat(values, timers, iat):
+    # the premise of a lifetime sweep that validates its scenario once: every
+    # IAT of the key's domain gets the same verdict, and the bounds that the
+    # cycle sets on the IAT are CycleProfile.breakdown's
+    values.update(timers)
+    assert verdict({**values, "iat": iat}) == verdict(values)

@@ -19,7 +19,6 @@ from . import energy
 from .config import (ConfigurationError, Procedure, Scenario, TrafficCase,
                      parse_scenario_file, scenario_value, validate_scenario,
                      COVERAGE_NAMES)
-from .flows import EnergyCategory
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -92,35 +91,32 @@ def _baseline_row(base: Scenario) -> tuple:
         return ("PSM_BASELINE", "-", "-", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, str(exc))
 
 
-def _lifetime_rows(base: Scenario, points) -> Table:
-    """The deep-sleep-only baseline row of base, then one row per point.
+def _lifetime_rows(base: Scenario, groups) -> Table:
+    """The deep-sleep-only baseline row of base, then the rows of each point group.
 
-    A point is a dict of the sweep-axis fields it sets on base; its scenario
-    is one `replace` of base.  Consecutive points with the same procedure,
-    case and coverage differ at most in the IAT, so they share the cycle
-    profile of the first valid one; they are not validated again, since
-    `scenario_value` parsed each IAT and `breakdown` checks it.
+    A group pairs the sweep-axis fields other than iat_s that it sets on base
+    with the IATs it runs over.  It is one `replace` of base and one cycle
+    profile, which validates its scenario; each IAT row then reads only the
+    profile's breakdown.  Rows are not validated again: `scenario_value`
+    parsed each IAT, and `breakdown` checks it against the cycle.
     """
     rows = [_baseline_row(base)]
-    shared = profile = None
-    for fields in points:
+    for fields, iats in groups:
         s = replace(base, **fields)
-        ident = (s.procedure.value, s.traffic_case.value, s.coverage.name, s.iat_s)
-        key = (s.procedure, s.traffic_case, s.coverage)
+        ident = (s.procedure.value, s.traffic_case.value, s.coverage.name)
         try:
-            if key != shared:
-                profile, shared = energy.cycle_profile(s), key     # validates s
-            breakdown = profile.breakdown(s.iat_s)
+            profile = energy.cycle_profile(s)
         except ConfigurationError as exc:
-            rows.append(ident + (0.0, 0.0, 0.0, 0.0, 0.0, str(exc)))
+            rows.extend(ident + (iat_s, 0.0, 0.0, 0.0, 0.0, 0.0, str(exc)) for iat_s in iats)
             continue
-        rows.append(ident + (energy.lifetime_years(breakdown, s),
-                             breakdown.share(EnergyCategory.RA_SYNC),
-                             breakdown.share(EnergyCategory.MESSAGES),
-                             breakdown.share(EnergyCategory.CONNECTED_DRX,
-                                             EnergyCategory.IDLE_DRX),
-                             breakdown.share(EnergyCategory.PSM),
-                             ""))
+        for iat_s in iats:
+            try:
+                breakdown = profile.breakdown(iat_s)
+            except ConfigurationError as exc:
+                rows.append(ident + (iat_s, 0.0, 0.0, 0.0, 0.0, 0.0, str(exc)))
+                continue
+            rows.append(ident + (iat_s, energy.lifetime_years(breakdown, iat_s, s.battery_wh),
+                                 *breakdown.shares(), ""))
     return Table(LIFETIME_COLUMNS, rows)
 
 
@@ -131,9 +127,13 @@ def _grid(flags: dict, **axes) -> list[dict]:
 
 
 def run_lifetime_sweep(spec: SweepSpec) -> Table:
-    """One row per sweep point plus the deep-sleep-only baseline row."""
+    """One row per sweep point plus the deep-sleep-only baseline row.  An IAT
+    sweep is one point group, any other axis one group per value."""
     field = _SWEEP_AXES[spec.axis]
-    return _lifetime_rows(spec.fixed, ({field: value} for value in spec.values))
+    if field == "iat_s":
+        return _lifetime_rows(spec.fixed, [({}, spec.values)])
+    return _lifetime_rows(spec.fixed, [({field: value}, (spec.fixed.iat_s,))
+                                       for value in spec.values])
 
 
 CAPACITY_COLUMNS = ("procedure", "case", "coverage", "reports_per_hour",
@@ -193,19 +193,20 @@ def _lifetime_table(args) -> Table:
     base, flags = _file_and_flags(args)
     if args.sweep:
         axis, values = _parse_sweep(args.sweep)
-        spec = SweepSpec(axis, values, fixed=base)
+        # the flags change no field of the baseline row
+        spec = SweepSpec(axis, values, fixed=replace(base, **flags))
         if _SWEEP_AXES[axis] in flags:
             raise ConfigurationError(f"--{axis} and --sweep {axis}=... both set "
                                      f"the {axis} axis")
-        points = ({**flags, _SWEEP_AXES[axis]: value} for value in spec.values)
-    elif args.iat is not None:
+        return run_lifetime_sweep(spec)
+    if args.iat is not None:
         # a pinned inter-arrival time means a single evaluation point
-        points = [flags]
-    else:
-        # default: the full lifetime picture, every procedure and coverage
-        points = _grid(flags, procedure=tuple(Procedure), coverage=_COVERAGES,
-                       iat_s=tuple(h * 3600.0 for h in DEFAULT_IAT_HOURS))
-    return _lifetime_rows(base, points)
+        iat_s = flags.pop("iat_s")
+        return _lifetime_rows(base, [(flags, (iat_s,))])
+    # default: the full lifetime picture, every procedure and coverage
+    iats = tuple(h * 3600.0 for h in DEFAULT_IAT_HOURS)
+    return _lifetime_rows(base, [(fields, iats) for fields in
+                                 _grid(flags, procedure=tuple(Procedure), coverage=_COVERAGES)])
 
 
 def _glue_dash_values(argv: list[str]) -> list[str]:

@@ -8,7 +8,8 @@ makes the UE reachable) and a paging UE pays in its rest state.
 `CycleProfile.breakdown` then gives the cycle energy at any IAT in closed
 form: iat / period of each event, and the rest state (`flows.rest_state`)
 filling the period on the timeline's integer-microsecond grid, after checking
-the IAT against the cycle.  An IAT sweep therefore builds its timelines once.
+the IAT against the cycle.  So rows that differ only in their IAT share one
+profile, and a row costs `breakdown`, `lifetime_years` and `shares` at its IAT.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ class EnergyBreakdown:
     def share(self, *categories: EnergyCategory) -> float:
         """Fraction of the cycle total attributed to the given categories."""
         return sum(getattr(self, cat.value) for cat in categories) / self.total_mj
+
+    def shares(self) -> tuple[float, float, float, float]:
+        """The ra_sync, messages, DRX (connected plus idle) and PSM shares, as
+        `share` gives them, from one read of the fields."""
+        total = self.total_mj
+        return (self.ra_sync_mj / total, self.post_ra_messages_mj / total,
+                (self.connected_drx_mj + self.idle_drx_mj) / total, self.psm_mj / total)
 
 
 def interval_energy_mj(iv: Interval) -> float:
@@ -115,9 +123,15 @@ class CycleProfile:
                 cats[cat] += mj * fraction
             cats[self.rest_category] -= active_s * fraction * self.rest_mw
         if iat_us < awake_us:
+            # events awake for at least their period leave room for no IAT
+            if sum(e.active_us / flows.US_PER_S / e.period_s for e in self.events) >= 1.0:
+                raise ConfigurationError("periodic TAUs keep the UE awake " + " and ".join(
+                    f"{e.active_us / flows.US_PER_S} s of every {e.period_s} s"
+                    for e in self.events) + " TAU period: no IAT is long enough")
             raise ConfigurationError(
                 f"iat_s={iat_s}: shorter than the {awake_us / flows.US_PER_S} s active cycle")
-        return EnergyBreakdown(**{cat.value: mj for cat, mj in cats.items()})
+        # cats is keyed in EnergyCategory order, which is the field order
+        return EnergyBreakdown(*cats.values())
 
 
 def cycle_profile(s: Scenario) -> CycleProfile:
@@ -145,15 +159,15 @@ def cycle_energy(s: Scenario) -> EnergyBreakdown:
     return cycle_profile(s).breakdown(s.iat_s)
 
 
-def lifetime_years(b: EnergyBreakdown, s: Scenario) -> float:
-    """Battery lifetime in years of scenario s, whose cycle energy is b."""
-    power_w = b.total_mj / 1000.0 / s.iat_s
-    return s.battery_wh / power_w / HOURS_PER_YEAR
+def lifetime_years(b: EnergyBreakdown, iat_s: float, battery_wh: float) -> float:
+    """Battery lifetime in years of a battery_wh battery spending b every iat_s seconds."""
+    power_w = b.total_mj / 1000.0 / iat_s
+    return battery_wh / power_w / HOURS_PER_YEAR
 
 
 def battery_lifetime_years(s: Scenario) -> float:
     """Battery lifetime in years at the scenario's long-run average power."""
-    return lifetime_years(cycle_energy(s), s)
+    return lifetime_years(cycle_energy(s), s.iat_s, s.battery_wh)
 
 
 def psm_baseline_lifetime_years(s: Scenario) -> float:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import math
 import os
 import shlex
@@ -15,12 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nbiotsim
-from nbiotsim import PowerProfile, Procedure, Scenario, TrafficCase, cell_capacity
+from nbiotsim import (PowerProfile, Procedure, Reachability, Scenario, TrafficCase,
+                      builtin_coverage_profile, cell_capacity)
 from nbiotsim.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, SweepSpec, Table,
                           emit, main, run_capacity_report, run_lifetime_sweep,
                           LIFETIME_COLUMNS)
 from nbiotsim import energy
-from nbiotsim.config import ConfigurationError
+from nbiotsim.config import COVERAGE_NAMES, ConfigurationError
+from nbiotsim.flows import EnergyCategory
 from tests.conftest import scenario_texts
 
 
@@ -63,6 +66,34 @@ def test_sweep_values_are_parsed_once(monkeypatch):
     assert spec.values == (3600.0, 7200.0) and len(calls) == 2
     assert [row[3] for row in run_lifetime_sweep(spec).rows[1:]] == [3600.0, 7200.0]
     assert len(calls) == 2
+
+
+def reference_row(s: Scenario) -> tuple:
+    """The lifetime row of s from the whole-scenario energy functions."""
+    ident = (s.procedure.value, s.traffic_case.value, s.coverage.name, s.iat_s)
+    try:
+        b = energy.cycle_energy(s)
+        years = energy.battery_lifetime_years(s)
+    except ConfigurationError as exc:
+        return ident + (0.0, 0.0, 0.0, 0.0, 0.0, str(exc))
+    return ident + (years, b.share(EnergyCategory.RA_SYNC), b.share(EnergyCategory.MESSAGES),
+                    b.share(EnergyCategory.CONNECTED_DRX, EnergyCategory.IDLE_DRX),
+                    b.share(EnergyCategory.PSM), "")
+
+
+@pytest.mark.parametrize("reach", list(Reachability))
+def test_sweep_rows_equal_the_per_row_reference(reach):
+    # bit for bit: a row read from its group's cycle profile is the row of its
+    # own scenario.  0.5 s is below every active cycle (the shortest is
+    # 0.646 s) and 2e6 s above the 310 h PSM maximum of a downlink PSM_TAU cycle
+    iats = (0.5, *(h * 3600.0 for h in range(1, 25)), 2e6)
+    for proc, case, cov in itertools.product(Procedure, TrafficCase, COVERAGE_NAMES):
+        base = Scenario(procedure=proc, traffic_case=case, mt_reachability=reach,
+                        coverage=builtin_coverage_profile(cov))
+        rows = run_lifetime_sweep(SweepSpec("iat", iats, base)).rows[1:]
+        assert rows == [reference_row(replace(base, iat_s=iat_s)) for iat_s in iats]
+        assert rows[0][-1].startswith("iat_s=0.5: shorter than the ")
+        assert rows[1][-1] == ""
 
 
 def test_sweep_other_axes():
@@ -368,20 +399,53 @@ def test_cli_amortized_taus_longer_than_iat_is_row_error(tmp_path, capsys):
     assert main(["lifetime", "--scenario", str(f), "--iat", "3600"]) == EXIT_VALIDATION
     row = capsys.readouterr().out.splitlines()[2].split(",")
     assert row[:5] == ["CP", "UL", "Normal", "3600.000000", "0.000000"]
-    assert row[-1].startswith("iat_s=3600.0: shorter than the 39806.")
-    assert row[-1].endswith(" s active cycle")
+    assert row[-1] == ("periodic TAUs keep the UE awake 0.774002 s of every 0.07 s "
+                       "TAU period: no IAT is long enough")
 
 
 def test_cli_idle_timer_above_tau_period_is_row_error(tmp_path, capsys):
     # each TAU holds its 10,000,004-s idle active timer, longer than its
-    # 432,000-s period (T3324 >= T3412), so the uplink cycle is all TAU
+    # 432,000-s period (T3324 >= T3412), so no IAT leaves room for the cycle,
+    # and every row says so in the same words
     f = tmp_path / "s.cfg"
     f.write_text("idle_timer_base_s=1e7\n")
-    assert main(["lifetime", "--scenario", str(f), "--iat", "3600"]) == EXIT_VALIDATION
-    row = capsys.readouterr().out.splitlines()[2].split(",")
-    assert row[:5] == ["CP", "UL", "Normal", "3600.000000", "0.000000"]
-    assert row[-1].startswith("iat_s=3600.0: shorter than the 83334.019917")
-    assert row[-1].endswith(" s active cycle")
+    argv = ["lifetime", "--scenario", str(f), "--sweep", "iat=3600,86400,1000000"]
+    assert main(argv) == EXIT_VALIDATION
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[:5] for row in rows] == [["CP", "UL", "Normal", iat, "0.000000"] for iat in
+                                         ("3600.000000", "86400.000000", "1000000.000000")]
+    assert {row[-1] for row in rows} == {"periodic TAUs keep the UE awake 10000004.87 s of "
+                                         "every 432000.0 s TAU period: no IAT is long enough"}
+
+
+def test_cli_profile_error_is_built_once_and_fills_its_rows(tmp_path, capsys, monkeypatch):
+    # Extreme coverage's 768-ms NPDCCH period takes the file's valid idle DRX
+    # cycle past its maximum: the one profile fails, and each row repeats it
+    calls = []
+    real = energy.cycle_profile
+    monkeypatch.setattr(energy, "cycle_profile", lambda s: calls.append(s) or real(s))
+    f = tmp_path / "s.cfg"
+    f.write_text("drx_cycle_base_s=10485.0\n")
+    argv = ["lifetime", "--scenario", str(f), "--coverage", "Extreme",
+            "--sweep", "iat=3600,7200,86400"]
+    assert main(argv) == EXIT_VALIDATION
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[2:]
+    assert len(calls) == 1 and len(rows) == 3
+    assert {row[-1] for row in rows} == {
+        "invalid scenario: idle DRX cycle 10485.768 s exceeds the 10485.76 s maximum"}
+
+
+def test_cli_default_tables_build_one_profile_per_procedure_and_coverage(capsys,
+                                                                         monkeypatch):
+    # the four cases' default tables: 36 groups of 24 hourly IATs
+    calls = []
+    real = energy.cycle_profile
+    monkeypatch.setattr(energy, "cycle_profile", lambda s: calls.append(s) or real(s))
+    rows = []
+    for case in TrafficCase:
+        assert main(["lifetime", "--case", case.value]) == EXIT_OK
+        rows += capsys.readouterr().out.splitlines()[2:]
+    assert len(calls) == 36 and len(rows) == 864
 
 
 @pytest.mark.parametrize("command", ["lifetime", "capacity"])

@@ -1,6 +1,7 @@
 """Energy integration, battery lifetime, and their invariants."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from dataclasses import fields, replace
 from nbiotsim import (ConfigurationError, CycleProfile, EnergyBreakdown, PowerProfile,
                       Scenario, battery_lifetime_years, build_flow, build_tau_flow,
                       cycle_energy, flow_timeline, psm_baseline_lifetime_years)
-from nbiotsim import flows
+from nbiotsim import energy, flows
 from nbiotsim.cli import SweepSpec, run_lifetime_sweep
 from nbiotsim.config import (COVERAGE_NAMES, HOURS_PER_YEAR, MAX_PSM_TIME_S, Procedure,
                              Reachability, TrafficCase, UeState)
@@ -167,12 +168,13 @@ def test_profile_breakdown_equals_assembled_timeline(proc, case, cov, reach):
                       "idle_drx_mj", "psm_mj"):
             assert getattr(got, field) == getattr(want, field), (iat_s, field)
         assert cycle_energy(s) == got
-        assert lifetime_years(got, s) == (
+        assert lifetime_years(got, iat_s, s.battery_wh) == (
             s.battery_wh / (want.total_mj / 1000.0 / iat_s) / HOURS_PER_YEAR)
 
 
 def test_category_values_are_the_breakdown_fields():
-    # one name per category: share() and breakdown() read the field by value
+    # one name per category, in field order: share() reads the field by value,
+    # and breakdown() builds the breakdown positionally in category order
     assert [c.value for c in EnergyCategory] == [f.name for f in fields(EnergyBreakdown)]
 
 
@@ -241,6 +243,21 @@ def test_iat_sweep_validates_its_scenario_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_iat_sweep_builds_one_scenario_and_one_profile(monkeypatch):
+    # the 24 rows of an IAT sweep form one point group: one replace of the
+    # fixed scenario and one cycle profile, then only the IAT per row
+    spec = SweepSpec("iat", tuple(h * 3600.0 for h in range(1, 25)),
+                     make_scenario("UP", "UL"))
+    built, profiles = [], []
+    real_init, real_profile = Scenario.__init__, energy.cycle_profile
+    monkeypatch.setattr(Scenario, "__init__",
+                        lambda s, *args, **kw: built.append(kw) or real_init(s, *args, **kw))
+    monkeypatch.setattr(energy, "cycle_profile", lambda s: profiles.append(s) or real_profile(s))
+    table = run_lifetime_sweep(spec)
+    assert len(table.rows) == 1 + 24 and all(row[-1] == "" for row in table.rows)
+    assert len(built) == 1 and len(profiles) == 1
+
+
 def test_iat_shorter_than_active_cycle_rejected():
     # SR/DL_ACK at Extreme coverage has the longest active cycle of the grid
     s = make_scenario("SR", "DL_ACK", "Extreme")
@@ -262,11 +279,16 @@ def test_amortized_taus_longer_than_iat_rejected():
     profile = cycle_profile(s)
     assert profile.events[0].active_us > 70_000
     for iat_s in (3600.0, 86400.0):
-        with pytest.raises(ConfigurationError, match=f"iat_s={iat_s}: shorter than the"):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "periodic TAUs keep the UE awake 0.774002 s of every 0.07 s "
+                "TAU period: no IAT is long enough")):
             profile.breakdown(iat_s)
-    # a TAU period longer than one TAU leaves deep sleep in the cycle
+    # a TAU period longer than one TAU leaves deep sleep in the cycle, and an
+    # IAT shorter than the cycle is its own fault
     profile = cycle_profile(replace(s, psm_tau_period_s=7.0))
     assert profile.breakdown(3600.0).psm_mj > 0.0
+    with pytest.raises(ConfigurationError, match=r"iat_s=0\.5: shorter than the \S+ s active"):
+        profile.breakdown(0.5)
 
 
 def test_dl_cycles_have_no_amortized_tau():

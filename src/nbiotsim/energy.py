@@ -1,10 +1,13 @@
 """Energy integration, long-run average power, and battery lifetime.
 
-One cycle spans one inter-arrival period (IAT).  `cycle_profile` integrates the
-active timeline against the state powers once, and with it each periodic event
-the cycle amortizes: an uplink PSM_TAU cycle runs one standalone TAU per TAU
+One cycle spans one inter-arrival period (IAT).  `cycle_profile` sums the
+energy of the active cycle once, and with it that of each periodic event the
+cycle amortizes: an uplink PSM_TAU cycle runs one standalone TAU per TAU
 period, while a downlink flow carries its TAU inside the flow (the TAU is what
-makes the UE reachable) and a paging UE pays in its rest state.
+makes the UE reachable) and a paging UE pays in its rest state.  Each sum is
+`flows.active_energy`: the layout of `flows.flow_timeline` into an energy
+sink in place of an interval list.  `integrate_timeline` over that timeline is
+the reference it equals bit for bit.
 `CycleProfile.breakdown` then gives the cycle energy at any IAT in closed
 form: iat / period of each event, and the rest state (`flows.rest_state`)
 filling the period on the timeline's integer-microsecond grid, after checking
@@ -77,11 +80,11 @@ def standalone_event(flow: flows.ProcedureFlow, s: Scenario, period_s: float) ->
     """A standalone flow run once per period_s.  Its idle DRX is part of the
     wake-up and charged to ra_sync, so a cycle's idle-DRX energy is only its
     own reachability window, which is zero whenever release assistance applies."""
-    timeline = flows.flow_timeline(flow, s, fill_to_iat=False)
+    active_mj, active_us = flows.active_energy(flow, s)
     return PeriodicEvent(
         mj=tuple((EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat, mj)
-                 for cat, mj in integrate_timeline(timeline).items()),
-        active_us=timeline[-1].end_us, period_s=period_s)
+                 for cat, mj in active_mj.items()),
+        active_us=active_us, period_s=period_s)
 
 
 @dataclass(frozen=True)
@@ -137,13 +140,12 @@ class CycleProfile:
 def cycle_profile(s: Scenario) -> CycleProfile:
     """Active-cycle profile of a scenario, which it validates; `breakdown` checks each IAT."""
     validate_scenario(s)
-    timeline = flows.flow_timeline(flows.build_flow(s), s, fill_to_iat=False)
+    active_mj, active_us = flows.active_energy(flows.build_flow(s), s)
     _, rest_mw, rest_category, _ = flows.rest_state(s)
     psm_tau = s.mt_reachability is Reachability.PSM_TAU
     paced_by_tau = psm_tau and s.traffic_case.mobile_terminated
     return CycleProfile(
-        active_mj=integrate_timeline(timeline),
-        active_us=timeline[-1].end_us,
+        active_mj=active_mj, active_us=active_us,
         rest_mw=rest_mw, rest_category=rest_category,
         # reachability costs PSM_TAU a periodic TAU, carried inside a downlink
         # flow, and DRX_PAGING the paging occasions of its rest state

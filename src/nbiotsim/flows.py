@@ -2,10 +2,15 @@
 
 Builds the ordered message sequence for each (procedure, traffic case)
 combination from the message catalog, resolves the DRX timers, and lays the
-whole cycle out as a contiguous list of power-state intervals: sync, random
-access, per-message control/gap/airtime, connected DRX, idle DRX, rest state.
+cycle out as contiguous power-state intervals: sync, random access,
+per-message control/gap/airtime, connected DRX, idle DRX, rest state.
 A DRX window is laid out as two intervals, its total on time and then its
 total off time, so the timeline's length does not grow with the timers.
+
+One layout pass writes the intervals to a sink, and the sink is the only
+thing that differs: `flow_timeline` keeps them as `Interval` records, and
+`active_energy` adds each one's energy to its category as it is emitted, so a
+cycle profile builds no interval list.
 """
 
 from __future__ import annotations
@@ -158,12 +163,26 @@ def build_tau_flow(s: Scenario) -> ProcedureFlow:
     return _build(f"{s.procedure.value.lower()}_tau", s)
 
 
-# --- timeline assembly -------------------------------------------------------
+# --- cycle layout: one pass, two sinks -------------------------------------
 
-class _TimelineBuilder:
+class _Sink:
+    """Receives the layout's intervals in order; t_us is the end of the last one.
+
+    A non-positive duration is skipped, so both sinks see the same intervals
+    and the same clock."""
+
+    t_us = 0
+
+    def emit_ms(self, duration_ms: float, state: UeState, power_mw: float,
+                category: EnergyCategory, label: str) -> None:
+        self.emit(int(round(duration_ms * US_PER_MS)), state, power_mw, category, label)
+
+
+class _TimelineSink(_Sink):
+    """Keeps each interval as an Interval record."""
+
     def __init__(self) -> None:
         self.intervals: list[Interval] = []
-        self.t_us = 0
 
     def emit(self, duration_us: int, state: UeState, power_mw: float,
              category: EnergyCategory, label: str) -> None:
@@ -173,20 +192,31 @@ class _TimelineBuilder:
                                        power_mw, category, label))
         self.t_us += duration_us
 
-    def emit_ms(self, duration_ms: float, state: UeState, power_mw: float,
-                category: EnergyCategory, label: str) -> None:
-        self.emit(int(round(duration_ms * US_PER_MS)), state, power_mw, category, label)
+
+class _EnergySink(_Sink):
+    """Adds each interval's energy to its category, in emit order, with the
+    arithmetic of energy.interval_energy_mj (mW * us = nJ; 1e-6 converts to mJ)."""
+
+    def __init__(self) -> None:
+        self.mj = {cat: 0.0 for cat in EnergyCategory}
+
+    def emit(self, duration_us: int, state: UeState, power_mw: float,
+             category: EnergyCategory, label: str) -> None:
+        if duration_us <= 0:
+            return
+        self.mj[category] += power_mw * duration_us * 1e-6
+        self.t_us += duration_us
 
 
-def _emit_drx_cycles(tb: _TimelineBuilder, window_us: int, on_us: int, off_us: int,
+def _emit_drx_cycles(sink: _Sink, window_us: int, on_us: int, off_us: int,
                      p: PowerProfile, gap: tuple[UeState, float],
                      category: EnergyCategory, label: str) -> None:
     """Emit a window of on/off DRX cycles (the last one truncated) as its total
     on time, then its total off time in the gap: nothing later depends on the order."""
     cycles, tail = divmod(window_us, on_us + off_us)
     on = cycles * on_us + min(on_us, tail)
-    tb.emit(on, UeState.RX, p.rx_mw, category, f"{label}_on")
-    tb.emit(window_us - on, *gap, category, f"{label}_off")
+    sink.emit(on, UeState.RX, p.rx_mw, category, f"{label}_on")
+    sink.emit(window_us - on, *gap, category, f"{label}_off")
 
 
 def _idle_drx_gap(s: Scenario) -> tuple[UeState, float]:
@@ -211,29 +241,26 @@ def rest_state(s: Scenario) -> tuple[UeState, float, EnergyCategory, str]:
             EnergyCategory.IDLE_DRX, "paging")
 
 
-def flow_timeline(flow: ProcedureFlow, s: Scenario,
-                  fill_to_iat: bool = True) -> list[Interval]:
-    """Lay one traffic cycle out as contiguous power-state intervals.
+def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> None:
+    """Lay one traffic cycle's active part out into sink, interval by interval.
 
     The random access phase uses expectation values (durations scaled by the
     expected attempt count).  Each shared-channel message is preceded by a
     wait for the next NPDCCH occasion, the control assignment itself, and the
     standard scheduling gap; transmit and receive never overlap.  Connected
     DRX (when configured) runs before the final release message, idle DRX
-    until the active timer expires, then the rest state up to the
-    inter-arrival time.
+    until the active timer expires.
     """
     c, p = s.coverage, s.power
-    tb = _TimelineBuilder()
     period_us = c.npdcch_period_ms * US_PER_MS
 
     # cell search after deep sleep
-    tb.emit_ms(s.sync_time_ms, UeState.RX, p.rx_mw, EnergyCategory.RA_SYNC, "sync")
+    sink.emit_ms(s.sync_time_ms, UeState.RX, p.rx_mw, EnergyCategory.RA_SYNC, "sync")
 
     # random access, expectation-scaled
     attempts = ra.expected_attempts(s.ra_attempt_cap)
     for label, state, dur_ms, power_mw in ra.attempt_components(c, p, s.rar_bytes):
-        tb.emit_ms(attempts * dur_ms, state, power_mw, EnergyCategory.RA_SYNC, label)
+        sink.emit_ms(attempts * dur_ms, state, power_mw, EnergyCategory.RA_SYNC, label)
 
     npusch_dbm = phy.npusch_tx_power_dbm(c, p, c.target_mcl_db)
     npusch_mw = phy.tx_power_consumption_mw(p, npusch_dbm)
@@ -245,31 +272,49 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
         if last:
             # inactivity timer runs after the data exchange, before release;
             # it spans whole NPDCCH periods, so no cycle is truncated
-            _emit_drx_cycles(tb, conn_drx_us, on_us=npdcch_us,
+            _emit_drx_cycles(sink, conn_drx_us, on_us=npdcch_us,
                              off_us=max(0, period_us - npdcch_us),
                              p=p, gap=(UeState.INACTIVE, p.inactive_mw),
                              category=EnergyCategory.CONNECTED_DRX,
                              label="connected_drx")
         # wait for the next NPDCCH occasion
-        align_us = (-tb.t_us) % period_us
-        tb.emit(align_us, UeState.INACTIVE, p.inactive_mw,
-                EnergyCategory.MESSAGES, "npdcch_align")
-        tb.emit(npdcch_us, UeState.RX, p.rx_mw,
-                EnergyCategory.MESSAGES, f"npdcch:{msg.name}")
-        tb.emit_ms(phy.schedule_gap_ms(msg.channel), UeState.INACTIVE, p.inactive_mw,
-                   EnergyCategory.MESSAGES, "schedule_gap")
+        align_us = (-sink.t_us) % period_us
+        sink.emit(align_us, UeState.INACTIVE, p.inactive_mw,
+                  EnergyCategory.MESSAGES, "npdcch_align")
+        sink.emit(npdcch_us, UeState.RX, p.rx_mw,
+                  EnergyCategory.MESSAGES, f"npdcch:{msg.name}")
+        sink.emit_ms(phy.schedule_gap_ms(msg.channel), UeState.INACTIVE, p.inactive_mw,
+                     EnergyCategory.MESSAGES, "schedule_gap")
         state, power_mw = ((UeState.TX, npusch_mw) if msg.channel is ChannelKind.NPUSCH
                            else (UeState.RX, p.rx_mw))
-        tb.emit_ms(phy.message_airtime(msg.size_bytes, c, msg.channel), state, power_mw,
-                   EnergyCategory.MESSAGES, msg.name)
+        sink.emit_ms(phy.message_airtime(msg.size_bytes, c, msg.channel), state, power_mw,
+                     EnergyCategory.MESSAGES, msg.name)
 
     # idle DRX: the active timer keeps the UE reachable before PSM
     idle_us = int(round(flow.idle_drx_s * US_PER_S))
-    _emit_drx_cycles(tb, idle_us, on_us=period_us,
+    _emit_drx_cycles(sink, idle_us, on_us=period_us,
                      off_us=int(round(s.drx_long_cycle_base_s * US_PER_S)),
                      p=p, gap=_idle_drx_gap(s), category=EnergyCategory.IDLE_DRX, label="drx")
 
+
+def flow_timeline(flow: ProcedureFlow, s: Scenario,
+                  fill_to_iat: bool = True) -> list[Interval]:
+    """One traffic cycle as contiguous power-state intervals: the layout that
+    `active_energy` sums, kept as Interval records, then (with fill_to_iat)
+    the rest state up to the inter-arrival time."""
+    sink = _TimelineSink()
+    _lay_out(flow, s, sink)
     if fill_to_iat:
         iat_us = int(round(s.iat_s * US_PER_S))
-        tb.emit(max(0, iat_us - tb.t_us), *rest_state(s))
-    return tb.intervals
+        sink.emit(max(0, iat_us - sink.t_us), *rest_state(s))
+    return sink.intervals
+
+
+def active_energy(flow: ProcedureFlow, s: Scenario) -> tuple[dict[EnergyCategory, float], int]:
+    """Energy in mJ by category, and the end in microseconds, of the unfilled
+    `flow_timeline(flow, s, fill_to_iat=False)`, summed as the layout runs:
+    the same additions in the same order as energy.integrate_timeline, so the
+    same bits, without building the intervals."""
+    sink = _EnergySink()
+    _lay_out(flow, s, sink)
+    return sink.mj, sink.t_us

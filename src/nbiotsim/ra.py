@@ -9,6 +9,7 @@ the model.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from . import phy
@@ -37,6 +38,12 @@ def expected_attempts(cap: int) -> float:
     """
     if cap < 1:
         raise ConfigurationError(f"cap={cap}: must be >= 1")
+    return _expected_attempts(cap)
+
+
+@functools.lru_cache(maxsize=256)
+def _expected_attempts(cap: int) -> float:
+    # a pure function of the cap, whose key domain (1 to 200) fits the cache
     total = 0.0
     p_all_failed = 1.0
     for i in range(1, cap + 1):

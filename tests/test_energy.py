@@ -4,20 +4,22 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 from dataclasses import fields, replace
 
 from nbiotsim import (ConfigurationError, CycleProfile, EnergyBreakdown, PowerProfile,
                       Scenario, battery_lifetime_years, build_flow, build_tau_flow,
-                      cycle_energy, flow_timeline, psm_baseline_lifetime_years)
+                      cycle_energy, flow_timeline, parse_scenario,
+                      psm_baseline_lifetime_years)
 from nbiotsim import energy, flows
 from nbiotsim.cli import SweepSpec, run_lifetime_sweep
-from nbiotsim.config import (COVERAGE_NAMES, HOURS_PER_YEAR, MAX_PSM_TIME_S, Procedure,
-                             Reachability, TrafficCase, UeState)
+from nbiotsim.config import (_SCENARIO_KEYS, COVERAGE_NAMES, HOURS_PER_YEAR, MAX_PSM_TIME_S,
+                             Procedure, Reachability, TrafficCase, UeState)
 from nbiotsim.energy import (cycle_profile, integrate_timeline, interval_energy_mj,
                              lifetime_years)
 from nbiotsim.flows import EnergyCategory, Interval
-from tests.conftest import active_duration_s, binned_energy_mj, make_scenario
+from tests.conftest import (active_duration_s, binned_energy_mj, domain_values,
+                            make_scenario)
 
 
 def test_rx_interval_energy():
@@ -215,19 +217,23 @@ def test_profile_active_times_are_timeline_microseconds(proc, case, reach):
 
 
 def test_iat_sweep_builds_timelines_once(monkeypatch):
-    calls = []
-    real = flows.flow_timeline
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(flows, "flow_timeline", counted)
+    # the cycle and its standalone TAU are each laid out once, into the energy
+    # sink: no profile builds an Interval list
+    passes, timelines = [], []
+    real_energy, real_timeline = flows.active_energy, flows.flow_timeline
+    monkeypatch.setattr(flows, "active_energy",
+                        lambda *args: passes.append(args) or real_energy(*args))
+    monkeypatch.setattr(flows, "flow_timeline",
+                        lambda *args, **kw: timelines.append(args) or real_timeline(*args, **kw))
     spec = SweepSpec("iat", tuple(h * 3600.0 for h in range(1, 25)),
                      make_scenario("UP", "UL"))
     table = run_lifetime_sweep(spec)
     assert len(table.rows) == 1 + 24 and all(row[-1] == "" for row in table.rows)
-    assert len(calls) <= 2     # the cycle's timeline and the standalone TAU
+    assert len(passes) <= 2     # the cycle and the standalone TAU
+    for reach in Reachability:
+        for case in TrafficCase:
+            cycle_profile(make_scenario("SR", case.value, mt_reachability=reach))
+    assert timelines == []
 
 
 def test_iat_sweep_validates_its_scenario_once(monkeypatch):
@@ -289,6 +295,53 @@ def test_amortized_taus_longer_than_iat_rejected():
     assert profile.breakdown(3600.0).psm_mj > 0.0
     with pytest.raises(ConfigurationError, match=r"iat_s=0\.5: shorter than the \S+ s active"):
         profile.breakdown(0.5)
+
+
+def assert_energy_pass_exact(flow, s):
+    """The energy pass gives, bit for bit, the reference integral of the
+    unfilled timeline and its last end."""
+    timeline = flow_timeline(flow, s, fill_to_iat=False)
+    mj, end_us = flows.active_energy(flow, s)
+    want = integrate_timeline(timeline)
+    assert list(mj) == list(want) == list(EnergyCategory)
+    for cat in EnergyCategory:
+        assert mj[cat] == want[cat], cat
+    assert end_us == timeline[-1].end_us
+
+
+@pytest.mark.parametrize("reach", list(Reachability))
+@pytest.mark.parametrize("cov", COVERAGE_NAMES)
+@pytest.mark.parametrize("case", [c.value for c in TrafficCase])
+@pytest.mark.parametrize("proc", [p.value for p in Procedure])
+def test_active_energy_equals_integrated_timeline(proc, case, cov, reach):
+    s = make_scenario(proc, case, cov, mt_reachability=reach)
+    assert_energy_pass_exact(build_flow(s), s)
+    assert_energy_pass_exact(build_tau_flow(s), s)
+
+
+# every numeric key from its domain, bounds included; the state powers are
+# drawn as one sorted set, so their ordering rule mostly holds
+POWER_KEYS = ("deep_sleep_mw", "inactive_mw", "rx_mw", "tx_max_mw")
+KEY_VALUES = {key: domain_values(key) for key, row in _SCENARIO_KEYS.items()
+              if row[3] is not None and key not in POWER_KEYS}
+
+
+@settings(max_examples=60, deadline=None)
+@given(proc=st.sampled_from(Procedure), case=st.sampled_from(TrafficCase),
+       cov=st.sampled_from(COVERAGE_NAMES), reach=st.sampled_from(Reachability),
+       values=st.fixed_dictionaries(KEY_VALUES),
+       powers=st.lists(domain_values("rx_mw"), min_size=4, max_size=4, unique=True))
+def test_active_energy_equals_integrated_timeline_property(proc, case, cov, reach,
+                                                           values, powers):
+    values.update(zip(POWER_KEYS, sorted(powers)))
+    text = " ".join(f"{key}={value!r}" for key, value in values.items())
+    try:
+        s = parse_scenario(f"procedure={proc.value} case={case.value} coverage={cov} "
+                           f"reachability={reach.value} {text}")
+    except ConfigurationError:
+        reject()
+    assert_energy_pass_exact(build_flow(s), s)
+    assert_energy_pass_exact(build_tau_flow(s), s)
 
 
 def test_dl_cycles_have_no_amortized_tau():

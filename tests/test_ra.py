@@ -1,11 +1,13 @@
 """Random access: detection model, expected attempts, phase cost."""
 
+import inspect
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 from dataclasses import replace
 
+from nbiotsim import ra
 from nbiotsim import (PowerProfile, build_flow, builtin_coverage_profile,
                       detection_probability, expected_attempts, flow_timeline)
 from nbiotsim.config import ConfigurationError
@@ -68,6 +70,16 @@ def test_expected_attempts_bounds(cap):
 def test_expected_attempts_monotone_in_cap():
     values = [expected_attempts(cap) for cap in range(1, 20)]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def test_expected_attempts_checks_every_call():
+    # a plain function that checks its cap, then reads the sum, which is cached
+    # per cap, so a rejected cap never reaches the cache
+    assert inspect.isfunction(ra.expected_attempts)
+    for cap in (0, -3, 0):
+        with pytest.raises(ConfigurationError, match=f"cap={cap}: must be >= 1"):
+            expected_attempts(cap)
+    assert expected_attempts(200) == pytest.approx(brute_force_expected_attempts(200), abs=1e-12)
 
 
 def ra_phase(c, p, cap, rar_bytes=7):

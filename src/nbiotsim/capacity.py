@@ -3,7 +3,8 @@
 Fluid-flow accounting: each flow's per-channel resource usage is summed from
 message airtimes, every shared-channel message charges one NPDCCH assignment,
 and random access charges expected preamble slots.  Cell capacity is the
-tightest budget/usage ratio across channels after coverage-level sharing.
+tightest budget/usage ratio across channels after coverage-level sharing; the
+budgets are the scenario's, which default to the cell's pools (config).
 """
 
 from __future__ import annotations
@@ -14,16 +15,6 @@ from . import flows, phy, ra
 from .config import ConfigurationError, Scenario, validate_scenario
 from .flows import ProcedureFlow
 from .phy import ChannelKind
-
-# Downlink subframe availability on the anchor carrier: NPSS takes 1 subframe
-# per 10 ms frame, NPBCH 1 per frame, NSSS 1 every other frame.
-DL_SUBFRAME_AVAILABILITY = 0.75
-# In-band operation: the LTE control region reserves 3 of 14 OFDM symbols.
-INBAND_DERATING = 11.0 / 14.0
-# Uplink pool: 12 subcarriers * 1000 ms per second.
-UL_SUBCARRIER_MS_PER_S = 12_000.0
-# Random access: 12 preamble slots in each opportunity region.
-NPRACH_SLOTS_PER_OPPORTUNITY = 12
 
 # Deterministic tie-break for equal capacity ratios.
 BOTTLENECK_ORDER = (ChannelKind.NPDCCH, ChannelKind.NPDSCH,
@@ -38,20 +29,17 @@ class CapacityReport:
 
 
 def default_budgets(s: Scenario) -> dict[ChannelKind, float]:
-    """Cell-wide resource pool per channel in units/s, before coverage sharing.
+    """The scenario's cell-wide budget per channel in units/s, before coverage
+    sharing; each defaults to its pool in config.
 
     NPDCCH and NPDSCH both draw on the shared downlink subframe pool, so each
     is checked against the full (derated) pool; NPUSCH is counted in
     subcarrier-milliseconds; NPRACH in preamble slots.
     """
-    dl_pool = 1000.0 * DL_SUBFRAME_AVAILABILITY * INBAND_DERATING
-    nprach = 1000.0 / ra.RA_OPPORTUNITY_PERIOD_MS * NPRACH_SLOTS_PER_OPPORTUNITY
-    return {
-        ChannelKind.NPDCCH: s.budget_npdcch_sf_per_s or dl_pool,
-        ChannelKind.NPDSCH: s.budget_npdsch_sf_per_s or dl_pool,
-        ChannelKind.NPUSCH: s.budget_npusch_sc_ms_per_s or UL_SUBCARRIER_MS_PER_S,
-        ChannelKind.NPRACH: s.budget_nprach_slots_per_s or nprach,
-    }
+    return {ChannelKind.NPDCCH: s.budget_npdcch_sf_per_s,
+            ChannelKind.NPDSCH: s.budget_npdsch_sf_per_s,
+            ChannelKind.NPUSCH: s.budget_npusch_sc_ms_per_s,
+            ChannelKind.NPRACH: s.budget_nprach_slots_per_s}
 
 
 def flow_channel_usage(flow: ProcedureFlow, s: Scenario) -> dict[ChannelKind, float]:

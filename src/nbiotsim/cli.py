@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from . import capacity as cap
-from . import energy
+from . import energy, flows, phy
 from .config import (ConfigurationError, Procedure, Scenario, TrafficCase,
                      parse_scenario_file, scenario_value, validate_scenario,
                      COVERAGE_NAMES)
@@ -249,6 +249,10 @@ def main(argv=None) -> int:
 
     try:
         ext = _format(args.format)[0]
+        # a broken packaged data file fails the command, not each lifetime row
+        flows._catalog()
+        for ch in phy.SHARED_CHANNELS:
+            phy._tbs_table(ch)
         if args.command == "lifetime":
             table = _lifetime_table(args)
         else:

@@ -1,7 +1,8 @@
 """Scenario model for NB-IoT small-data transfers.
 
 Defines the three coverage enhancement profiles, the UE power model, the
-scenario with its traffic sizes and DRX/PSM timers, scenario validation, and a
+scenario with its traffic sizes, DRX/PSM timers and cell budgets (each a plain
+value; a budget defaults to its pool, defined here), scenario validation, and a
 key=value scenario file format.  Every other module consumes only these types.
 """
 
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter
 
 # Rel-13 bounds on the power-saving timers; a longer DRX base than
@@ -20,6 +20,20 @@ MAX_PSM_TIME_S = 310.0 * 3600.0
 
 HOURS_PER_YEAR = 8760.0
 CARRIER_KHZ = 180.0
+
+# Cell resource pools in units/s before coverage sharing, the default budgets.
+# Downlink subframe availability on the anchor carrier: NPSS takes 1 subframe
+# per 10 ms frame, NPBCH 1 per frame, NSSS 1 every other frame.
+DL_SUBFRAME_AVAILABILITY = 0.75
+# In-band operation: the LTE control region reserves 3 of 14 OFDM symbols.
+INBAND_DERATING = 11.0 / 14.0
+# Uplink pool: 12 subcarriers * 1000 ms per second.
+UL_SUBCARRIER_MS_PER_S = 12_000.0
+# Random access opportunities recur every 40 ms, with 12 preamble slots each.
+RA_OPPORTUNITY_PERIOD_MS = 40.0
+NPRACH_SLOTS_PER_OPPORTUNITY = 12
+DL_POOL_SF_PER_S = 1000.0 * DL_SUBFRAME_AVAILABILITY * INBAND_DERATING
+NPRACH_POOL_SLOTS_PER_S = 1000.0 / RA_OPPORTUNITY_PERIOD_MS * NPRACH_SLOTS_PER_OPPORTUNITY
 
 
 class ConfigurationError(ValueError):
@@ -78,14 +92,10 @@ class CoverageProfile:
     sync_time_scale: float = 1.0          # multiplies the scenario's sync time
     nprach_preamble_ms: float = 6.4       # preamble format 1: 4 symbol groups of 1.6 ms
 
-    @cached_property
+    @property
     def npdcch_period_ms(self) -> int:
-        """NPDCCH search-space periodicity T = R_max * G, in whole ms."""
-        period = self.r_max * self.g_factor
-        if abs(period - round(period)) > 1e-9:
-            raise ConfigurationError(
-                f"r_max * g_factor = {period} ms is not a whole number of ms")
-        return int(round(period))
+        """NPDCCH search-space periodicity T = R_max * G, rounded to whole ms."""
+        return round(self.r_max * self.g_factor)
 
     def violations(self) -> list[str]:
         out = []
@@ -104,10 +114,9 @@ class CoverageProfile:
                        "must be one of 1, 3, 6, 12")
         if self.mcs_index < 0:
             out.append(f"mcs_index={self.mcs_index}: must be >= 0")
-        try:
-            self.npdcch_period_ms
-        except ConfigurationError as exc:
-            out.append(str(exc))
+        period = self.r_max * self.g_factor
+        if abs(period - self.npdcch_period_ms) > 1e-9:
+            out.append(f"r_max * g_factor = {period} ms is not a whole number of ms")
         return out
 
 
@@ -192,12 +201,11 @@ class Scenario:
     ra_attempt_cap: int = 10              # maximum preamble transmissions
     rar_bytes: int = 7                    # random access response MAC PDU
 
-    # cell resource budget overrides (units/s before coverage sharing);
-    # None selects the documented defaults in the capacity module
-    budget_npdcch_sf_per_s: float | None = None
-    budget_npdsch_sf_per_s: float | None = None
-    budget_npusch_sc_ms_per_s: float | None = None
-    budget_nprach_slots_per_s: float | None = None
+    # cell resource budgets (units/s before coverage sharing)
+    budget_npdcch_sf_per_s: float = DL_POOL_SF_PER_S
+    budget_npdsch_sf_per_s: float = DL_POOL_SF_PER_S
+    budget_npusch_sc_ms_per_s: float = UL_SUBCARRIER_MS_PER_S
+    budget_nprach_slots_per_s: float = NPRACH_POOL_SLOTS_PER_S
 
     @property
     def data_message_bytes(self) -> int:
@@ -320,12 +328,8 @@ _numeric_values = attrgetter(*(fname if target == "scenario" else f"{target}.{fn
 
 
 def _out_of_bounds(rows, values) -> list[tuple]:
-    """(row, value) of every value outside its numeric key's closed bounds.
-
-    NaN lies outside all bounds; None, a budget left at its default, inside.
-    """
-    return [(row, value) for row, value in zip(rows, values)
-            if value is not None and not row[3] <= value <= row[4]]
+    """(row, value) of every value outside its key's closed bounds (NaN is outside all)."""
+    return [(row, value) for row, value in zip(rows, values) if not row[3] <= value <= row[4]]
 
 
 def _bounds(row) -> str:
@@ -359,12 +363,19 @@ def scenario_value(key: str, raw):
     raise ConfigurationError(f"bad value {raw!r} for {key!r}; expected {expected}")
 
 
+def _records(text: str):
+    """(line number, whitespace-split cells) of each line with more than a '#' comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        cells = line.split("#", 1)[0].split()
+        if cells:
+            yield lineno, cells
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse the key=value scenario format into a validated Scenario."""
     kw: dict[str, dict] = {target: {} for target in ("scenario", *_PARTS)}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
-        for token in line.split():
+    for lineno, tokens in _records(text):
+        for token in tokens:
             if "=" not in token:
                 raise ConfigurationError(
                     f"line {lineno}: expected key=value, got {token!r}")
@@ -396,8 +407,6 @@ def format_scenario(s: Scenario) -> str:
     for key, (target, fname, *_) in _SCENARIO_KEYS.items():
         obj = s if target == "scenario" else getattr(s, target)
         value = getattr(obj, fname)
-        if value is None:
-            continue
         if isinstance(value, enum.Enum):
             value = value.value
         elif isinstance(value, CoverageProfile):

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import phy, ra
 from .config import (MAX_DRX_CYCLE_S, ConfigurationError, PowerProfile, Procedure,
-                     Reachability, Scenario, UeState)
+                     Reachability, Scenario, UeState, _records)
 from .phy import ChannelKind
 
 US_PER_MS = 1000
@@ -100,8 +100,7 @@ def _parse_catalog(text: str) -> dict[str, tuple]:
     checks every invariant of the format, once, at load time.
     """
     messages, flows = {}, {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        kind, *cells = line.split("#", 1)[0].split() or [""]
+    for lineno, (kind, *cells) in _records(text):
         try:
             if kind == "message" and len(cells) == 4:
                 if cells[0] in messages:
@@ -111,7 +110,7 @@ def _parse_catalog(text: str) -> dict[str, tuple]:
                 if cells[0] in flows:
                     raise ConfigurationError(f"flow {cells[0]!r} listed twice")
                 flows[cells[0]] = tuple(messages[name] for name in cells[1:])
-            elif kind:
+            else:
                 raise ConfigurationError("expected 'message name channel plane size' "
                                          "or 'flow id name...'")
         except KeyError as exc:         # a flow names an undefined message

@@ -15,7 +15,7 @@ import math
 from functools import lru_cache
 from importlib import resources
 
-from .config import CARRIER_KHZ, ConfigurationError, CoverageProfile, PowerProfile
+from .config import CARRIER_KHZ, ConfigurationError, CoverageProfile, PowerProfile, _records
 
 SUBFRAME_MS = 1.0
 
@@ -48,12 +48,10 @@ def _data_text(name: str) -> str:
 @lru_cache(maxsize=None)
 def _checksums() -> dict[str, str]:
     out = {}
-    for line in _data_text("CHECKSUMS").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        digest, fname = line.split()
-        out[fname] = digest
+    for lineno, cells in _records(_data_text("CHECKSUMS")):
+        if len(cells) != 2:
+            raise ConfigurationError(f"CHECKSUMS line {lineno}: expected 'sha256 file'")
+        out[cells[1]] = cells[0]
     return out
 
 
@@ -77,15 +75,15 @@ def _tbs_table(ch: ChannelKind) -> tuple[tuple[int, ...], ...]:
         raise ConfigurationError(f"{ch.value} is not a shared channel and has no TBS table")
     fname = f"{ch.value.lower()}_tbs.tsv"
     rows = []
-    for line in verified_data_text(fname).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = [int(c) for c in line.split()]
-        # a row's TBS grows with the allocation, which transport_block_units bisects
-        if len(cells) != len(ALLOCATION_UNITS) + 1 or cells[1:] != sorted(cells[1:]):
-            raise ConfigurationError(f"{fname}: bad row {line!r}")
-        rows.append(tuple(cells[1:]))
+    for lineno, cells in _records(verified_data_text(fname)):
+        row = tuple(int(c) for c in cells if c.isdecimal())
+        # whole numbers: I_TBS, the row's index, then one TBS per allocation,
+        # rising with it, as transport_block_units bisects the row
+        if not (len(cells) == len(row) == len(ALLOCATION_UNITS) + 1
+                and row == (len(rows), *sorted(row[1:]))):
+            raise ConfigurationError(f"{fname} line {lineno}: bad row; expected I_TBS "
+                                     f"{len(rows)}, then {len(ALLOCATION_UNITS)} rising TBS")
+        rows.append(row[1:])
     return tuple(rows)
 
 

@@ -13,12 +13,11 @@ import functools
 import math
 
 from . import phy
-from .config import ConfigurationError, CoverageProfile, PowerProfile, UeState
+from .config import (RA_OPPORTUNITY_PERIOD_MS, ConfigurationError, CoverageProfile,
+                     PowerProfile, UeState)
 from .phy import ChannelKind
 
-# Random access opportunities recur every 40 ms; a UE with a pending attempt
-# waits on average half a period for the next one.
-RA_OPPORTUNITY_PERIOD_MS = 40.0
+# a UE with a pending attempt waits on average half an RA opportunity period
 EXPECTED_OPPORTUNITY_WAIT_MS = RA_OPPORTUNITY_PERIOD_MS / 2.0
 
 

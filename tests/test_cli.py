@@ -1,6 +1,7 @@
 """Command-line front end: sweeps, grids, emit formats, exit codes."""
 
 import csv
+import hashlib
 import io
 import itertools
 import math
@@ -21,7 +22,7 @@ from nbiotsim import (PowerProfile, Procedure, Reachability, Scenario, TrafficCa
 from nbiotsim.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, SweepSpec, Table,
                           emit, main, run_capacity_report, run_lifetime_sweep,
                           LIFETIME_COLUMNS)
-from nbiotsim import energy
+from nbiotsim import energy, flows, phy
 from nbiotsim.config import COVERAGE_NAMES, ConfigurationError
 from nbiotsim.flows import EnergyCategory
 from tests.conftest import scenario_texts
@@ -268,6 +269,71 @@ def test_cli_bad_scenario_file_is_one_error_line(text, argv, line, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [line]
+
+
+# --- packaged data: a broken file fails the command with one error line ------
+
+DATA_FILES = ("CHECKSUMS", "message_catalog.tsv", "npusch_tbs.tsv", "npdsch_tbs.tsv")
+
+
+def repinned(texts, name, text):
+    """texts with name's text replaced and CHECKSUMS pinning every file again,
+    as the README's edit workflow does."""
+    texts = {**texts, name: text}
+    texts["CHECKSUMS"] = "".join(f"{hashlib.sha256(t.encode('utf-8')).hexdigest()}  {n}\n"
+                                 for n, t in texts.items() if n != "CHECKSUMS")
+    return texts
+
+
+def swap_lines(text, i, j):
+    lines = text.splitlines(keepends=True)
+    lines[i], lines[j] = lines[j], lines[i]
+    return "".join(lines)
+
+
+# the edit of the data texts, and the start of the one error line it gives
+BROKEN_DATA = {
+    "tbs-cell": (lambda t: repinned(t, "npusch_tbs.tsv",
+                                    t["npusch_tbs.tsv"].replace("\n1\t", "\n1x\t", 1)),
+                 "error: npusch_tbs.tsv line 5: bad row; expected I_TBS 1, then 8 rising TBS"),
+    # rows 0 and 1 swapped: each row still rises, only its I_TBS is out of order
+    "tbs-order": (lambda t: repinned(t, "npdsch_tbs.tsv", swap_lines(t["npdsch_tbs.tsv"], 5, 6)),
+                  "error: npdsch_tbs.tsv line 6: bad row; expected I_TBS 0, then 8 rising TBS"),
+    "checksums-line": (lambda t: {**t, "CHECKSUMS": t["CHECKSUMS"] + "0123abcd\n"},
+                       "error: CHECKSUMS line 7: expected 'sha256 file'"),
+    "mismatch": (lambda t: {**t, "npusch_tbs.tsv": t["npusch_tbs.tsv"] + "# edited\n"},
+                 "error: data file 'npusch_tbs.tsv' checksum mismatch (got "),
+    "unpinned": (lambda t: {**t, "CHECKSUMS": "".join(
+                     line for line in t["CHECKSUMS"].splitlines(keepends=True)
+                     if not line.rstrip().endswith("message_catalog.tsv"))},
+                 "error: data file 'message_catalog.tsv' has no pinned checksum"),
+}
+
+
+@pytest.fixture
+def data_texts(monkeypatch):
+    """The packaged data texts by file name, which the loaders read instead of
+    the files; every loader cache is cleared before and after."""
+    texts = {name: phy._data_text(name) for name in DATA_FILES}
+    loaders = (flows._catalog, phy._tbs_table, phy._checksums)
+    for loader in loaders:
+        loader.cache_clear()
+    monkeypatch.setattr(phy, "_data_text", texts.__getitem__)
+    yield texts
+    monkeypatch.undo()
+    for loader in loaders:
+        loader.cache_clear()
+
+
+@pytest.mark.parametrize("case", list(BROKEN_DATA))
+def test_cli_broken_data_file_is_one_error_line(case, data_texts, capsys):
+    edit, line = BROKEN_DATA[case]
+    data_texts.update(edit(dict(data_texts)))
+    assert main(["lifetime"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(line), lines
 
 
 def test_cli_dl_iat_above_psm_maximum_is_row_error(capsys):

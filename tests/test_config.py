@@ -187,6 +187,18 @@ def test_npdcch_period_must_be_whole_ms():
         validate_scenario(Scenario(coverage=c))
 
 
+def test_non_whole_npdcch_period_reported_with_every_other_violation():
+    # the period is a plain value; its whole-ms rule is one line of the list
+    c = replace(builtin_coverage_profile("Normal"), r_max=1, g_factor=1.5, rep_npusch=3)
+    assert c.npdcch_period_ms == 2
+    with pytest.raises(ConfigurationError) as err:
+        validate_scenario(Scenario(coverage=c, battery_wh=0.0))
+    assert str(err.value) == (
+        "invalid scenario: battery_wh=0.0: must be in [1e-06, 1000000000000]; "
+        "rep_npusch=3: repetitions must be a power of two in [1, 2048]; "
+        "r_max * g_factor = 1.5 ms is not a whole number of ms")
+
+
 def test_multiple_violations_all_reported():
     s = Scenario(iat_s=-1.0, battery_wh=0.0)
     with pytest.raises(ConfigurationError) as err:
@@ -293,6 +305,17 @@ def test_scenario_file_invalid_scenario_rejected():
 def test_round_trip_defaults():
     s = Scenario()
     assert parse_scenario(format_scenario(s)) == s
+
+
+def test_budgets_default_to_the_cell_pools():
+    s = Scenario()
+    assert (s.budget_npdcch_sf_per_s, s.budget_npdsch_sf_per_s, s.budget_npusch_sc_ms_per_s,
+            s.budget_nprach_slots_per_s) == (589.2857142857142, 589.2857142857142, 12000.0, 300.0)
+    # the scenario as it was used names every budget
+    lines = format_scenario(s).splitlines()
+    assert [line for line in lines if line.startswith("budget_")] == [
+        "budget_npdcch=589.2857142857142", "budget_npdsch=589.2857142857142",
+        "budget_npusch=12000.0", "budget_nprach=300.0"]
 
 
 NUMERIC_KEYS = [key for key, row in _SCENARIO_KEYS.items() if row[3] is not None]

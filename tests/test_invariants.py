@@ -53,14 +53,15 @@ DRAWN = {key: domain_values(key, *bounds(key)) for key in NUMERIC if key not in 
 
 
 @st.composite
-def scenario_values(draw, cases=tuple(TrafficCase), reachability=tuple(Reachability)):
-    """A value for every scenario key."""
-    values = {"procedure": draw(st.sampled_from(Procedure)).value,
+def scenario_values(draw, cases=tuple(TrafficCase), reachability=tuple(Reachability),
+                    procedures=tuple(Procedure), power_hi=None):
+    """A value for every scenario key; the state powers at most power_hi, if given."""
+    values = {"procedure": draw(st.sampled_from(procedures)).value,
               "case": draw(st.sampled_from(cases)).value,
               "coverage": draw(st.sampled_from(COVERAGE_NAMES)),
               "reachability": draw(st.sampled_from(reachability)).value}
     values.update(draw(st.fixed_dictionaries(DRAWN)))
-    powers = draw(st.lists(domain_values("rx_mw"), min_size=len(POWERS),
+    powers = draw(st.lists(domain_values("rx_mw", hi=power_hi), min_size=len(POWERS),
                            max_size=len(POWERS), unique=True))
     values.update(zip(POWERS, sorted(powers)))
     return values
@@ -111,8 +112,10 @@ AMORTIZES_TAU = {"cases": tuple(c for c in TrafficCase if not c.mobile_terminate
 # parts of the active cycle, such as the light-sleep waits for an NPDCCH
 # occasion or a random access opportunity, and a transmit draw below rx_mw.
 # So a longer IAT can add rest dearer than the cycle's mean power, more payload,
-# random access or sync time can trade rest for cheaper active time, and none
-# of those four directions holds under paging.
+# random access, sync time or connected DRX can trade rest for cheaper active
+# time, and none of those five directions holds under paging.  Nor does the
+# idle-timer direction: the T3324 window lays out whole DRX cycles, on time
+# first, and a longer window can end on a cheaper phase than the rest's mean.
 RESTS_IN_DEEP_SLEEP = {"reachability": (Reachability.PSM_TAU,)}
 PAGING = {"reachability": (Reachability.DRX_PAGING,)}
 
@@ -127,6 +130,14 @@ DIRECTIONS = [
     ("rx_mw", battery_lifetime_years, -1, {}),
     ("ra_cap", battery_lifetime_years, -1, RESTS_IN_DEEP_SLEEP),
     ("sync_base_ms", battery_lifetime_years, -1, RESTS_IN_DEEP_SLEEP),
+    # the top power is the largest of four draws, and often the key's upper
+    # bound, which leaves it no room to rise
+    ("tx_max_mw", battery_lifetime_years, -1, {"power_hi": 1e11}),
+    ("alpha", battery_lifetime_years, -1, {}),
+    ("idle_timer_base_s", battery_lifetime_years, -1, RESTS_IN_DEEP_SLEEP),
+    # only CP runs the connected inactivity timer
+    ("cp_inactivity_periods", battery_lifetime_years, -1,
+     {**RESTS_IN_DEEP_SLEEP, "procedures": (Procedure.CP,)}),
     # a longer cycle monitors fewer paging occasions, and past 10.24 s its
     # gaps are deep sleep
     ("drx_cycle_base_s", cycle_mj, -1, PAGING),

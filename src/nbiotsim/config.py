@@ -9,7 +9,8 @@ key=value scenario file format.  Every other module consumes only these types.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 # Rel-13 bounds on the power-saving timers; a longer DRX base than
@@ -70,7 +71,14 @@ class UeState(str, enum.Enum):
 
 
 def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+    return isinstance(n, int) and n >= 1 and (n & (n - 1)) == 0     # a float is no count
+
+
+_NUMBER = (int, float)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, _NUMBER) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -98,6 +106,11 @@ class CoverageProfile:
         return round(self.r_max * self.g_factor)
 
     def violations(self) -> list[str]:
+        """Every field that is not a finite number, or else every broken rule."""
+        bad = [name for name, value in zip(_COVERAGE_NUMBERS, _coverage_numbers(self))
+               if not (isinstance(value, _NUMBER) and math.isfinite(value))]
+        if bad:
+            return [f"{name}={getattr(self, name)!r}: must be a finite number" for name in bad]
         out = []
         for fname in ("rep_npdcch", "rep_npdsch", "rep_npusch", "rep_nprach"):
             rep = getattr(self, fname)
@@ -119,6 +132,10 @@ class CoverageProfile:
             out.append(f"r_max * g_factor = {period} ms is not a whole number of ms")
         return out
 
+
+# every field of a coverage profile but its name, and one getter of their values
+_COVERAGE_NUMBERS = tuple(f.name for f in fields(CoverageProfile)[1:])
+_coverage_numbers = attrgetter(*_COVERAGE_NUMBERS)
 
 # Coverage levels with their link budget and channel configuration.
 _BUILTIN_COVERAGE = {
@@ -240,10 +257,17 @@ class Scenario:
         return self.sync_base_ms * self.coverage.sync_time_scale
 
     def violations(self) -> list[str]:
-        """Every field outside its key's domain, then every broken cross-field rule."""
-        out = [f"{row[1]}={value}: must be in {_bounds(row)}"
-               for row, value in _out_of_bounds(_NUMERIC_ROWS, _numeric_values(self))]
-        out.extend(self.coverage.violations())
+        """Every field outside its key's domain, then every broken cross-field
+        rule.  The cross-field rules run only when every field they read is a
+        finite number; a field that is not reports itself (a scenario field
+        that is no finite number is outside its bounds, which are finite)."""
+        bad = _out_of_bounds(_NUMERIC_ROWS, _numeric_values(self))
+        out = [f"{row[1]}={value!r}: must be in {_bounds(row)}" for row, value in bad]
+        c = self.coverage
+        out.extend(c.violations())
+        if not (all(_is_number(value) for _, value in bad)
+                and _is_number(c.r_max) and _is_number(c.g_factor)):
+            return out
         p = self.power
         if not p.deep_sleep_mw < p.inactive_mw < p.rx_mw < p.tx_max_mw:
             out.append("state powers must satisfy deep_sleep < inactive < rx < tx_max "
@@ -328,8 +352,10 @@ _numeric_values = attrgetter(*(fname if target == "scenario" else f"{target}.{fn
 
 
 def _out_of_bounds(rows, values) -> list[tuple]:
-    """(row, value) of every value outside its key's closed bounds (NaN is outside all)."""
-    return [(row, value) for row, value in zip(rows, values) if not row[3] <= value <= row[4]]
+    """(row, value) of every value that is not a number inside its key's closed
+    bounds (NaN is outside all)."""
+    return [(row, value) for row, value in zip(rows, values)
+            if not (isinstance(value, _NUMBER) and row[3] <= value <= row[4])]
 
 
 def _bounds(row) -> str:

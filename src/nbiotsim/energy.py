@@ -1,18 +1,18 @@
-"""Energy integration, long-run average power, and battery lifetime.
+"""Energy pricing, long-run average power, and battery lifetime.
 
-One cycle spans one inter-arrival period (IAT).  `cycle_profile` sums the
-energy of the active cycle once, and with it that of each periodic event the
+A cycle is time: `flows.active_time` gives its whole microseconds per
+(category, power_mw), and `price` alone turns such times into mJ.
+`integrate_timeline` groups a timeline by the same key and prices it.
+`cycle_profile` prices the active cycle once, and each periodic event the
 cycle amortizes: an uplink PSM_TAU cycle runs one standalone TAU per TAU
 period, while a downlink flow carries its TAU inside the flow (the TAU is what
-makes the UE reachable) and a paging UE pays in its rest state.  Each sum is
-`flows.active_energy`: the layout of `flows.flow_timeline` into an energy
-sink in place of an interval list.  `integrate_timeline` over that timeline is
-the reference it equals bit for bit.
-`CycleProfile.breakdown` then gives the cycle energy at any IAT in closed
-form: iat / period of each event, and the rest state (`flows.rest_state`)
-filling the period on the timeline's integer-microsecond grid, after checking
-the IAT against the cycle.  So rows that differ only in their IAT share one
-profile, and a row costs `breakdown`, `lifetime_years` and `shares` at its IAT.
+makes the UE reachable) and a paging UE pays in its rest state.
+`CycleProfile.breakdown` then gives the energy of one inter-arrival period
+(IAT) in closed form: iat / period of each event, and the rest state
+(`flows.rest_state`) priced once over the rest time, the IAT's whole
+microseconds less the active timeline and the events' awake time.  So rows
+that differ only in their IAT share one profile, and a row costs `breakdown`,
+`lifetime_years` and `shares` at its IAT.
 """
 
 from __future__ import annotations
@@ -53,16 +53,23 @@ class EnergyBreakdown:
                 (self.connected_drx_mj + self.idle_drx_mj) / total, self.psm_mj / total)
 
 
-def interval_energy_mj(iv: Interval) -> float:
-    # mW * us = nJ; 1e-6 converts to mJ
-    return iv.power_mw * iv.duration_us * 1e-6
+_NO_ENERGY = dict.fromkeys(EnergyCategory, 0.0)
+
+
+def price(us: flows.TimeByKey) -> dict[EnergyCategory, float]:
+    """mJ by category, in category order, of microseconds per (category, power_mw)."""
+    out = _NO_ENERGY.copy()
+    for (cat, power_mw), duration_us in us.items():
+        out[cat] += power_mw * duration_us * 1e-6      # mW * us = nJ
+    return out
 
 
 def integrate_timeline(timeline: list[Interval]) -> dict[EnergyCategory, float]:
-    out = {cat: 0.0 for cat in EnergyCategory}
+    """mJ by category of a timeline, priced from its time per (category, power_mw)."""
+    us: flows.TimeByKey = {}
     for iv in timeline:
-        out[iv.category] += interval_energy_mj(iv)
-    return out
+        us[iv.category, iv.power_mw] = us.get((iv.category, iv.power_mw), 0) + iv.duration_us
+    return price(us)
 
 
 @dataclass(frozen=True)
@@ -80,10 +87,10 @@ def standalone_event(flow: flows.ProcedureFlow, s: Scenario, period_s: float) ->
     """A standalone flow run once per period_s.  Its idle DRX is part of the
     wake-up and charged to ra_sync, so a cycle's idle-DRX energy is only its
     own reachability window, which is zero whenever release assistance applies."""
-    active_mj, active_us = flows.active_energy(flow, s)
+    us, active_us = flows.active_time(flow, s)
     return PeriodicEvent(
         mj=tuple((EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat, mj)
-                 for cat, mj in active_mj.items()),
+                 for cat, mj in price(us).items()),
         active_us=active_us, period_s=period_s)
 
 
@@ -106,33 +113,31 @@ class CycleProfile:
     def breakdown(self, iat_s: float) -> EnergyBreakdown:
         """Energy of one inter-arrival period of iat_s seconds, split by category.
 
-        The rest state fills the period after the active timeline; each event
-        adds iat_s / period_s of its energy and takes its awake time out of it.
-        An IAT above max_iat_s or below the awake time raises ConfigurationError.
+        Each event adds iat_s / period_s of its energy and of its awake time;
+        the rest state is priced once over the rest of the period's whole
+        microseconds.  An IAT above max_iat_s, or one that leaves a negative
+        rest time, raises ConfigurationError.
         """
         if iat_s > self.max_iat_s:
             raise ConfigurationError(f"iat_s={iat_s:.0f} s: a mobile-terminated PSM_TAU cycle "
                                      f"exceeds the {self.max_iat_s / 3600.0:.0f} h PSM maximum")
         iat_us = int(round(iat_s * flows.US_PER_S))
-        awake_us = self.active_us
+        rest_us = iat_us - self.active_us
         cats = dict(self.active_mj)
-        cats[self.rest_category] += self.rest_mw * (iat_us - self.active_us) * 1e-6
         for event in self.events:
             fraction = iat_s / event.period_s      # events per cycle
-            active_s = event.active_us / flows.US_PER_S
-            # the events' awake time, rounded up to the timeline's microsecond grid
-            awake_us += math.ceil(active_s * fraction * flows.US_PER_S)
+            rest_us -= event.active_us * fraction
             for cat, mj in event.mj:
                 cats[cat] += mj * fraction
-            cats[self.rest_category] -= active_s * fraction * self.rest_mw
-        if iat_us < awake_us:
+        if rest_us < 0:
             # events awake for at least their period leave room for no IAT
             if sum(e.active_us / flows.US_PER_S / e.period_s for e in self.events) >= 1.0:
                 raise ConfigurationError("periodic TAUs keep the UE awake " + " and ".join(
                     f"{e.active_us / flows.US_PER_S} s of every {e.period_s} s"
                     for e in self.events) + " TAU period: no IAT is long enough")
-            raise ConfigurationError(
-                f"iat_s={iat_s}: shorter than the {awake_us / flows.US_PER_S} s active cycle")
+            raise ConfigurationError(f"iat_s={iat_s}: shorter than the "
+                                     f"{(iat_us - rest_us) / flows.US_PER_S} s active cycle")
+        cats[self.rest_category] += self.rest_mw * rest_us * 1e-6
         # cats is keyed in EnergyCategory order, which is the field order
         return EnergyBreakdown(*cats.values())
 
@@ -140,12 +145,12 @@ class CycleProfile:
 def cycle_profile(s: Scenario) -> CycleProfile:
     """Active-cycle profile of a scenario, which it validates; `breakdown` checks each IAT."""
     validate_scenario(s)
-    active_mj, active_us = flows.active_energy(flows.build_flow(s), s)
+    us, active_us = flows.active_time(flows.build_flow(s), s)
     _, rest_mw, rest_category, _ = flows.rest_state(s)
     psm_tau = s.mt_reachability is Reachability.PSM_TAU
     paced_by_tau = psm_tau and s.traffic_case.mobile_terminated
     return CycleProfile(
-        active_mj=active_mj, active_us=active_us,
+        active_mj=price(us), active_us=active_us,
         rest_mw=rest_mw, rest_category=rest_category,
         # reachability costs PSM_TAU a periodic TAU, carried inside a downlink
         # flow, and DRX_PAGING the paging occasions of its rest state

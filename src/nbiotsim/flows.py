@@ -7,10 +7,10 @@ per-message control/gap/airtime, connected DRX, idle DRX, rest state.
 A DRX window is laid out as two intervals, its total on time and then its
 total off time, so the timeline's length does not grow with the timers.
 
-One layout pass writes the intervals to a sink, and the sink is the only
-thing that differs: `flow_timeline` keeps them as `Interval` records, and
-`active_energy` adds each one's energy to its category as it is emitted, so a
-cycle profile builds no interval list.
+One layout pass writes the intervals to one sink, which sums each one's whole
+microseconds under its (category, power_mw) key: `active_time` returns those
+sums, and only `flow_timeline` also keeps `Interval` records.  Nothing here
+prices time; `energy.price` does.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import phy, ra
 from .config import (MAX_DRX_CYCLE_S, ConfigurationError, PowerProfile, Procedure,
-                     Reachability, Scenario, UeState, _records)
+                     Reachability, Scenario, TrafficCase, UeState, _records)
 from .phy import ChannelKind
 
 US_PER_MS = 1000
@@ -57,6 +57,10 @@ class ProcedureFlow:
     flow_id: str
     messages: tuple[SignalingMessage, ...]
     idle_drx_s: float           # idle-DRX window after release; 0 under RAI
+
+
+# whole microseconds a layout spends at each (category, power_mw)
+TimeByKey = dict[tuple[EnergyCategory, float], int]
 
 
 @dataclass(frozen=True)
@@ -120,29 +124,34 @@ def _parse_catalog(text: str) -> dict[str, tuple]:
     return flows
 
 
+def _flow_id(procedure: Procedure, case: str, paged: bool = False) -> str:
+    """Catalog id of a procedure's flow for a traffic case (paged or not) or "tau"."""
+    return f"{procedure.value}_{case}{'_pg' if paged else ''}".lower()
+
+
+# every flow a scenario can name: each procedure's four cases, its two
+# mobile-terminated cases under paging, and its standalone TAU
+FLOW_IDS = frozenset(
+    [_flow_id(p, c.value, paged) for p in Procedure for c in TrafficCase
+     for paged in {False, c.mobile_terminated}] + [_flow_id(p, "tau") for p in Procedure])
+
+
 @lru_cache(maxsize=None)
 def _catalog() -> dict[str, tuple]:
-    """Flows of the packaged, checksummed message catalog, by flow id."""
-    return _parse_catalog(phy.verified_data_text("message_catalog.tsv"))
+    """Flows of the packaged, checksummed message catalog, by flow id: all of FLOW_IDS."""
+    flows = _parse_catalog(phy.verified_data_text("message_catalog.tsv"))
+    missing = sorted(FLOW_IDS - flows.keys())
+    if missing:
+        raise ConfigurationError("message catalog has no flow " + ", ".join(map(repr, missing)))
+    return flows
 
 
 # --- flow building ----------------------------------------------------------
 
-def _flow_id(s: Scenario) -> str:
-    base = f"{s.procedure.value}_{s.traffic_case.value}".lower()
-    if s.traffic_case.mobile_terminated and s.mt_reachability is Reachability.DRX_PAGING:
-        return base + "_pg"
-    return base
-
-
 def _build(flow_id: str, s: Scenario) -> ProcedureFlow:
-    try:
-        template = _catalog()[flow_id]
-    except KeyError:
-        raise ConfigurationError(f"message catalog has no flow {flow_id!r}") from None
     messages = tuple(msg if base is None else
                      replace(msg, size_bytes=getattr(s, base) + msg.size_bytes)
-                     for msg, base in template)
+                     for msg, base in _catalog()[flow_id])
     # Release assistance rides only in uplink NAS data PDUs, so only CP
     # exchanges that carry uplink data release without an idle-DRX window;
     # everywhere else the idle active timer runs.
@@ -154,57 +163,41 @@ def _build(flow_id: str, s: Scenario) -> ProcedureFlow:
 
 def build_flow(s: Scenario) -> ProcedureFlow:
     """Catalog-driven message sequence for the scenario's procedure and case."""
-    return _build(_flow_id(s), s)
+    paged = s.traffic_case.mobile_terminated and s.mt_reachability is Reachability.DRX_PAGING
+    return _build(_flow_id(s.procedure, s.traffic_case.value, paged), s)
 
 
 def build_tau_flow(s: Scenario) -> ProcedureFlow:
     """Standalone periodic tracking-area-update flow for the scenario's procedure."""
-    return _build(f"{s.procedure.value.lower()}_tau", s)
+    return _build(_flow_id(s.procedure, "tau"), s)
 
 
-# --- cycle layout: one pass, two sinks -------------------------------------
+# --- cycle layout: one pass into one sink ---------------------------------
 
 class _Sink:
-    """Receives the layout's intervals in order; t_us is the end of the last one.
+    """Sums the layout's intervals as whole microseconds per (category,
+    power_mw), exact in any order, and with keep_intervals also keeps them as
+    Interval records; t_us is the end of the last one.  A non-positive
+    duration is skipped."""
 
-    A non-positive duration is skipped, so both sinks see the same intervals
-    and the same clock."""
+    def __init__(self, keep_intervals: bool = False) -> None:
+        self.t_us = 0
+        self.us: TimeByKey = {}
+        self.intervals: list[Interval] | None = [] if keep_intervals else None
 
-    t_us = 0
+    def emit(self, duration_us: int, state: UeState, power_mw: float,
+             category: EnergyCategory, label: str) -> None:
+        if duration_us > 0:
+            key, us = (category, power_mw), self.us
+            us[key] = us.get(key, 0) + duration_us
+            if self.intervals is not None:
+                self.intervals.append(Interval(self.t_us, duration_us, state,
+                                               power_mw, category, label))
+            self.t_us += duration_us
 
     def emit_ms(self, duration_ms: float, state: UeState, power_mw: float,
                 category: EnergyCategory, label: str) -> None:
         self.emit(int(round(duration_ms * US_PER_MS)), state, power_mw, category, label)
-
-
-class _TimelineSink(_Sink):
-    """Keeps each interval as an Interval record."""
-
-    def __init__(self) -> None:
-        self.intervals: list[Interval] = []
-
-    def emit(self, duration_us: int, state: UeState, power_mw: float,
-             category: EnergyCategory, label: str) -> None:
-        if duration_us <= 0:
-            return
-        self.intervals.append(Interval(self.t_us, duration_us, state,
-                                       power_mw, category, label))
-        self.t_us += duration_us
-
-
-class _EnergySink(_Sink):
-    """Adds each interval's energy to its category, in emit order, with the
-    arithmetic of energy.interval_energy_mj (mW * us = nJ; 1e-6 converts to mJ)."""
-
-    def __init__(self) -> None:
-        self.mj = {cat: 0.0 for cat in EnergyCategory}
-
-    def emit(self, duration_us: int, state: UeState, power_mw: float,
-             category: EnergyCategory, label: str) -> None:
-        if duration_us <= 0:
-            return
-        self.mj[category] += power_mw * duration_us * 1e-6
-        self.t_us += duration_us
 
 
 def _emit_drx_cycles(sink: _Sink, window_us: int, on_us: int, off_us: int,
@@ -235,8 +228,8 @@ def rest_state(s: Scenario) -> tuple[UeState, float, EnergyCategory, str]:
     if s.mt_reachability is Reachability.PSM_TAU:
         return UeState.DEEP_SLEEP, s.power.deep_sleep_mw, EnergyCategory.PSM, "psm"
     state, gap_mw = _idle_drx_gap(s)
-    on_mj = s.coverage.npdcch_period_ms * s.power.rx_mw / 1000.0
-    return (state, (on_mj + s.drx_long_cycle_base_s * gap_mw) / s.idle_drx_cycle_s,
+    on_share = s.coverage.npdcch_period_ms / 1000.0 / s.idle_drx_cycle_s
+    return (state, s.power.rx_mw * on_share + gap_mw * (1.0 - on_share),
             EnergyCategory.IDLE_DRX, "paging")
 
 
@@ -299,9 +292,9 @@ def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> None:
 def flow_timeline(flow: ProcedureFlow, s: Scenario,
                   fill_to_iat: bool = True) -> list[Interval]:
     """One traffic cycle as contiguous power-state intervals: the layout that
-    `active_energy` sums, kept as Interval records, then (with fill_to_iat)
+    `active_time` sums, kept as Interval records, then (with fill_to_iat)
     the rest state up to the inter-arrival time."""
-    sink = _TimelineSink()
+    sink = _Sink(keep_intervals=True)
     _lay_out(flow, s, sink)
     if fill_to_iat:
         iat_us = int(round(s.iat_s * US_PER_S))
@@ -309,11 +302,10 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
     return sink.intervals
 
 
-def active_energy(flow: ProcedureFlow, s: Scenario) -> tuple[dict[EnergyCategory, float], int]:
-    """Energy in mJ by category, and the end in microseconds, of the unfilled
-    `flow_timeline(flow, s, fill_to_iat=False)`, summed as the layout runs:
-    the same additions in the same order as energy.integrate_timeline, so the
-    same bits, without building the intervals."""
-    sink = _EnergySink()
+def active_time(flow: ProcedureFlow, s: Scenario) -> tuple[TimeByKey, int]:
+    """Time per (category, power_mw), in first-emit order, and the end in
+    microseconds of the unfilled `flow_timeline(flow, s, fill_to_iat=False)`,
+    summed as the layout runs, without building the intervals."""
+    sink = _Sink()
     _lay_out(flow, s, sink)
-    return sink.mj, sink.t_us
+    return sink.us, sink.t_us

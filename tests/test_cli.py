@@ -26,6 +26,7 @@ from nbiotsim import energy, flows, phy
 from nbiotsim.config import COVERAGE_NAMES, ConfigurationError
 from nbiotsim.flows import EnergyCategory
 from tests.conftest import scenario_texts
+from tests.test_golden import PAGING_CFG
 
 
 def test_lifetime_sweep_monotone_and_baseline():
@@ -307,6 +308,11 @@ BROKEN_DATA = {
                      line for line in t["CHECKSUMS"].splitlines(keepends=True)
                      if not line.rstrip().endswith("message_catalog.tsv"))},
                  "error: data file 'message_catalog.tsv' has no pinned checksum"),
+    # a catalog must list every flow a scenario can name, paged ones included
+    "missing-flow": (lambda t: repinned(t, "message_catalog.tsv", "".join(
+                         line for line in t["message_catalog.tsv"].splitlines(keepends=True)
+                         if not line.startswith("flow up_dl_pg "))),
+                     "error: message catalog has no flow 'up_dl_pg'"),
 }
 
 
@@ -329,11 +335,13 @@ def data_texts(monkeypatch):
 def test_cli_broken_data_file_is_one_error_line(case, data_texts, capsys):
     edit, line = BROKEN_DATA[case]
     data_texts.update(edit(dict(data_texts)))
-    assert main(["lifetime"]) == EXIT_VALIDATION
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(line), lines
+    for command in (["lifetime"], ["capacity"],
+                    ["lifetime", "--scenario", PAGING_CFG]):
+        assert main(command) == EXIT_VALIDATION, command
+        captured = capsys.readouterr()
+        assert captured.out == "", command
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(line), (command, lines)
 
 
 def test_cli_dl_iat_above_psm_maximum_is_row_error(capsys):

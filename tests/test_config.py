@@ -3,7 +3,7 @@
 import itertools
 import math
 import re
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +13,7 @@ from nbiotsim import (ConfigurationError, Scenario, battery_lifetime_years, buil
                       format_scenario, parse_scenario, validate_scenario)
 from nbiotsim.cli import SweepSpec, run_lifetime_sweep
 from nbiotsim.config import (MAX_IDLE_DRX_CYCLE_S, MAX_PSM_TIME_S, _SCENARIO_KEYS,
-                             PowerProfile, Procedure, Reachability, TrafficCase,
+                             _bounds, PowerProfile, Procedure, Reachability, TrafficCase,
                              scenario_value)
 from dataclasses import replace
 from tests.conftest import domain_values, scenario_texts
@@ -197,6 +197,36 @@ def test_non_whole_npdcch_period_reported_with_every_other_violation():
         "invalid scenario: battery_wh=0.0: must be in [1e-06, 1000000000000]; "
         "rep_npusch=3: repetitions must be a power of two in [1, 2048]; "
         "r_max * g_factor = 1.5 ms is not a whole number of ms")
+
+
+# no value, a string and NaN: none of them is a finite number
+NOT_NUMBERS = [None, "1", math.nan]
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
+def test_non_numbers_are_configuration_errors(bad):
+    # a Scenario, PowerProfile or CoverageProfile built in code may hold any
+    # value; each numeric field that is not a finite number is named on exactly
+    # one line of the error, next to every other field outside its bounds, and
+    # nothing raises a bare error
+    normal = builtin_coverage_profile("Normal")
+    for key, (target, fname, _parser, lo, _hi) in _SCENARIO_KEYS.items():
+        if lo is None:
+            continue
+        kw = ({fname: bad} if target == "scenario"
+              else {"power": PowerProfile(**{fname: bad})})
+        with pytest.raises(ConfigurationError) as err:
+            validate_scenario(Scenario(coverage=replace(normal, rep_npusch=3), **kw))
+        lines = str(err.value).removeprefix("invalid scenario: ").split("; ")
+        assert [line for line in lines if line.startswith(fname + "=")] == [
+            f"{fname}={bad!r}: must be in {_bounds(_SCENARIO_KEYS[key])}"], key
+        assert "rep_npusch=3: repetitions must be a power of two in [1, 2048]" in lines, key
+    for fname in (f.name for f in fields(normal)[1:]):
+        with pytest.raises(ConfigurationError) as err:
+            validate_scenario(Scenario(coverage=replace(normal, **{fname: bad}), battery_wh=0.0))
+        lines = str(err.value).removeprefix("invalid scenario: ").split("; ")
+        assert lines == ["battery_wh=0.0: must be in [1e-06, 1000000000000]",
+                         f"{fname}={bad!r}: must be a finite number"], fname
 
 
 def test_multiple_violations_all_reported():

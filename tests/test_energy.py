@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -15,8 +16,7 @@ from nbiotsim import energy, flows
 from nbiotsim.cli import SweepSpec, run_lifetime_sweep
 from nbiotsim.config import (_SCENARIO_KEYS, COVERAGE_NAMES, HOURS_PER_YEAR, MAX_PSM_TIME_S,
                              Procedure, Reachability, TrafficCase, UeState)
-from nbiotsim.energy import (cycle_profile, integrate_timeline, interval_energy_mj,
-                             lifetime_years)
+from nbiotsim.energy import cycle_profile, integrate_timeline, lifetime_years, price
 from nbiotsim.flows import EnergyCategory, Interval
 from tests.conftest import (active_duration_s, binned_energy_mj, domain_values,
                             make_scenario)
@@ -24,7 +24,9 @@ from tests.conftest import (active_duration_s, binned_energy_mj, domain_values,
 
 def test_rx_interval_energy():
     iv = Interval(0, 100_000, UeState.RX, 90.0, EnergyCategory.MESSAGES, "x")
-    assert interval_energy_mj(iv) == pytest.approx(9.0)   # 90 mW for 100 ms
+    mj = integrate_timeline([iv])
+    assert mj[EnergyCategory.MESSAGES] == pytest.approx(9.0)   # 90 mW for 100 ms
+    assert mj == price({(EnergyCategory.MESSAGES, 90.0): 100_000})
 
 
 def test_psm_baseline():
@@ -132,21 +134,24 @@ def test_amortized_tau_assembly():
 
 
 def assembled_breakdown(s):
-    """Cycle energy assembled interval by interval from the IAT-filled timeline,
-    plus the amortized TAU on uplink PSM_TAU cycles, in the model's order:
-    scale the TAU integral, charge its idle DRX to ra_sync, then take its
-    active time out of deep sleep."""
-    cats = integrate_timeline(flow_timeline(build_flow(s), s))
+    """Cycle energy assembled from the IAT-filled timeline, plus the amortized
+    TAU on uplink PSM_TAU cycles, in the model's order: integrate the active
+    intervals, scale the TAU integral and charge its idle DRX to ra_sync, then
+    take the TAU's awake microseconds out of the rest interval and price what
+    is left once."""
+    *active, rest = flow_timeline(build_flow(s), s)
+    assert rest.end_us == int(round(s.iat_s * 1e6)) and rest.label in ("psm", "paging")
+    cats = integrate_timeline(active)
+    rest_us = rest.duration_us
     if (not s.traffic_case.mobile_terminated
             and s.mt_reachability is Reachability.PSM_TAU):
         tau_tl = flow_timeline(build_tau_flow(s), s, fill_to_iat=False)
         frac = s.iat_s / s.psm_tau_period_s
+        rest_us -= tau_tl[-1].end_us * frac
         for cat, value in integrate_timeline(tau_tl).items():
             target = EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat
             cats[target] += value * frac
-        cats[EnergyCategory.PSM] = max(
-            0.0, cats[EnergyCategory.PSM]
-            - active_duration_s(tau_tl) * frac * s.power.deep_sleep_mw)
+    cats[rest.category] += rest.power_mw * rest_us * 1e-6
     return EnergyBreakdown(
         ra_sync_mj=cats[EnergyCategory.RA_SYNC],
         post_ra_messages_mj=cats[EnergyCategory.MESSAGES],
@@ -217,12 +222,12 @@ def test_profile_active_times_are_timeline_microseconds(proc, case, reach):
 
 
 def test_iat_sweep_builds_timelines_once(monkeypatch):
-    # the cycle and its standalone TAU are each laid out once, into the energy
-    # sink: no profile builds an Interval list
+    # the cycle and its standalone TAU are each laid out once, into a sink
+    # that sums time: no profile builds an Interval list
     passes, timelines = [], []
-    real_energy, real_timeline = flows.active_energy, flows.flow_timeline
-    monkeypatch.setattr(flows, "active_energy",
-                        lambda *args: passes.append(args) or real_energy(*args))
+    real_time, real_timeline = flows.active_time, flows.flow_timeline
+    monkeypatch.setattr(flows, "active_time",
+                        lambda *args: passes.append(args) or real_time(*args))
     monkeypatch.setattr(flows, "flow_timeline",
                         lambda *args, **kw: timelines.append(args) or real_timeline(*args, **kw))
     spec = SweepSpec("iat", tuple(h * 3600.0 for h in range(1, 25)),
@@ -297,16 +302,42 @@ def test_amortized_taus_longer_than_iat_rejected():
         profile.breakdown(0.5)
 
 
+def test_rest_time_boundary_of_an_uplink_psm_tau_cycle():
+    # the amortized TAUs take iat / period of their awake time out of the
+    # rest, so the shortest IAT is the least whole microsecond n with
+    # n - active_us - tau_us * n / period_us >= 0: it prices a rest of zero or
+    # more, and one microsecond less is shorter than the active cycle
+    s = make_scenario("CP", "UL", idle_active_timer_base_s=0.0,
+                      drx_long_cycle_base_s=1e-6, psm_tau_period_s=7.0)
+    profile = cycle_profile(s)
+    (tau,) = profile.events
+    least_us = math.ceil(Fraction(profile.active_us)
+                         / (1 - Fraction(tau.active_us, 7 * 10**6)))
+    assert least_us > profile.active_us + tau.active_us * profile.active_us / 7e6
+    b = profile.breakdown(least_us / 1e6)
+    assert b.psm_mj >= 0.0 and b.psm_mj < s.power.deep_sleep_mw * 1e-6
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"iat_s={(least_us - 1) / 1e6}: shorter than the ")):
+        profile.breakdown((least_us - 1) / 1e6)
+
+
 def assert_energy_pass_exact(flow, s):
-    """The energy pass gives, bit for bit, the reference integral of the
-    unfilled timeline and its last end."""
+    """The time pass gives the whole microseconds per (category, power) of the
+    unfilled timeline, in first-interval order, and its last end; priced, they
+    give the reference integral of that timeline bit for bit."""
     timeline = flow_timeline(flow, s, fill_to_iat=False)
-    mj, end_us = flows.active_energy(flow, s)
-    want = integrate_timeline(timeline)
+    us, end_us = flows.active_time(flow, s)
+    want_us = {}
+    for iv in timeline:
+        want_us[iv.category, iv.power_mw] = want_us.get((iv.category, iv.power_mw), 0) \
+            + iv.duration_us
+    assert list(us.items()) == list(want_us.items())
+    assert all(type(v) is int and v > 0 for v in us.values())
+    assert end_us == timeline[-1].end_us == sum(us.values())
+    mj, want = price(us), integrate_timeline(timeline)
     assert list(mj) == list(want) == list(EnergyCategory)
     for cat in EnergyCategory:
         assert mj[cat] == want[cat], cat
-    assert end_us == timeline[-1].end_us
 
 
 @pytest.mark.parametrize("reach", list(Reachability))

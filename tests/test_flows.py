@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nbiotsim import build_flow, build_tau_flow, flow_timeline
 from nbiotsim.config import ConfigurationError, Reachability, UeState
-from nbiotsim.flows import EnergyCategory, Plane, _parse_catalog
+from nbiotsim.flows import FLOW_IDS, EnergyCategory, Plane, _parse_catalog
 from nbiotsim.phy import ChannelKind
 from tests.conftest import active_duration_s, make_scenario
 
@@ -131,7 +131,8 @@ def test_built_flows_match_pinned_digest():
             for m in flow.messages:
                 digest.update(f"{m.name} {DIRECTION[m.channel]} {m.plane.value} "
                               f"{m.channel.value} {m.size_bytes}\n".encode())
-    assert len(flow_ids) == 21
+    # the built ids are exactly those the catalog must list when it is loaded
+    assert len(flow_ids) == 21 and flow_ids == FLOW_IDS
     assert digest.hexdigest() == FLOW_DIGEST
 
 

@@ -244,6 +244,13 @@ def test_tx_consumption_endpoints():
     assert tx_power_consumption_mw(POWER, -20.0) == pytest.approx(3.03, abs=0.01)
 
 
+def test_tx_consumption_rejects_power_above_cap():
+    # both callers clamp to p_cmax, so only a direct call can ask for more
+    assert tx_power_consumption_mw(POWER, 23.0 + 1e-10) == 545.0
+    with pytest.raises(ConfigurationError, match=r"radiated_dbm=23\.001 exceeds p_cmax=23\.0"):
+        tx_power_consumption_mw(POWER, 23.001)
+
+
 def test_tx_consumption_max_under_power_scaling():
     scaled = replace(POWER, deep_sleep_mw=0.03, inactive_mw=6.0,
                      rx_mw=180.0, tx_max_mw=1090.0)

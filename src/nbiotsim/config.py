@@ -4,13 +4,14 @@ Defines the three coverage enhancement profiles, the UE power model, the
 scenario with its traffic sizes, DRX/PSM timers and cell budgets (each a plain
 value; a budget defaults to its pool, defined here), scenario validation, and a
 key=value scenario file format.  Every other module consumes only these types.
+Each numeric field has one domain, its row (target, field, type, lo, hi), and
+validation checks the rows before the rules that are not ranges.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 # Rel-13 bounds on the power-saving timers; a longer DRX base than
@@ -70,17 +71,6 @@ class UeState(str, enum.Enum):
     TX = "tx"
 
 
-def _is_power_of_two(n: int) -> bool:
-    return isinstance(n, int) and n >= 1 and (n & (n - 1)) == 0     # a float is no count
-
-
-_NUMBER = (int, float)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, _NUMBER) and math.isfinite(x)
-
-
 @dataclass(frozen=True)
 class CoverageProfile:
     """Radio configuration of one coverage enhancement level."""
@@ -105,37 +95,6 @@ class CoverageProfile:
         """NPDCCH search-space periodicity T = R_max * G, rounded to whole ms."""
         return round(self.r_max * self.g_factor)
 
-    def violations(self) -> list[str]:
-        """Every field that is not a finite number, or else every broken rule."""
-        bad = [name for name, value in zip(_COVERAGE_NUMBERS, _coverage_numbers(self))
-               if not (isinstance(value, _NUMBER) and math.isfinite(value))]
-        if bad:
-            return [f"{name}={getattr(self, name)!r}: must be a finite number" for name in bad]
-        out = []
-        for fname in ("rep_npdcch", "rep_npdsch", "rep_npusch", "rep_nprach"):
-            rep = getattr(self, fname)
-            if not _is_power_of_two(rep) or rep > 2048:
-                out.append(f"{fname}={rep}: repetitions must be a power of two in [1, 2048]")
-        if not (0.0 < self.resource_share <= 1.0):
-            out.append(f"resource_share={self.resource_share}: must be in (0, 1]")
-        if self.subcarrier_spacing_khz not in (15.0, 3.75):
-            out.append(f"subcarrier_spacing_khz={self.subcarrier_spacing_khz}: must be 15 or 3.75")
-        if self.subcarrier_spacing_khz == 3.75 and self.ul_subcarriers_per_burst != 1:
-            out.append("subcarrier_spacing_khz=3.75 requires ul_subcarriers_per_burst=1")
-        if self.ul_subcarriers_per_burst not in (1, 3, 6, 12):
-            out.append(f"ul_subcarriers_per_burst={self.ul_subcarriers_per_burst}: "
-                       "must be one of 1, 3, 6, 12")
-        if self.mcs_index < 0:
-            out.append(f"mcs_index={self.mcs_index}: must be >= 0")
-        period = self.r_max * self.g_factor
-        if abs(period - self.npdcch_period_ms) > 1e-9:
-            out.append(f"r_max * g_factor = {period} ms is not a whole number of ms")
-        return out
-
-
-# every field of a coverage profile but its name, and one getter of their values
-_COVERAGE_NUMBERS = tuple(f.name for f in fields(CoverageProfile)[1:])
-_coverage_numbers = attrgetter(*_COVERAGE_NUMBERS)
 
 # Coverage levels with their link budget and channel configuration.
 _BUILTIN_COVERAGE = {
@@ -257,33 +216,43 @@ class Scenario:
         return self.sync_base_ms * self.coverage.sync_time_scale
 
     def violations(self) -> list[str]:
-        """Every field outside its key's domain, then every broken cross-field
-        rule.  The cross-field rules run only when every field they read is a
-        finite number; a field that is not reports itself (a scenario field
-        that is no finite number is outside its bounds, which are finite)."""
+        """Every numeric field outside its row's domain, then every broken
+        coverage rule while the coverage fields lie in theirs, then every
+        broken cross-field rule while also every field holds a number."""
         bad = _out_of_bounds(_NUMERIC_ROWS, _numeric_values(self))
-        out = [f"{row[1]}={value!r}: must be in {_bounds(row)}" for row, value in bad]
+        out = [_outside(row, value) for row, value in bad]
+        if any(row[0] == "coverage" for row, _ in bad):
+            return out
         c = self.coverage
-        out.extend(c.violations())
-        if not (all(_is_number(value) for _, value in bad)
-                and _is_number(c.r_max) and _is_number(c.g_factor)):
+        out.extend(f"{fname}={rep}: repetitions must be a power of two in [1, 2048]"
+                   for fname in ("rep_npdcch", "rep_npdsch", "rep_npusch", "rep_nprach")
+                   if (rep := getattr(c, fname)) & (rep - 1))     # a power of two has one bit
+        if c.subcarrier_spacing_khz not in (15.0, 3.75):
+            out.append(f"subcarrier_spacing_khz={c.subcarrier_spacing_khz}: must be 15 or 3.75")
+        if c.subcarrier_spacing_khz == 3.75 and c.ul_subcarriers_per_burst != 1:
+            out.append("subcarrier_spacing_khz=3.75 requires ul_subcarriers_per_burst=1")
+        if c.ul_subcarriers_per_burst not in (1, 3, 6, 12):
+            out.append(f"ul_subcarriers_per_burst={c.ul_subcarriers_per_burst}: "
+                       "must be one of 1, 3, 6, 12")
+        period = c.r_max * c.g_factor
+        if abs(period - c.npdcch_period_ms) > 1e-9:
+            out.append(f"r_max * g_factor = {period} ms is not a whole number of ms")
+        if not all(isinstance(value, _NUMBER) for _, value in bad):
             return out
         p = self.power
         if not p.deep_sleep_mw < p.inactive_mw < p.rx_mw < p.tx_max_mw:
             out.append("state powers must satisfy deep_sleep < inactive < rx < tx_max "
                        f"(got {p.deep_sleep_mw}, {p.inactive_mw}, "
                        f"{p.rx_mw}, {p.tx_max_mw} mW)")
-        if self.idle_drx_cycle_s > MAX_IDLE_DRX_CYCLE_S:
+        # a base above the cap is a line of its own, and may be too large to add to
+        if self.drx_long_cycle_base_s <= MAX_IDLE_DRX_CYCLE_S < self.idle_drx_cycle_s:
             out.append(f"idle DRX cycle {self.idle_drx_cycle_s:.3f} s exceeds the "
                        f"{MAX_IDLE_DRX_CYCLE_S:.2f} s maximum")
         return out
 
 
 def validate_scenario(s: Scenario) -> Scenario:
-    """Return the scenario unchanged if all invariants hold, else raise.
-
-    Every violated invariant is reported with the offending field and bound.
-    """
+    """Return the scenario unchanged, or raise one error with all its violations."""
     problems = s.violations()
     if problems:
         raise ConfigurationError("invalid scenario: " + "; ".join(problems))
@@ -336,7 +305,7 @@ _SCENARIO_KEYS: dict[str, tuple] = {
     "alpha":            ("power", "alpha", float, 0.0, 1.0),
     "initial_target_dbm": ("power", "initial_received_target_power_dbm", float, *_DB),
     "delta_preamble_db": ("power", "delta_preamble_db", float, *_DB),
-    # the connected window of 10^9 periods of at most 768 ms stays below _MAX_S
+    # 10^9 periods of a built-in level, at most 768 ms each, stay below _MAX_S
     "cp_inactivity_periods": ("scenario", "cp_inactivity_npdcch_periods", int, 0, 10**9),
     "idle_timer_base_s": ("scenario", "idle_active_timer_base_s", float, 0.0, _MAX_S),
     # Rel-13 caps: the idle eDRX cycle (TS 36.304) and the extended T3412 (TS 24.008)
@@ -344,18 +313,45 @@ _SCENARIO_KEYS: dict[str, tuple] = {
     "tau_period_s":     ("scenario", "psm_tau_period_s", float, _US, MAX_PSM_TIME_S),
 }
 
-# The rows of the numeric keys, and one getter of their field values in the
-# same order, for Scenario.violations
-_NUMERIC_ROWS = tuple(row for row in _SCENARIO_KEYS.values() if row[3] is not None)
+# The numeric coverage fields' rows: no key sets one, only a profile built in code
+_COVERAGE_ROWS = (
+    ("coverage", "target_mcl_db", float, *_DB),    # it enters the dB power-control sums
+    ("coverage", "subcarrier_spacing_khz", float, 3.75, 15.0),  # the two NB-IoT spacings
+    ("coverage", "ul_subcarriers_per_burst", int, 1, 12),       # up to the whole carrier
+    ("coverage", "mcs_index", int, 0, 10**9),      # the TBS tables are its upper check
+    # r2048, the most repetitions of npdcch-NumRepetitions and of each channel (TS 36.331)
+    *(("coverage", f"rep_{channel}", int, 1, 2048)
+      for channel in ("npdcch", "npdsch", "npusch", "nprach")),
+    ("coverage", "r_max", int, 1, 2048),
+    ("coverage", "g_factor", float, 1.5, 64.0),    # npdcch-StartSF-USS (TS 36.331)
+    ("coverage", "resource_share", float, 1e-6, 1.0),  # a positive share: capacity is finite
+    # times the 1e12-ms sync_base_ms cap, the sync time stays below 2^53 us
+    ("coverage", "sync_time_scale", float, 0.0, 8.0),
+    # from the 1-us grid to 1 s: 2048 repetitions of 200 attempts stay below _MAX_S
+    ("coverage", "nprach_preamble_ms", float, 0.001, 1000.0),
+)
+
+# Every numeric row with the type it takes, an int row only ints, and one
+# getter of their field values in the same order, for Scenario.violations
+_NUMBER = (int, float)
+_NUMERIC_ROWS = tuple((row, int if row[2] is int else _NUMBER) for row
+                      in (*_SCENARIO_KEYS.values(), *_COVERAGE_ROWS) if row[3] is not None)
 _numeric_values = attrgetter(*(fname if target == "scenario" else f"{target}.{fname}"
-                               for target, fname, *_ in _NUMERIC_ROWS))
+                               for (target, fname, *_), _ in _NUMERIC_ROWS))
 
 
 def _out_of_bounds(rows, values) -> list[tuple]:
-    """(row, value) of every value that is not a number inside its key's closed
-    bounds (NaN is outside all)."""
-    return [(row, value) for row, value in zip(rows, values)
-            if not (isinstance(value, _NUMBER) and row[3] <= value <= row[4])]
+    """(row, value) of every value that is not of its row's type inside the
+    row's closed bounds (NaN is outside all); rows are (row, type) pairs."""
+    return [(row, value) for (row, accepts), value in zip(rows, values)
+            if not (isinstance(value, accepts) and row[3] <= value <= row[4])]
+
+
+def _outside(row, value) -> str:
+    """The line of a value outside its row's domain."""
+    if row[2] is int and isinstance(value, float) and row[3] <= value <= row[4]:
+        return f"{row[1]}={value!r}: must be a whole number in {_bounds(row)}"
+    return f"{row[1]}={value!r}: must be in {_bounds(row)}"
 
 
 def _bounds(row) -> str:
@@ -366,7 +362,8 @@ def scenario_value(key: str, raw):
     """Parse the text of one scenario key into its field value.
 
     Values that are already parsed (enum members, numbers inside the key's
-    bounds) pass through unchanged.  Raises ConfigurationError for an unknown
+    bounds) pass through unchanged; a number that parsing changes, such as 3.5
+    for an int key, is a bad value.  Raises ConfigurationError for an unknown
     key or a bad value; the message states the key's closed bounds, or for
     procedure, case, coverage and reachability lists the allowed values.
     """
@@ -376,7 +373,8 @@ def scenario_value(key: str, raw):
     parser, bounded = row[2], row[3] is not None
     try:
         value = parser(raw)
-        if not (bounded and _out_of_bounds((row,), (value,))):
+        if ((isinstance(raw, str) or value == raw)
+                and not (bounded and _out_of_bounds(((row, parser),), (value,)))):
             return value
     except (TypeError, ValueError, OverflowError):
         pass

@@ -12,9 +12,9 @@ from nbiotsim import (ConfigurationError, Scenario, battery_lifetime_years, buil
                       builtin_coverage_profile, cell_capacity, cycle_energy,
                       format_scenario, parse_scenario, validate_scenario)
 from nbiotsim.cli import SweepSpec, run_lifetime_sweep
-from nbiotsim.config import (MAX_IDLE_DRX_CYCLE_S, MAX_PSM_TIME_S, _SCENARIO_KEYS,
-                             _bounds, PowerProfile, Procedure, Reachability, TrafficCase,
-                             scenario_value)
+from nbiotsim.config import (MAX_IDLE_DRX_CYCLE_S, MAX_PSM_TIME_S, _COVERAGE_ROWS,
+                             _SCENARIO_KEYS, _bounds, CoverageProfile, PowerProfile, Procedure,
+                             Reachability, TrafficCase, scenario_value)
 from dataclasses import replace
 from tests.conftest import domain_values, scenario_texts
 
@@ -207,8 +207,8 @@ NOT_NUMBERS = [None, "1", math.nan]
 def test_non_numbers_are_configuration_errors(bad):
     # a Scenario, PowerProfile or CoverageProfile built in code may hold any
     # value; each numeric field that is not a finite number is named on exactly
-    # one line of the error, next to every other field outside its bounds, and
-    # nothing raises a bare error
+    # one line of the error, with its row's bounds, next to every other field
+    # outside its bounds, and nothing raises a bare error
     normal = builtin_coverage_profile("Normal")
     for key, (target, fname, _parser, lo, _hi) in _SCENARIO_KEYS.items():
         if lo is None:
@@ -221,12 +221,13 @@ def test_non_numbers_are_configuration_errors(bad):
         assert [line for line in lines if line.startswith(fname + "=")] == [
             f"{fname}={bad!r}: must be in {_bounds(_SCENARIO_KEYS[key])}"], key
         assert "rep_npusch=3: repetitions must be a power of two in [1, 2048]" in lines, key
+    coverage_rows = {row[1]: row for row in _COVERAGE_ROWS}
     for fname in (f.name for f in fields(normal)[1:]):
         with pytest.raises(ConfigurationError) as err:
             validate_scenario(Scenario(coverage=replace(normal, **{fname: bad}), battery_wh=0.0))
         lines = str(err.value).removeprefix("invalid scenario: ").split("; ")
         assert lines == ["battery_wh=0.0: must be in [1e-06, 1000000000000]",
-                         f"{fname}={bad!r}: must be a finite number"], fname
+                         f"{fname}={bad!r}: must be in {_bounds(coverage_rows[fname])}"], fname
 
 
 def test_multiple_violations_all_reported():
@@ -234,6 +235,106 @@ def test_multiple_violations_all_reported():
     with pytest.raises(ConfigurationError) as err:
         validate_scenario(s)
     assert "iat_s" in str(err.value) and "battery_wh" in str(err.value)
+
+
+def error_lines(s) -> list[str]:
+    with pytest.raises(ConfigurationError) as err:
+        validate_scenario(s)
+    return str(err.value).removeprefix("invalid scenario: ").split("; ")
+
+
+def with_field(s, target, fname, value):
+    """s with one field of the scenario, its power or its coverage set."""
+    if target == "scenario":
+        return replace(s, **{fname: value})
+    return replace(s, **{target: replace(getattr(s, target), **{fname: value})})
+
+
+# a field set in code outside its domain, and its one line of the error
+OUTSIDE_DOMAIN = [
+    ("coverage", "g_factor", 0.0, "g_factor=0.0: must be in [1.5, 64]"),
+    ("coverage", "r_max", 10**400, f"r_max={10**400}: must be in [1, 2048]"),
+    ("coverage", "sync_time_scale", -1.0, "sync_time_scale=-1.0: must be in [0, 8]"),
+    ("scenario", "ra_attempt_cap", 3.5, "ra_attempt_cap=3.5: must be a whole number in [1, 200]"),
+    ("scenario", "cp_inactivity_npdcch_periods", 2.5,
+     "cp_inactivity_npdcch_periods=2.5: must be a whole number in [0, 1000000000]"),
+    ("scenario", "data_payload_bytes", 20.5,
+     "data_payload_bytes=20.5: must be a whole number in [0, 65535]"),
+    ("scenario", "rar_bytes", 7.5, "rar_bytes=7.5: must be a whole number in [1, 65535]"),
+]
+
+
+@pytest.mark.parametrize("target,fname,value,line", OUTSIDE_DOMAIN,
+                         ids=[case[1] for case in OUTSIDE_DOMAIN])
+def test_value_outside_its_domain_is_one_line(target, fname, value, line):
+    # each once raised a bare ZeroDivisionError, OverflowError or TypeError,
+    # or validated and gave outputs from a negative sync time or a fractional
+    # count of NPDCCH periods
+    assert error_lines(with_field(Scenario(), target, fname, value)) == [line]
+
+
+def test_cross_field_rules_run_unless_a_field_holds_no_number():
+    misordered = PowerProfile(deep_sleep_mw=5.0)
+    order = ("state powers must satisfy deep_sleep < inactive < rx < tx_max "
+             "(got 5.0, 3.0, 90.0, 545.0 mW)")
+    assert error_lines(Scenario(battery_wh=0.0, power=misordered)) == [
+        "battery_wh=0.0: must be in [1e-06, 1000000000000]", order]
+    # they do not run while a field holds no number, nor while a coverage field
+    # is outside its domain, which also stops the coverage rules (here the
+    # power-of-two repetitions)
+    assert error_lines(Scenario(battery_wh=None, power=misordered)) == [
+        "battery_wh=None: must be in [1e-06, 1000000000000]"]
+    coverage = replace(builtin_coverage_profile("Normal"), g_factor=0.0, rep_npusch=3)
+    assert error_lines(Scenario(coverage=coverage, power=misordered)) == [
+        "g_factor=0.0: must be in [1.5, 64]"]
+    # a DRX base above its cap is one line, and is not added to a period
+    assert error_lines(Scenario(drx_long_cycle_base_s=10**400, power=misordered)) == [
+        f"drx_long_cycle_base_s={10**400}: must be in [1e-06, 10485.76]", order]
+
+
+# Values no domain holds, values at and near the edges of many, and any float
+# or int
+ODD_VALUES = st.one_of(
+    st.sampled_from([None, "1", math.nan, math.inf, -math.inf, -1, -1.0, 0, 0.0, 2.5,
+                     10**400]),
+    st.floats(), st.integers())
+# every numeric field of a scenario, its power profile and its coverage profile
+NUMERIC_FIELDS = ([row[:2] for row in _SCENARIO_KEYS.values() if row[3] is not None]
+                  + [("coverage", f.name) for f in fields(CoverageProfile)[1:]])
+
+
+@given(
+    proc=st.sampled_from(list(Procedure)),
+    case=st.sampled_from(list(TrafficCase)),
+    cov=st.sampled_from(["Normal", "Robust", "Extreme"]),
+    reach=st.sampled_from(list(Reachability)),
+    changes=st.lists(st.tuples(st.sampled_from(NUMERIC_FIELDS), ODD_VALUES),
+                     min_size=1, max_size=3, unique_by=lambda change: change[0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_odd_field_values_fail_cleanly_or_give_finite_outputs(proc, case, cov, reach,
+                                                              changes):
+    # a built-in coverage with one to three fields set in code to any value:
+    # validation refuses it with a ConfigurationError, or every output and
+    # resolved time is a finite number of its sign
+    s = Scenario(procedure=proc, traffic_case=case, coverage=builtin_coverage_profile(cov),
+                 mt_reachability=reach)
+    for (target, fname), value in changes:
+        s = with_field(s, target, fname, value)
+    try:
+        validate_scenario(s)
+        breakdown = cycle_energy(s)
+        years = battery_lifetime_years(s)
+        report = cell_capacity(s)
+    except ConfigurationError:
+        return
+    times = (s.idle_drx_cycle_s, s.idle_active_timer_s, s.connected_inactivity_s,
+             s.sync_time_ms)
+    assert all(math.isfinite(t) and t >= 0.0 for t in times), times
+    assert all(math.isfinite(v) and v >= 0.0 for v in astuple(breakdown)), breakdown
+    assert breakdown.total_mj > 0.0
+    assert math.isfinite(years) and years > 0.0
+    assert math.isfinite(report.reports_per_hour) and report.reports_per_hour > 0.0
 
 
 # --- resolved timers ---------------------------------------------------------
@@ -297,6 +398,20 @@ def _accepts(key, raw) -> bool:
     except ConfigurationError:
         return False
     return True
+
+
+@pytest.mark.parametrize("key,raw", [("ra_cap", 3.5), ("payload_bytes", 20.9),
+                                     ("cp_inactivity_periods", 1e-9)])
+def test_number_an_int_key_would_truncate_is_a_bad_value(key, raw):
+    lo, hi = _SCENARIO_KEYS[key][3:]
+    with pytest.raises(ConfigurationError) as err:
+        scenario_value(key, raw)
+    assert str(err.value) == f"bad value {raw!r} for {key!r}; expected a number in [{lo}, {hi}]"
+
+
+def test_integral_numbers_and_text_parse_for_an_int_key():
+    values = [scenario_value("ra_cap", raw) for raw in ("3", 3, 3.0)]
+    assert values == [3, 3, 3] and all(type(v) is int for v in values)
 
 
 # the keys that take a real number: iat, battery, sync, 4 budgets, 9 power, 3 timers

@@ -95,14 +95,14 @@ def _lifetime_rows(base: Scenario, groups) -> Table:
     """The deep-sleep-only baseline row of base, then the rows of each point group.
 
     A group pairs the sweep-axis fields other than iat_s that it sets on base
-    with the IATs it runs over.  It is one `replace` of base and one cycle
-    profile, which validates its scenario; each IAT row then reads only the
-    profile's breakdown.  Rows are not validated again: `scenario_value`
-    parsed each IAT, and `breakdown` checks it against the cycle.
+    with the IATs it runs over.  It is one cycle profile, which validates its
+    scenario, and a `replace` of base only if it sets a field; each IAT row
+    then prices only the profile's category mJ.  Rows are not validated again:
+    `scenario_value` parsed each IAT, and `category_mj` checks it.
     """
     rows = [_baseline_row(base)]
     for fields, iats in groups:
-        s = replace(base, **fields)
+        s = replace(base, **fields) if fields else base
         ident = (s.procedure.value, s.traffic_case.value, s.coverage.name)
         try:
             profile = energy.cycle_profile(s)
@@ -111,12 +111,12 @@ def _lifetime_rows(base: Scenario, groups) -> Table:
             continue
         for iat_s in iats:
             try:
-                breakdown = profile.breakdown(iat_s)
+                mj = profile.category_mj(iat_s)
             except ConfigurationError as exc:
                 rows.append(ident + (iat_s, 0.0, 0.0, 0.0, 0.0, 0.0, str(exc)))
                 continue
-            rows.append(ident + (iat_s, energy.lifetime_years(breakdown, iat_s, s.battery_wh),
-                                 *breakdown.shares(), ""))
+            cells = energy.lifetime_and_shares(mj, iat_s, s.battery_wh)
+            rows.append(ident + (iat_s, *cells, ""))
     return Table(LIFETIME_COLUMNS, rows)
 
 

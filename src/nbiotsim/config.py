@@ -364,8 +364,9 @@ def scenario_value(key: str, raw):
     Values that are already parsed (enum members, numbers inside the key's
     bounds) pass through unchanged; a number that parsing changes, such as 3.5
     for an int key, is a bad value.  Raises ConfigurationError for an unknown
-    key or a bad value; the message states the key's closed bounds, or for
-    procedure, case, coverage and reachability lists the allowed values.
+    key or a bad value; the message states the key's closed bounds (a whole
+    number in them for an int key, as `_outside` words it), or for procedure,
+    case, coverage and reachability lists the allowed values.
     """
     if key not in _SCENARIO_KEYS:
         raise ConfigurationError(f"unknown key {key!r}")
@@ -379,7 +380,11 @@ def scenario_value(key: str, raw):
     except (TypeError, ValueError, OverflowError):
         pass
     if bounded:
-        expected = "a number in " + _bounds(row)
+        try:
+            whole = parser is int and row[3] <= float(raw) <= row[4]
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        expected = ("a whole number in " if whole else "a number in ") + _bounds(row)
     elif parser is builtin_coverage_profile:
         expected = "one of " + ", ".join(COVERAGE_NAMES)
     else:

@@ -7,12 +7,12 @@ A cycle is time: `flows.active_time` gives its whole microseconds per
 cycle amortizes: an uplink PSM_TAU cycle runs one standalone TAU per TAU
 period, while a downlink flow carries its TAU inside the flow (the TAU is what
 makes the UE reachable) and a paging UE pays in its rest state.
-`CycleProfile.breakdown` then gives the energy of one inter-arrival period
-(IAT) in closed form: iat / period of each event, and the rest state
-(`flows.rest_state`) priced once over the rest time, the IAT's whole
+`CycleProfile.category_mj` then gives the energy of one inter-arrival period
+(IAT) in closed form, as five floats: iat / period of each event, and the rest
+state (`flows.rest_state`) priced once over the rest time, the IAT's whole
 microseconds less the active timeline and the events' awake time.  So rows
-that differ only in their IAT share one profile, and a row costs `breakdown`,
-`lifetime_years` and `shares` at its IAT.
+that differ only in their IAT share one profile, and a row costs only
+`category_mj` and `lifetime_and_shares` at its IAT.
 """
 
 from __future__ import annotations
@@ -44,13 +44,6 @@ class EnergyBreakdown:
     def share(self, *categories: EnergyCategory) -> float:
         """Fraction of the cycle total attributed to the given categories."""
         return sum(getattr(self, cat.value) for cat in categories) / self.total_mj
-
-    def shares(self) -> tuple[float, float, float, float]:
-        """The ra_sync, messages, DRX (connected plus idle) and PSM shares, as
-        `share` gives them, from one read of the fields."""
-        total = self.total_mj
-        return (self.ra_sync_mj / total, self.post_ra_messages_mj / total,
-                (self.connected_drx_mj + self.idle_drx_mj) / total, self.psm_mj / total)
 
 
 _NO_ENERGY = dict.fromkeys(EnergyCategory, 0.0)
@@ -110,8 +103,9 @@ class CycleProfile:
     events: tuple[PeriodicEvent, ...]
     max_iat_s: float
 
-    def breakdown(self, iat_s: float) -> EnergyBreakdown:
-        """Energy of one inter-arrival period of iat_s seconds, split by category.
+    def category_mj(self, iat_s: float) -> tuple[float, ...]:
+        """mJ of one inter-arrival period of iat_s seconds per category, in
+        EnergyBreakdown field order.
 
         Each event adds iat_s / period_s of its energy and of its awake time;
         the rest state is priced once over the rest of the period's whole
@@ -139,11 +133,15 @@ class CycleProfile:
                                      f"{(iat_us - rest_us) / flows.US_PER_S} s active cycle")
         cats[self.rest_category] += self.rest_mw * rest_us * 1e-6
         # cats is keyed in EnergyCategory order, which is the field order
-        return EnergyBreakdown(*cats.values())
+        return tuple(cats.values())
+
+    def breakdown(self, iat_s: float) -> EnergyBreakdown:
+        """Energy of one inter-arrival period of iat_s seconds, split by category."""
+        return EnergyBreakdown(*self.category_mj(iat_s))
 
 
 def cycle_profile(s: Scenario) -> CycleProfile:
-    """Active-cycle profile of a scenario, which it validates; `breakdown` checks each IAT."""
+    """Active-cycle profile of a scenario, which it validates; `category_mj` checks each IAT."""
     validate_scenario(s)
     us, active_us = flows.active_time(flows.build_flow(s), s)
     _, rest_mw, rest_category, _ = flows.rest_state(s)
@@ -166,10 +164,19 @@ def cycle_energy(s: Scenario) -> EnergyBreakdown:
     return cycle_profile(s).breakdown(s.iat_s)
 
 
+def lifetime_and_shares(mj: tuple[float, ...], iat_s: float, battery_wh: float) -> tuple:
+    """Lifetime in years of a battery_wh battery spending the category mJ mj
+    (field order) every iat_s s, then the ra_sync, messages, DRX and PSM shares."""
+    ra_sync, messages, connected_drx, idle_drx, psm = mj
+    total = ra_sync + messages + connected_drx + idle_drx + psm
+    return (battery_wh / (total / 1000.0 / iat_s) / HOURS_PER_YEAR, ra_sync / total,
+            messages / total, (connected_drx + idle_drx) / total, psm / total)
+
+
 def lifetime_years(b: EnergyBreakdown, iat_s: float, battery_wh: float) -> float:
     """Battery lifetime in years of a battery_wh battery spending b every iat_s seconds."""
-    power_w = b.total_mj / 1000.0 / iat_s
-    return battery_wh / power_w / HOURS_PER_YEAR
+    mj = (b.ra_sync_mj, b.post_ra_messages_mj, b.connected_drx_mj, b.idle_drx_mj, b.psm_mj)
+    return lifetime_and_shares(mj, iat_s, battery_wh)[0]
 
 
 def battery_lifetime_years(s: Scenario) -> float:

@@ -16,7 +16,7 @@ prices time; `energy.price` does.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import phy, ra
@@ -150,7 +150,8 @@ def _catalog() -> dict[str, tuple]:
 
 def _build(flow_id: str, s: Scenario) -> ProcedureFlow:
     messages = tuple(msg if base is None else
-                     replace(msg, size_bytes=getattr(s, base) + msg.size_bytes)
+                     SignalingMessage(msg.name, msg.channel, msg.plane,
+                                      getattr(s, base) + msg.size_bytes)
                      for msg, base in _catalog()[flow_id])
     # Release assistance rides only in uplink NAS data PDUs, so only CP
     # exchanges that carry uplink data release without an idle-DRX window;
@@ -244,43 +245,44 @@ def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> None:
     until the active timer expires.
     """
     c, p = s.coverage, s.power
+    rx, inactive = UeState.RX, UeState.INACTIVE
+    rx_mw, inactive_mw = p.rx_mw, p.inactive_mw
+    ra_cat, msg_cat = EnergyCategory.RA_SYNC, EnergyCategory.MESSAGES
     period_us = c.npdcch_period_ms * US_PER_MS
 
     # cell search after deep sleep
-    sink.emit_ms(s.sync_time_ms, UeState.RX, p.rx_mw, EnergyCategory.RA_SYNC, "sync")
+    sink.emit_ms(s.sync_time_ms, rx, rx_mw, ra_cat, "sync")
 
     # random access, expectation-scaled
     attempts = ra.expected_attempts(s.ra_attempt_cap)
     for label, state, dur_ms, power_mw in ra.attempt_components(c, p, s.rar_bytes):
-        sink.emit_ms(attempts * dur_ms, state, power_mw, EnergyCategory.RA_SYNC, label)
+        sink.emit_ms(attempts * dur_ms, state, power_mw, ra_cat, label)
 
     npusch_dbm = phy.npusch_tx_power_dbm(c, p, c.target_mcl_db)
-    npusch_mw = phy.tx_power_consumption_mw(p, npusch_dbm)
     conn_drx_us = int(round(s.connected_inactivity_s * US_PER_S))
     npdcch_us = int(round(phy.message_airtime(1, c, ChannelKind.NPDCCH) * US_PER_MS))
+    # a message's channel sets its schedule gap in whole us and its airtime's state and power
+    uplink = (int(round(phy.schedule_gap_ms(ChannelKind.NPUSCH) * US_PER_MS)),
+              UeState.TX, phy.tx_power_consumption_mw(p, npusch_dbm))
+    downlink = (int(round(phy.schedule_gap_ms(ChannelKind.NPDSCH) * US_PER_MS)), rx, rx_mw)
 
+    last = len(flow.messages) - 1
     for index, msg in enumerate(flow.messages):
-        last = index == len(flow.messages) - 1
-        if last:
+        if index == last:
             # inactivity timer runs after the data exchange, before release;
             # it spans whole NPDCCH periods, so no cycle is truncated
             _emit_drx_cycles(sink, conn_drx_us, on_us=npdcch_us,
                              off_us=max(0, period_us - npdcch_us),
-                             p=p, gap=(UeState.INACTIVE, p.inactive_mw),
+                             p=p, gap=(inactive, inactive_mw),
                              category=EnergyCategory.CONNECTED_DRX,
                              label="connected_drx")
+        gap_us, state, power_mw = uplink if msg.channel is ChannelKind.NPUSCH else downlink
         # wait for the next NPDCCH occasion
-        align_us = (-sink.t_us) % period_us
-        sink.emit(align_us, UeState.INACTIVE, p.inactive_mw,
-                  EnergyCategory.MESSAGES, "npdcch_align")
-        sink.emit(npdcch_us, UeState.RX, p.rx_mw,
-                  EnergyCategory.MESSAGES, f"npdcch:{msg.name}")
-        sink.emit_ms(phy.schedule_gap_ms(msg.channel), UeState.INACTIVE, p.inactive_mw,
-                     EnergyCategory.MESSAGES, "schedule_gap")
-        state, power_mw = ((UeState.TX, npusch_mw) if msg.channel is ChannelKind.NPUSCH
-                           else (UeState.RX, p.rx_mw))
+        sink.emit((-sink.t_us) % period_us, inactive, inactive_mw, msg_cat, "npdcch_align")
+        sink.emit(npdcch_us, rx, rx_mw, msg_cat, f"npdcch:{msg.name}")
+        sink.emit(gap_us, inactive, inactive_mw, msg_cat, "schedule_gap")
         sink.emit_ms(phy.message_airtime(msg.size_bytes, c, msg.channel), state, power_mw,
-                     EnergyCategory.MESSAGES, msg.name)
+                     msg_cat, msg.name)
 
     # idle DRX: the active timer keeps the UE reachable before PSM
     idle_us = int(round(flow.idle_drx_s * US_PER_S))

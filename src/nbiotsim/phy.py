@@ -25,6 +25,8 @@ NPDSCH_SCHEDULE_GAP_MS = 4.0
 
 # Allocation sizes of the TBS tables: N resource units (UL) / N subframes (DL).
 ALLOCATION_UNITS = (1, 2, 3, 4, 5, 6, 8, 10)
+# NPUSCH resource unit in ms by subcarriers per burst at 15 kHz
+_UL_RESOURCE_UNIT_MS = {12: 1.0, 6: 2.0, 3: 4.0, 1: 8.0}
 
 
 class ChannelKind(str, enum.Enum):
@@ -131,7 +133,7 @@ def ul_resource_unit_ms(c: CoverageProfile) -> float:
     """Duration of one NPUSCH resource unit for the profile's subcarrier layout."""
     if c.subcarrier_spacing_khz == 3.75:
         return 32.0                      # single 3.75 kHz tone
-    return {12: 1.0, 6: 2.0, 3: 4.0, 1: 8.0}[c.ul_subcarriers_per_burst]
+    return _UL_RESOURCE_UNIT_MS[c.ul_subcarriers_per_burst]
 
 
 def ul_carrier_fraction(c: CoverageProfile) -> float:

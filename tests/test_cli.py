@@ -20,13 +20,14 @@ import nbiotsim
 from nbiotsim import (PowerProfile, Procedure, Reachability, Scenario, TrafficCase,
                       builtin_coverage_profile, cell_capacity)
 from nbiotsim.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, SweepSpec, Table,
-                          emit, main, run_capacity_report, run_lifetime_sweep,
-                          LIFETIME_COLUMNS)
+                          _lifetime_rows, emit, main, run_capacity_report,
+                          run_lifetime_sweep, LIFETIME_COLUMNS)
 from nbiotsim import energy, flows, phy
-from nbiotsim.config import COVERAGE_NAMES, ConfigurationError
+from nbiotsim.config import COVERAGE_NAMES, MAX_PSM_TIME_S, ConfigurationError
 from nbiotsim.flows import EnergyCategory
-from tests.conftest import scenario_texts
+from tests.conftest import domain_values, scenario_texts
 from tests.test_golden import PAGING_CFG
+from tests.test_invariants import evaluate, scenario_values
 
 
 def test_lifetime_sweep_monotone_and_baseline():
@@ -96,6 +97,44 @@ def test_sweep_rows_equal_the_per_row_reference(reach):
         assert rows == [reference_row(replace(base, iat_s=iat_s)) for iat_s in iats]
         assert rows[0][-1].startswith("iat_s=0.5: shorter than the ")
         assert rows[1][-1] == ""
+
+
+def assert_rows_are_the_reference(s: Scenario, iats) -> list:
+    """The rows of one point group over iats, each equal to its own scenario's."""
+    rows = _lifetime_rows(s, [({}, iats)]).rows[1:]
+    assert rows == [reference_row(replace(s, iat_s=iat_s)) for iat_s in iats]
+    return rows
+
+
+@pytest.mark.parametrize("reach", list(Reachability))
+def test_sweep_rows_equal_the_per_row_reference_at_the_iat_bounds(reach):
+    # bit for bit at the bounds a cycle sets on the IAT: exactly its active
+    # timeline (a downlink or paging cycle then rests 0 us) and 1 us less,
+    # and 1 s above the 310 h PSM maximum of a downlink PSM_TAU cycle
+    for proc, case, cov in itertools.product(Procedure, TrafficCase, COVERAGE_NAMES):
+        s = Scenario(procedure=proc, traffic_case=case, mt_reachability=reach,
+                     coverage=builtin_coverage_profile(cov))
+        active_us = energy.cycle_profile(s).active_us
+        rows = assert_rows_are_the_reference(s, ((active_us - 1) / 1e6, active_us / 1e6,
+                                                 MAX_PSM_TIME_S, MAX_PSM_TIME_S + 1.0))
+        assert "active cycle" in rows[0][-1]
+        assert (rows[1][-1] == "") == (case.mobile_terminated
+                                       or reach is Reachability.DRX_PAGING)
+        paced_by_tau = case.mobile_terminated and reach is Reachability.PSM_TAU
+        assert rows[2][-1] == "" and ("PSM maximum" in rows[3][-1]) == paced_by_tau
+
+
+def test_sweep_rows_equal_the_per_row_reference_when_taus_keep_the_ue_awake():
+    s = Scenario(idle_active_timer_base_s=0.0, drx_long_cycle_base_s=1e-6,
+                 psm_tau_period_s=0.07)
+    rows = assert_rows_are_the_reference(s, (3600.0, 86400.0))
+    assert all(row[-1].startswith("periodic TAUs keep the UE awake") for row in rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=scenario_values(), iats=st.lists(domain_values("iat"), min_size=1, max_size=4))
+def test_sweep_rows_equal_the_per_row_reference_property(values, iats):
+    assert_rows_are_the_reference(evaluate(lambda s: s, values), tuple(iats))
 
 
 def test_sweep_other_axes():
@@ -573,8 +612,12 @@ def test_cli_reader_closing_the_pipe_early_is_quiet():
                              "expected a number in [1, 200]"),
     ("payload_bytes=10000000000", [], "error: line 1: bad value '10000000000' for "
                                       "'payload_bytes'; expected a number in [0, 65535]"),
+    ("ra_cap=3.5", [], "error: line 1: bad value '3.5' for 'ra_cap'; "
+                       "expected a whole number in [1, 200]"),
+    ("payload_bytes=20.9", [], "error: line 1: bad value '20.9' for 'payload_bytes'; "
+                               "expected a whole number in [0, 65535]"),
 ], ids=["iat-1e308", "battery-1e308", "deep-sleep-1e-320", "tx-max-1e308",
-        "ra-cap-1e8", "payload-1e10"])
+        "ra-cap-1e8", "payload-1e10", "ra-cap-3.5", "payload-20.9"])
 def test_cli_value_outside_domain_is_one_fast_error_line(text, argv, line, tmp_path,
                                                           capsys):
     # each once overflowed, printed inf or nan, or ran for seconds

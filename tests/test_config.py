@@ -406,7 +406,24 @@ def test_number_an_int_key_would_truncate_is_a_bad_value(key, raw):
     lo, hi = _SCENARIO_KEYS[key][3:]
     with pytest.raises(ConfigurationError) as err:
         scenario_value(key, raw)
-    assert str(err.value) == f"bad value {raw!r} for {key!r}; expected a number in [{lo}, {hi}]"
+    assert str(err.value) == (f"bad value {raw!r} for {key!r}; "
+                              f"expected a whole number in [{lo}, {hi}]")
+
+
+@pytest.mark.parametrize("raw,expected", [
+    # inside the bounds, the number is not whole, as _outside words it
+    (3.5, "a whole number"), ("3.5", "a whole number"), ("3.0", "a whole number"),
+    ("1e2", "a whole number"),
+    # outside the bounds, or no number at all, the range is what it misses
+    (250.5, "a number"), ("250.5", "a number"), ("1e3", "a number"), (0.5, "a number"),
+    ("nan", "a number"), (float("inf"), "a number"), ("abc", "a number"), (None, "a number"),
+    (10 ** 400, "a number"),
+], ids=["3.5", "text-3.5", "text-3.0", "text-1e2", "250.5", "text-250.5", "text-1e3", "0.5",
+        "text-nan", "inf", "text-abc", "None", "10**400"])
+def test_int_key_names_its_rule(raw, expected):
+    with pytest.raises(ConfigurationError) as err:
+        scenario_value("ra_cap", raw)
+    assert str(err.value) == f"bad value {raw!r} for 'ra_cap'; expected {expected} in [1, 200]"
 
 
 def test_integral_numbers_and_text_parse_for_an_int_key():

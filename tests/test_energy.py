@@ -255,8 +255,9 @@ def test_iat_sweep_validates_its_scenario_once(monkeypatch):
 
 
 def test_iat_sweep_builds_one_scenario_and_one_profile(monkeypatch):
-    # the 24 rows of an IAT sweep form one point group: one replace of the
-    # fixed scenario and one cycle profile, then only the IAT per row
+    # the 24 rows of an IAT sweep form one point group, which sets no field:
+    # no replace of the fixed scenario and one cycle profile, then only the
+    # IAT per row
     spec = SweepSpec("iat", tuple(h * 3600.0 for h in range(1, 25)),
                      make_scenario("UP", "UL"))
     built, profiles = [], []
@@ -266,7 +267,20 @@ def test_iat_sweep_builds_one_scenario_and_one_profile(monkeypatch):
     monkeypatch.setattr(energy, "cycle_profile", lambda s: profiles.append(s) or real_profile(s))
     table = run_lifetime_sweep(spec)
     assert len(table.rows) == 1 + 24 and all(row[-1] == "" for row in table.rows)
-    assert len(built) == 1 and len(profiles) == 1
+    assert len(built) == 0 and len(profiles) == 1
+
+
+def test_coverage_sweep_builds_one_scenario_and_one_profile_per_value(monkeypatch):
+    # a group that sets a field is one replace of the fixed scenario
+    spec = SweepSpec("coverage", COVERAGE_NAMES, make_scenario("UP", "UL"))
+    built, profiles = [], []
+    real_init, real_profile = Scenario.__init__, energy.cycle_profile
+    monkeypatch.setattr(Scenario, "__init__",
+                        lambda s, *args, **kw: built.append(kw) or real_init(s, *args, **kw))
+    monkeypatch.setattr(energy, "cycle_profile", lambda s: profiles.append(s) or real_profile(s))
+    table = run_lifetime_sweep(spec)
+    assert len(table.rows) == 1 + 3 and all(row[-1] == "" for row in table.rows)
+    assert len(built) == 3 and len(profiles) == 3
 
 
 def test_iat_shorter_than_active_cycle_rejected():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nbiotsim import build_flow, build_tau_flow, flow_timeline
 from nbiotsim.config import ConfigurationError, Reachability, UeState
-from nbiotsim.flows import FLOW_IDS, EnergyCategory, Plane, _parse_catalog
+from nbiotsim.flows import FLOW_IDS, EnergyCategory, Plane, _parse_catalog, active_time
 from nbiotsim.phy import ChannelKind
 from tests.conftest import active_duration_s, make_scenario
 
@@ -134,6 +134,33 @@ def test_built_flows_match_pinned_digest():
     # the built ids are exactly those the catalog must list when it is loaded
     assert len(flow_ids) == 21 and flow_ids == FLOW_IDS
     assert digest.hexdigest() == FLOW_DIGEST
+
+
+# SHA-256 of every `active_time` layout, main and TAU flow, over the same 72
+# points with non-default sizes and timers: each key's category, its power to
+# 12 significant digits (libm's last bit aside) and its whole microseconds, in
+# first-emit order, then the end.  It pins the layout's sums and key order
+# independently of the `==` tests, which compare the layout with itself.
+LAYOUT_DIGEST = "6e1b9bf0a80b928a5dfaff4a6b2f90b20b10025b274f45cea54db5e01d8c4fdb"
+LAYOUT_KNOBS = dict(data_payload_bytes=37, protocol_overhead_bytes=51, ack_payload_bytes=5,
+                    cp_inactivity_npdcch_periods=7, idle_active_timer_base_s=12.5,
+                    drx_long_cycle_base_s=5.12, sync_base_ms=410.0, ra_attempt_cap=4,
+                    rar_bytes=9)
+
+
+def test_layouts_match_pinned_digest():
+    digest = hashlib.sha256()
+    for proc, case, reach, cov in itertools.product(
+            ["SR", "CP", "UP"], ["UL", "UL_ACK", "DL", "DL_ACK"],
+            list(Reachability), ["Normal", "Robust", "Extreme"]):
+        s = make_scenario(proc, case, cov, mt_reachability=reach, **LAYOUT_KNOBS)
+        for flow in (build_flow(s), build_tau_flow(s)):
+            us, end_us = active_time(flow, s)
+            digest.update(f"{flow.flow_id}\n".encode())
+            for (cat, power_mw), duration_us in us.items():
+                digest.update(f"{cat.value} {power_mw:.12g} {duration_us}\n".encode())
+            digest.update(f"end {end_us}\n".encode())
+    assert digest.hexdigest() == LAYOUT_DIGEST
 
 
 DEFS = "message ul_data NPUSCH DATA data+0\nmessage rrc_release NPDSCH AS 7\n"

@@ -237,7 +237,7 @@ class Scenario:
         period = c.r_max * c.g_factor
         if abs(period - c.npdcch_period_ms) > 1e-9:
             out.append(f"r_max * g_factor = {period} ms is not a whole number of ms")
-        if not all(isinstance(value, _NUMBER) for _, value in bad):
+        if not all(_is_number(value) for _, value in bad):
             return out
         p = self.power
         if not p.deep_sleep_mw < p.inactive_mw < p.rx_mw < p.tx_max_mw:
@@ -340,11 +340,16 @@ _numeric_values = attrgetter(*(fname if target == "scenario" else f"{target}.{fn
                                for (target, fname, *_), _ in _NUMERIC_ROWS))
 
 
+def _is_number(value, accepts=_NUMBER) -> bool:
+    """Whether value is of the type accepts; a bool is no number."""
+    return isinstance(value, accepts) and not isinstance(value, bool)
+
+
 def _out_of_bounds(rows, values) -> list[tuple]:
     """(row, value) of every value that is not of its row's type inside the
     row's closed bounds (NaN is outside all); rows are (row, type) pairs."""
     return [(row, value) for (row, accepts), value in zip(rows, values)
-            if not (isinstance(value, accepts) and row[3] <= value <= row[4])]
+            if not (_is_number(value, accepts) and row[3] <= value <= row[4])]
 
 
 def _outside(row, value) -> str:
@@ -363,25 +368,31 @@ def scenario_value(key: str, raw):
 
     Values that are already parsed (enum members, numbers inside the key's
     bounds) pass through unchanged; a number that parsing changes, such as 3.5
-    for an int key, is a bad value.  Raises ConfigurationError for an unknown
-    key or a bad value; the message states the key's closed bounds (a whole
-    number in them for an int key, as `_outside` words it), or for procedure,
-    case, coverage and reachability lists the allowed values.
+    for an int key, is a bad value, and so are a bool and number text with
+    more than ASCII characters or with digit separators, such as 1_0.  Raises
+    ConfigurationError for an unknown key or a bad value; the message states
+    the key's closed bounds (a whole number in them for an int key, as
+    `_outside` words it), or for procedure, case, coverage and reachability
+    lists the allowed values.
     """
     if key not in _SCENARIO_KEYS:
         raise ConfigurationError(f"unknown key {key!r}")
     row = _SCENARIO_KEYS[key]
     parser, bounded = row[2], row[3] is not None
+    # a bool is no number, nor is text that int() and float() read beyond
+    # ASCII digits or with digit separators
+    plain = not bounded or ((raw.isascii() and "_" not in raw) if isinstance(raw, str)
+                            else _is_number(raw))
     try:
         value = parser(raw)
-        if ((isinstance(raw, str) or value == raw)
+        if (plain and (isinstance(raw, str) or value == raw)
                 and not (bounded and _out_of_bounds(((row, parser),), (value,)))):
             return value
     except (TypeError, ValueError, OverflowError):
         pass
     if bounded:
         try:
-            whole = parser is int and row[3] <= float(raw) <= row[4]
+            whole = plain and parser is int and row[3] <= float(raw) <= row[4]
         except (TypeError, ValueError, OverflowError):
             whole = False
         expected = ("a whole number in " if whole else "a number in ") + _bounds(row)

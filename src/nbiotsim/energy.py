@@ -10,9 +10,12 @@ makes the UE reachable) and a paging UE pays in its rest state.
 `CycleProfile.category_mj` then gives the energy of one inter-arrival period
 (IAT) in closed form, as five floats: iat / period of each event, and the rest
 state (`flows.rest_state`) priced once over the rest time, the IAT's whole
-microseconds less the active timeline and the events' awake time.  So rows
+microseconds less the active timeline and the events' awake time.
+`cycle_profile` refuses events awake for their whole period, so every profile
+admits some IAT, and `category_mj` raises only at the IAT's two bounds.  Rows
 that differ only in their IAT share one profile, and a row costs only
-`category_mj` and `lifetime_and_shares` at its IAT.
+`category_mj` and `lifetime_and_shares`, the one lifetime formula, at its IAT;
+the PSM floor is one second of deep sleep priced by the same formula.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ class CycleProfile:
         if iat_s > self.max_iat_s:
             raise ConfigurationError(f"iat_s={iat_s:.0f} s: a mobile-terminated PSM_TAU cycle "
                                      f"exceeds the {self.max_iat_s / 3600.0:.0f} h PSM maximum")
-        iat_us = int(round(iat_s * flows.US_PER_S))
+        iat_us = round(iat_s * flows.US_PER_S)
         rest_us = iat_us - self.active_us
         cats = dict(self.active_mj)
         for event in self.events:
@@ -124,11 +127,6 @@ class CycleProfile:
             for cat, mj in event.mj:
                 cats[cat] += mj * fraction
         if rest_us < 0:
-            # events awake for at least their period leave room for no IAT
-            if sum(e.active_us / flows.US_PER_S / e.period_s for e in self.events) >= 1.0:
-                raise ConfigurationError("periodic TAUs keep the UE awake " + " and ".join(
-                    f"{e.active_us / flows.US_PER_S} s of every {e.period_s} s"
-                    for e in self.events) + " TAU period: no IAT is long enough")
             raise ConfigurationError(f"iat_s={iat_s}: shorter than the "
                                      f"{(iat_us - rest_us) / flows.US_PER_S} s active cycle")
         cats[self.rest_category] += self.rest_mw * rest_us * 1e-6
@@ -141,19 +139,24 @@ class CycleProfile:
 
 
 def cycle_profile(s: Scenario) -> CycleProfile:
-    """Active-cycle profile of a scenario, which it validates; `category_mj` checks each IAT."""
+    """Active-cycle profile of a scenario, which it validates and refuses where the
+    periodic events leave no IAT a rest time; `category_mj` checks each IAT."""
     validate_scenario(s)
     us, active_us = flows.active_time(flows.build_flow(s), s)
     _, rest_mw, rest_category, _ = flows.rest_state(s)
     psm_tau = s.mt_reachability is Reachability.PSM_TAU
     paced_by_tau = psm_tau and s.traffic_case.mobile_terminated
+    # reachability costs PSM_TAU a periodic TAU, carried inside a downlink
+    # flow, and DRX_PAGING the paging occasions of its rest state
+    events = ((standalone_event(flows.build_tau_flow(s), s, s.psm_tau_period_s),)
+              if psm_tau and not paced_by_tau else ())
+    if sum(e.active_us / flows.US_PER_S / e.period_s for e in events) >= 1.0:
+        raise ConfigurationError("periodic TAUs keep the UE awake " + " and ".join(
+            f"{e.active_us / flows.US_PER_S} s of every {e.period_s} s"
+            for e in events) + " TAU period: no IAT is long enough")
     return CycleProfile(
         active_mj=price(us), active_us=active_us,
-        rest_mw=rest_mw, rest_category=rest_category,
-        # reachability costs PSM_TAU a periodic TAU, carried inside a downlink
-        # flow, and DRX_PAGING the paging occasions of its rest state
-        events=((standalone_event(flows.build_tau_flow(s), s, s.psm_tau_period_s),)
-                if psm_tau and not paced_by_tau else ()),
+        rest_mw=rest_mw, rest_category=rest_category, events=events,
         # a downlink PSM_TAU cycle's IAT is its T3412: at most 310 h (TS 24.008)
         max_iat_s=MAX_PSM_TIME_S if paced_by_tau else math.inf,
     )
@@ -173,15 +176,9 @@ def lifetime_and_shares(mj: tuple[float, ...], iat_s: float, battery_wh: float) 
             messages / total, (connected_drx + idle_drx) / total, psm / total)
 
 
-def lifetime_years(b: EnergyBreakdown, iat_s: float, battery_wh: float) -> float:
-    """Battery lifetime in years of a battery_wh battery spending b every iat_s seconds."""
-    mj = (b.ra_sync_mj, b.post_ra_messages_mj, b.connected_drx_mj, b.idle_drx_mj, b.psm_mj)
-    return lifetime_and_shares(mj, iat_s, battery_wh)[0]
-
-
 def battery_lifetime_years(s: Scenario) -> float:
     """Battery lifetime in years at the scenario's long-run average power."""
-    return lifetime_years(cycle_energy(s), s.iat_s, s.battery_wh)
+    return lifetime_and_shares(cycle_profile(s).category_mj(s.iat_s), s.iat_s, s.battery_wh)[0]
 
 
 def psm_baseline_lifetime_years(s: Scenario) -> float:
@@ -190,6 +187,6 @@ def psm_baseline_lifetime_years(s: Scenario) -> float:
     Raises ConfigurationError if the battery or the deep-sleep power lies
     outside its key's domain.
     """
-    scenario_value("battery_wh", s.battery_wh)
-    scenario_value("deep_sleep_mw", s.power.deep_sleep_mw)
-    return s.battery_wh / (s.power.deep_sleep_mw / 1000.0) / HOURS_PER_YEAR
+    battery_wh = scenario_value("battery_wh", s.battery_wh)
+    deep_sleep_mw = scenario_value("deep_sleep_mw", s.power.deep_sleep_mw)
+    return lifetime_and_shares((0.0, 0.0, 0.0, 0.0, deep_sleep_mw), 1.0, battery_wh)[0]

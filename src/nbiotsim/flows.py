@@ -198,7 +198,7 @@ class _Sink:
 
     def emit_ms(self, duration_ms: float, state: UeState, power_mw: float,
                 category: EnergyCategory, label: str) -> None:
-        self.emit(int(round(duration_ms * US_PER_MS)), state, power_mw, category, label)
+        self.emit(round(duration_ms * US_PER_MS), state, power_mw, category, label)
 
 
 def _emit_drx_cycles(sink: _Sink, window_us: int, on_us: int, off_us: int,
@@ -259,12 +259,12 @@ def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> None:
         sink.emit_ms(attempts * dur_ms, state, power_mw, ra_cat, label)
 
     npusch_dbm = phy.npusch_tx_power_dbm(c, p, c.target_mcl_db)
-    conn_drx_us = int(round(s.connected_inactivity_s * US_PER_S))
-    npdcch_us = int(round(phy.message_airtime(1, c, ChannelKind.NPDCCH) * US_PER_MS))
+    conn_drx_us = round(s.connected_inactivity_s * US_PER_S)
+    npdcch_us = round(phy.message_airtime(1, c, ChannelKind.NPDCCH) * US_PER_MS)
     # a message's channel sets its schedule gap in whole us and its airtime's state and power
-    uplink = (int(round(phy.schedule_gap_ms(ChannelKind.NPUSCH) * US_PER_MS)),
+    uplink = (round(phy.schedule_gap_ms(ChannelKind.NPUSCH) * US_PER_MS),
               UeState.TX, phy.tx_power_consumption_mw(p, npusch_dbm))
-    downlink = (int(round(phy.schedule_gap_ms(ChannelKind.NPDSCH) * US_PER_MS)), rx, rx_mw)
+    downlink = (round(phy.schedule_gap_ms(ChannelKind.NPDSCH) * US_PER_MS), rx, rx_mw)
 
     last = len(flow.messages) - 1
     for index, msg in enumerate(flow.messages):
@@ -285,9 +285,9 @@ def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> None:
                      msg_cat, msg.name)
 
     # idle DRX: the active timer keeps the UE reachable before PSM
-    idle_us = int(round(flow.idle_drx_s * US_PER_S))
+    idle_us = round(flow.idle_drx_s * US_PER_S)
     _emit_drx_cycles(sink, idle_us, on_us=period_us,
-                     off_us=int(round(s.drx_long_cycle_base_s * US_PER_S)),
+                     off_us=round(s.drx_long_cycle_base_s * US_PER_S),
                      p=p, gap=_idle_drx_gap(s), category=EnergyCategory.IDLE_DRX, label="drx")
 
 
@@ -299,7 +299,7 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
     sink = _Sink(keep_intervals=True)
     _lay_out(flow, s, sink)
     if fill_to_iat:
-        iat_us = int(round(s.iat_s * US_PER_S))
+        iat_us = round(s.iat_s * US_PER_S)
         sink.emit(max(0, iat_us - sink.t_us), *rest_state(s))
     return sink.intervals
 

@@ -616,8 +616,21 @@ def test_cli_reader_closing_the_pipe_early_is_quiet():
                        "expected a whole number in [1, 200]"),
     ("payload_bytes=20.9", [], "error: line 1: bad value '20.9' for 'payload_bytes'; "
                                "expected a whole number in [0, 65535]"),
+    # int() and float() read digit separators and non-ASCII digits
+    ("ra_cap=1_0", [], "error: line 1: bad value '1_0' for 'ra_cap'; "
+                       "expected a number in [1, 200]"),
+    ("ra_cap=\u0663", [], "error: line 1: bad value '\u0663' for 'ra_cap'; "
+                          "expected a number in [1, 200]"),
+    (None, ["--iat", "3_600"],
+     "error: bad value '3_600' for 'iat'; expected a number in [1e-06, 1000000000]"),
+    (None, ["--iat", "\uff11\uff10"],
+     "error: bad value '\uff11\uff10' for 'iat'; expected a number in [1e-06, 1000000000]"),
+    (None, ["--sweep", "iat=3600,3_700"],
+     "error: iat sweep values: bad value '3_700' for 'iat'; "
+     "expected a number in [1e-06, 1000000000]"),
 ], ids=["iat-1e308", "battery-1e308", "deep-sleep-1e-320", "tx-max-1e308",
-        "ra-cap-1e8", "payload-1e10", "ra-cap-3.5", "payload-20.9"])
+        "ra-cap-1e8", "payload-1e10", "ra-cap-3.5", "payload-20.9", "ra-cap-1_0",
+        "ra-cap-arabic-3", "iat-3_600", "iat-fullwidth-10", "sweep-iat-3_700"])
 def test_cli_value_outside_domain_is_one_fast_error_line(text, argv, line, tmp_path,
                                                           capsys):
     # each once overflowed, printed inf or nan, or ran for seconds

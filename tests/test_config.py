@@ -199,8 +199,8 @@ def test_non_whole_npdcch_period_reported_with_every_other_violation():
         "r_max * g_factor = 1.5 ms is not a whole number of ms")
 
 
-# no value, a string and NaN: none of them is a finite number
-NOT_NUMBERS = [None, "1", math.nan]
+# no value, a string, NaN and a bool: none of them is a finite number
+NOT_NUMBERS = [None, "1", math.nan, True, False]
 
 
 @pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
@@ -426,9 +426,23 @@ def test_int_key_names_its_rule(raw, expected):
     assert str(err.value) == f"bad value {raw!r} for 'ra_cap'; expected {expected} in [1, 200]"
 
 
+@pytest.mark.parametrize("raw", [True, False, "3_600", "1_0", "1_0.5", "\u0663",
+                                 "\uff11\uff10", "\u00a010"], ids=repr)
+def test_bools_and_more_than_ascii_numbers_are_bad_values(raw):
+    # int() and float() take a bool, digit separators, non-ASCII digits and
+    # spaces; none of them is a number of a scenario key
+    for key, (*_, lo, hi) in _SCENARIO_KEYS.items():
+        if lo is None:
+            continue
+        with pytest.raises(ConfigurationError) as err:
+            scenario_value(key, raw)
+        assert str(err.value) == (f"bad value {raw!r} for {key!r}; "
+                                  f"expected a number in [{lo:.15g}, {hi:.15g}]"), key
+
+
 def test_integral_numbers_and_text_parse_for_an_int_key():
-    values = [scenario_value("ra_cap", raw) for raw in ("3", 3, 3.0)]
-    assert values == [3, 3, 3] and all(type(v) is int for v in values)
+    values = [scenario_value("ra_cap", raw) for raw in ("3", 3, 3.0, "+3", "003")]
+    assert values == [3, 3, 3, 3, 3] and all(type(v) is int for v in values)
 
 
 # the keys that take a real number: iat, battery, sync, 4 budgets, 9 power, 3 timers

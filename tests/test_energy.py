@@ -16,7 +16,7 @@ from nbiotsim import energy, flows
 from nbiotsim.cli import SweepSpec, run_lifetime_sweep
 from nbiotsim.config import (_SCENARIO_KEYS, COVERAGE_NAMES, HOURS_PER_YEAR, MAX_PSM_TIME_S,
                              Procedure, Reachability, TrafficCase, UeState)
-from nbiotsim.energy import cycle_profile, integrate_timeline, lifetime_years, price
+from nbiotsim.energy import cycle_profile, integrate_timeline, lifetime_and_shares, price
 from nbiotsim.flows import EnergyCategory, Interval
 from tests.conftest import (active_duration_s, binned_energy_mj, domain_values,
                             make_scenario)
@@ -175,7 +175,7 @@ def test_profile_breakdown_equals_assembled_timeline(proc, case, cov, reach):
                       "idle_drx_mj", "psm_mj"):
             assert getattr(got, field) == getattr(want, field), (iat_s, field)
         assert cycle_energy(s) == got
-        assert lifetime_years(got, iat_s, s.battery_wh) == (
+        assert lifetime_and_shares(profile.category_mj(iat_s), iat_s, s.battery_wh)[0] == (
             s.battery_wh / (want.total_mj / 1000.0 / iat_s) / HOURS_PER_YEAR)
 
 
@@ -297,17 +297,15 @@ def test_iat_shorter_than_active_cycle_rejected():
 
 def test_amortized_taus_longer_than_iat_rejected():
     # the amortized TAUs' awake time counts toward the active cycle, so a TAU
-    # period shorter than one TAU is an error at every IAT, not a clamped
-    # deep-sleep energy
+    # period shorter than one TAU leaves no IAT a rest time: the profile is
+    # refused when it is built, not priced at a clamped deep-sleep energy
     s = make_scenario("CP", "UL", idle_active_timer_base_s=0.0,
                       drx_long_cycle_base_s=1e-6, psm_tau_period_s=0.07)
-    profile = cycle_profile(s)
-    assert profile.events[0].active_us > 70_000
-    for iat_s in (3600.0, 86400.0):
-        with pytest.raises(ConfigurationError, match=re.escape(
-                "periodic TAUs keep the UE awake 0.774002 s of every 0.07 s "
-                "TAU period: no IAT is long enough")):
-            profile.breakdown(iat_s)
+    assert flows.active_time(build_tau_flow(s), s)[1] > 70_000
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "periodic TAUs keep the UE awake 0.774002 s of every 0.07 s "
+            "TAU period: no IAT is long enough")):
+        cycle_profile(s)
     # a TAU period longer than one TAU leaves deep sleep in the cycle, and an
     # IAT shorter than the cycle is its own fault
     profile = cycle_profile(replace(s, psm_tau_period_s=7.0))

@@ -4,13 +4,15 @@ Each direction property draws a valid scenario, raises one knob and checks
 that the lifetime, the cycle energy or the capacity moves in the knob's
 physical direction, as one weak inequality.  The paging properties compare a
 DRX_PAGING cycle with the same cycle resting in deep sleep and with PSM_TAU.
-No lifetime may reach the PSM floor, and no scenario's validity may depend on
-its IAT.  A draw that `validate_scenario` rejects, or whose IAT is shorter than its
-active cycle, is dropped.
+No lifetime may reach the PSM floor, no scenario's validity may depend on
+its IAT, and every cycle profile that is built prices some IAT.  A draw that
+`validate_scenario` rejects, or whose IAT is shorter than its active cycle,
+is dropped.
 """
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -20,7 +22,7 @@ from nbiotsim import (ConfigurationError, battery_lifetime_years, cell_capacity,
 from nbiotsim.config import (_SCENARIO_KEYS, COVERAGE_NAMES, MAX_DRX_CYCLE_S,
                              MAX_PSM_TIME_S, Procedure, Reachability, TrafficCase)
 from nbiotsim.energy import cycle_profile
-from nbiotsim.flows import EnergyCategory
+from nbiotsim.flows import US_PER_S, EnergyCategory
 from tests.conftest import domain_values
 
 # Narrower ranges than the key domains.  They keep the active cycle well inside
@@ -232,3 +234,28 @@ def test_validation_does_not_depend_on_iat(values, timers, iat):
     # cycle sets on the IAT are CycleProfile.breakdown's
     values.update(timers)
     assert verdict({**values, "iat": iat}) == verdict(values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=scenario_values(), timers=TIMERS)
+def test_a_built_profile_prices_twice_its_least_iat(values, timers):
+    # the TAUs' awake share of a built profile is below one, so the least
+    # whole-microsecond IAT of a rest of zero or more exists (as in
+    # test_energy's rest-time boundary), and twice it prices five finite,
+    # non-negative mJ: only the IAT's own bounds are left to category_mj
+    s = evaluate(lambda s: s, {**values, **timers})
+    try:
+        profile = cycle_profile(s)
+    except ConfigurationError as exc:
+        # the one refusal that no IAT can lift, raised where the profile is built
+        assert str(exc).startswith("periodic TAUs keep the UE awake"), exc
+        reject()
+    awake = sum(Fraction(e.active_us, US_PER_S) / Fraction(e.period_s) for e in profile.events)
+    assert awake < 1, f"a built profile is awake {float(awake)} of each TAU period"
+    least_us = math.ceil(Fraction(profile.active_us) / (1 - awake))
+    iat_s = 2 * least_us / US_PER_S
+    lo, hi = _SCENARIO_KEYS["iat"][3:]
+    if not lo <= iat_s <= min(hi, profile.max_iat_s):
+        reject()
+    mj = profile.category_mj(iat_s)
+    assert len(mj) == 5 and all(math.isfinite(v) and v >= 0.0 for v in mj), mj

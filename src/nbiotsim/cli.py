@@ -97,8 +97,9 @@ def _lifetime_rows(base: Scenario, groups) -> Table:
     A group pairs the sweep-axis fields other than iat_s that it sets on base
     with the IATs it runs over.  It is one cycle profile, which validates its
     scenario, and a `replace` of base only if it sets a field; each IAT row
-    then prices only the profile's category mJ.  Rows are not validated again:
-    `scenario_value` parsed each IAT, and `category_mj` checks it.
+    then prices only the profile's category mJ at its IAT, rounded once to
+    whole us.  `scenario_value` parsed each IAT and `category_mj` checks it, so
+    no row is validated again.
     """
     rows = [_baseline_row(base)]
     for fields, iats in groups:
@@ -110,12 +111,13 @@ def _lifetime_rows(base: Scenario, groups) -> Table:
             rows.extend(ident + (iat_s, 0.0, 0.0, 0.0, 0.0, 0.0, str(exc)) for iat_s in iats)
             continue
         for iat_s in iats:
+            iat_us = round(iat_s * flows.US_PER_S)
             try:
-                mj = profile.category_mj(iat_s)
+                mj = profile.category_mj(iat_us)
             except ConfigurationError as exc:
                 rows.append(ident + (iat_s, 0.0, 0.0, 0.0, 0.0, 0.0, str(exc)))
                 continue
-            cells = energy.lifetime_and_shares(mj, iat_s, s.battery_wh)
+            cells = energy.lifetime_and_shares(mj, iat_us, s.battery_wh)
             rows.append(ident + (iat_s, *cells, ""))
     return Table(LIFETIME_COLUMNS, rows)
 

@@ -8,9 +8,9 @@ cycle amortizes: an uplink PSM_TAU cycle runs one standalone TAU per TAU
 period, while a downlink flow carries its TAU inside the flow (the TAU is what
 makes the UE reachable) and a paging UE pays in its rest state.
 `CycleProfile.category_mj` then gives the energy of one inter-arrival period
-(IAT) in closed form, as five floats: iat / period of each event, and the rest
-state (`flows.rest_state`) priced once over the rest time, the IAT's whole
-microseconds less the active timeline and the events' awake time.
+(IAT) of whole microseconds in closed form, as five floats: iat / period of
+each event, and the rest state (`flows.rest_state`) priced once over the rest
+time, the IAT less the active timeline and the events' awake time.
 `cycle_profile` refuses events awake for their whole period, so every profile
 admits some IAT, and `category_mj` raises only at the IAT's two bounds.  Rows
 that differ only in their IAT share one profile, and a row costs only
@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from . import flows
 from .config import (HOURS_PER_YEAR, MAX_PSM_TIME_S, ConfigurationError, Reachability,
                      Scenario, scenario_value, validate_scenario)
-from .flows import EnergyCategory, Interval
+from .flows import US_PER_S, EnergyCategory, Interval
 
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
-    """Millijoules per traffic cycle; each field is named by an EnergyCategory value."""
+    """mJ per cycle, each field named by an EnergyCategory value; public, as bench/ reads it."""
 
     ra_sync_mj: float
     post_ra_messages_mj: float
@@ -70,24 +70,24 @@ def integrate_timeline(timeline: list[Interval]) -> dict[EnergyCategory, float]:
 
 @dataclass(frozen=True)
 class PeriodicEvent:
-    """A wake-up run once per period_s between reports, such as a periodic TAU:
-    its energy as (category, mJ) pairs, each under the category the cycle
-    charges it to, and its awake time in timeline microseconds."""
+    """A wake-up run once per period_us between reports, such as a periodic
+    TAU: its energy as (category, mJ) pairs, each under the category the cycle
+    charges it to, and its awake time, both in timeline microseconds."""
 
     mj: tuple[tuple[EnergyCategory, float], ...]
     active_us: int
-    period_s: float
+    period_us: int
 
 
-def standalone_event(flow: flows.ProcedureFlow, s: Scenario, period_s: float) -> PeriodicEvent:
-    """A standalone flow run once per period_s.  Its idle DRX is part of the
+def standalone_event(flow: flows.ProcedureFlow, s: Scenario, period_us: int) -> PeriodicEvent:
+    """A standalone flow run once per period_us.  Its idle DRX is part of the
     wake-up and charged to ra_sync, so a cycle's idle-DRX energy is only its
     own reachability window, which is zero whenever release assistance applies."""
     us, active_us = flows.active_time(flow, s)
     return PeriodicEvent(
         mj=tuple((EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat, mj)
                  for cat, mj in price(us).items()),
-        active_us=active_us, period_s=period_s)
+        active_us=active_us, period_us=period_us)
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class CycleProfile:
 
     Holds the per-category energy and the length of the active timeline, the
     rest state's power and category, the periodic events the cycle amortizes,
-    and the longest IAT the cycle can take (inf where it has no ceiling).
+    and the longest IAT the cycle can take, in us (inf where it has no ceiling).
     """
 
     active_mj: dict[EnergyCategory, float]
@@ -104,38 +104,33 @@ class CycleProfile:
     rest_mw: float
     rest_category: EnergyCategory
     events: tuple[PeriodicEvent, ...]
-    max_iat_s: float
+    max_iat_us: float
 
-    def category_mj(self, iat_s: float) -> tuple[float, ...]:
-        """mJ of one inter-arrival period of iat_s seconds per category, in
-        EnergyBreakdown field order.
+    def category_mj(self, iat_us: int) -> tuple[float, ...]:
+        """mJ per category, in EnergyBreakdown field order, of one inter-arrival
+        period of iat_us whole microseconds, which its caller rounds once.
 
-        Each event adds iat_s / period_s of its energy and of its awake time;
-        the rest state is priced once over the rest of the period's whole
-        microseconds.  An IAT above max_iat_s, or one that leaves a negative
-        rest time, raises ConfigurationError.
+        Each event adds iat_us / period_us of its energy and of its awake time;
+        the rest state is priced once over the rest.  An IAT above max_iat_us,
+        or one that leaves a negative rest time, raises ConfigurationError.
         """
-        if iat_s > self.max_iat_s:
-            raise ConfigurationError(f"iat_s={iat_s:.0f} s: a mobile-terminated PSM_TAU cycle "
-                                     f"exceeds the {self.max_iat_s / 3600.0:.0f} h PSM maximum")
-        iat_us = round(iat_s * flows.US_PER_S)
+        if iat_us > self.max_iat_us:
+            raise ConfigurationError(
+                f"iat_s={iat_us / US_PER_S:.0f} s: a mobile-terminated PSM_TAU cycle "
+                f"exceeds the {self.max_iat_us / US_PER_S / 3600.0:.0f} h PSM maximum")
         rest_us = iat_us - self.active_us
         cats = dict(self.active_mj)
         for event in self.events:
-            fraction = iat_s / event.period_s      # events per cycle
+            fraction = iat_us / event.period_us    # events per cycle
             rest_us -= event.active_us * fraction
             for cat, mj in event.mj:
                 cats[cat] += mj * fraction
         if rest_us < 0:
-            raise ConfigurationError(f"iat_s={iat_s}: shorter than the "
-                                     f"{(iat_us - rest_us) / flows.US_PER_S} s active cycle")
+            raise ConfigurationError(f"iat_s={iat_us / US_PER_S}: shorter than the "
+                                     f"{(iat_us - rest_us) / US_PER_S} s active cycle")
         cats[self.rest_category] += self.rest_mw * rest_us * 1e-6
         # cats is keyed in EnergyCategory order, which is the field order
         return tuple(cats.values())
-
-    def breakdown(self, iat_s: float) -> EnergyBreakdown:
-        """Energy of one inter-arrival period of iat_s seconds, split by category."""
-        return EnergyBreakdown(*self.category_mj(iat_s))
 
 
 def cycle_profile(s: Scenario) -> CycleProfile:
@@ -148,37 +143,39 @@ def cycle_profile(s: Scenario) -> CycleProfile:
     paced_by_tau = psm_tau and s.traffic_case.mobile_terminated
     # reachability costs PSM_TAU a periodic TAU, carried inside a downlink
     # flow, and DRX_PAGING the paging occasions of its rest state
-    events = ((standalone_event(flows.build_tau_flow(s), s, s.psm_tau_period_s),)
+    events = ((standalone_event(flows.build_tau_flow(s), s,
+                                round(s.psm_tau_period_s * US_PER_S)),)
               if psm_tau and not paced_by_tau else ())
-    if sum(e.active_us / flows.US_PER_S / e.period_s for e in events) >= 1.0:
+    if sum(e.active_us / e.period_us for e in events) >= 1.0:
         raise ConfigurationError("periodic TAUs keep the UE awake " + " and ".join(
-            f"{e.active_us / flows.US_PER_S} s of every {e.period_s} s"
+            f"{e.active_us / US_PER_S} s of every {e.period_us / US_PER_S} s"
             for e in events) + " TAU period: no IAT is long enough")
     return CycleProfile(
         active_mj=price(us), active_us=active_us,
         rest_mw=rest_mw, rest_category=rest_category, events=events,
         # a downlink PSM_TAU cycle's IAT is its T3412: at most 310 h (TS 24.008)
-        max_iat_s=MAX_PSM_TIME_S if paced_by_tau else math.inf,
+        max_iat_us=round(MAX_PSM_TIME_S * US_PER_S) if paced_by_tau else math.inf,
     )
 
 
 def cycle_energy(s: Scenario) -> EnergyBreakdown:
-    """Energy of one inter-arrival period, split by category."""
-    return cycle_profile(s).breakdown(s.iat_s)
+    """Energy of one inter-arrival period by category; public, as bench/ calls it."""
+    return EnergyBreakdown(*cycle_profile(s).category_mj(round(s.iat_s * US_PER_S)))
 
 
-def lifetime_and_shares(mj: tuple[float, ...], iat_s: float, battery_wh: float) -> tuple:
+def lifetime_and_shares(mj: tuple[float, ...], iat_us: int, battery_wh: float) -> tuple:
     """Lifetime in years of a battery_wh battery spending the category mJ mj
-    (field order) every iat_s s, then the ra_sync, messages, DRX and PSM shares."""
+    (field order) every iat_us us, then the ra_sync, messages, DRX and PSM shares."""
     ra_sync, messages, connected_drx, idle_drx, psm = mj
     total = ra_sync + messages + connected_drx + idle_drx + psm
-    return (battery_wh / (total / 1000.0 / iat_s) / HOURS_PER_YEAR, ra_sync / total,
-            messages / total, (connected_drx + idle_drx) / total, psm / total)
+    return (battery_wh / (total / 1000.0 / (iat_us / US_PER_S)) / HOURS_PER_YEAR,
+            ra_sync / total, messages / total, (connected_drx + idle_drx) / total, psm / total)
 
 
 def battery_lifetime_years(s: Scenario) -> float:
     """Battery lifetime in years at the scenario's long-run average power."""
-    return lifetime_and_shares(cycle_profile(s).category_mj(s.iat_s), s.iat_s, s.battery_wh)[0]
+    iat_us = round(s.iat_s * US_PER_S)
+    return lifetime_and_shares(cycle_profile(s).category_mj(iat_us), iat_us, s.battery_wh)[0]
 
 
 def psm_baseline_lifetime_years(s: Scenario) -> float:
@@ -189,4 +186,4 @@ def psm_baseline_lifetime_years(s: Scenario) -> float:
     """
     battery_wh = scenario_value("battery_wh", s.battery_wh)
     deep_sleep_mw = scenario_value("deep_sleep_mw", s.power.deep_sleep_mw)
-    return lifetime_and_shares((0.0, 0.0, 0.0, 0.0, deep_sleep_mw), 1.0, battery_wh)[0]
+    return lifetime_and_shares((0.0, 0.0, 0.0, 0.0, deep_sleep_mw), US_PER_S, battery_wh)[0]

@@ -12,8 +12,8 @@ import bisect
 import enum
 import hashlib
 import math
+import os
 from functools import lru_cache
-from importlib import resources
 
 from .config import CARRIER_KHZ, ConfigurationError, CoverageProfile, PowerProfile, _records
 
@@ -44,7 +44,8 @@ SHARED_CHANNELS = (ChannelKind.NPUSCH, ChannelKind.NPDSCH)
 # --- TBS table loading ------------------------------------------------------
 
 def _data_text(name: str) -> str:
-    return resources.files("nbiotsim").joinpath(f"data/{name}").read_text(encoding="utf-8")
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 @lru_cache(maxsize=None)

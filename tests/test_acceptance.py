@@ -24,6 +24,7 @@ from nbiotsim.flows import EnergyCategory
 from tests.conftest import binned_energy_mj, make_scenario
 
 IATS_H = tuple(range(1, 25))
+CASES = ("UL", "UL_ACK", "DL", "DL_ACK")
 COVERAGES = ("Normal", "Robust", "Extreme")
 
 
@@ -48,7 +49,7 @@ def gain_grid():
 def lifetimes():
     out = {}
     for proc in ("SR", "CP", "UP"):
-        for case in ("UL", "DL", "DL_ACK"):
+        for case in CASES:
             for cov in COVERAGES:
                 for h in IATS_H:
                     out[(proc, case, cov, h)] = battery_lifetime_years(
@@ -248,3 +249,64 @@ def test_criterion_10b_normal_24h_window(lifetimes):
     ok = 6.0 <= value <= 10.0
     report("criterion 10b: 24 h Normal-coverage lifetime window", ok,
            f"{value:.1f} y vs [6, 10] y")
+
+
+# --- the abstract's lifetime claims, over 4 cases x 3 coverages x 1-24 h ------
+
+def gains_over_sr(lifetimes, proc):
+    """Lifetime extension of proc over SR in years, per (case, coverage, IAT h)."""
+    return {(case, cov, h): lifetimes[(proc, case, cov, h)] - lifetimes[("SR", case, cov, h)]
+            for case in CASES for cov in COVERAGES for h in IATS_H}
+
+
+def report_large_range(name, lifetimes, proc):
+    # "both optimizations achieve a battery lifetime extension of more than 2
+    # years for a large range in the considered cases", read for each
+    # procedure on its own: its extension over SR exceeds 2 years at a
+    # majority of the 288 grid points
+    gains = gains_over_sr(lifetimes, proc)
+    wins = [key for key, gain in gains.items() if gain > 2.0]
+    per_cov = ", ".join(f"{cov} {sum(k[1] == cov for k in wins)}" for cov in COVERAGES)
+    report(name, len(wins) > len(gains) / 2,
+           f"{proc} gains > 2 y at {len(wins)} of {len(gains)} points ({per_cov}); "
+           f"need a majority")
+
+
+def test_criterion_11a_cp_gains_two_years_over_a_large_range(lifetimes):
+    report_large_range("criterion 11a: CP extends lifetime > 2 y over a large range",
+                       lifetimes, "CP")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the model misses it: UP gains more than 2 years over SR at 97 of 288 points "
+    "(none at Normal, 64 at Robust, 33 at Extreme), 34% against a majority; at "
+    "Normal coverage its largest gain is 0.85 years (UL, 2 h), and over the "
+    "grid 5.33 years (UL/Robust, 19 h)"))
+def test_criterion_11b_up_gains_two_years_over_a_large_range(lifetimes):
+    report_large_range("criterion 11b: UP extends lifetime > 2 y over a large range",
+                       lifetimes, "UP")
+
+
+def test_criterion_12_cp_gains_up_to_8_years_in_good_coverage(lifetimes):
+    # "up to 8 years for CP with good coverage": the largest extension of CP
+    # over SR at Normal coverage, over the 4 cases and 24 IATs, is 8 years
+    # within the suite's +-20% band
+    gains = {k: v for k, v in gains_over_sr(lifetimes, "CP").items() if k[1] == "Normal"}
+    (case, _, h), best = max(gains.items(), key=lambda kv: kv[1])
+    report("criterion 12: peak CP extension at Normal coverage", in_band(best, 6.4, 9.6),
+           f"{best:.2f} y (CP/{case}/Normal, {h} h) vs 8 y +-20%")
+
+
+def test_criterion_13_cp_and_up_similar_but_for_some_configurations(lifetimes):
+    # "The comparison of CP and UP optimizations yields similar results, except
+    # for some specific configurations": CP and UP lifetimes differ by more
+    # than 10% of the longer one (criterion 8's threshold) at some grid
+    # points, but at fewer than half of them
+    apart = [(case, cov, h) for case in CASES for cov in COVERAGES for h in IATS_H
+             if abs(lifetimes[("CP", case, cov, h)] - lifetimes[("UP", case, cov, h)])
+             > 0.1 * max(lifetimes[("CP", case, cov, h)], lifetimes[("UP", case, cov, h)])]
+    total = len(CASES) * len(COVERAGES) * len(IATS_H)
+    report("criterion 13: CP and UP similar except for some configurations",
+           0 < len(apart) < total / 2,
+           f"differ by > 10% at {len(apart)} of {total} points, in cases "
+           f"{sorted({k[0] for k in apart})}")

@@ -26,6 +26,7 @@ from nbiotsim import energy, flows, phy
 from nbiotsim.config import COVERAGE_NAMES, MAX_PSM_TIME_S, ConfigurationError
 from nbiotsim.flows import EnergyCategory
 from tests.conftest import domain_values, scenario_texts
+from tests.test_flows import LAYOUT_KNOBS
 from tests.test_golden import PAGING_CFG
 from tests.test_invariants import evaluate, scenario_values
 
@@ -135,6 +136,47 @@ def test_sweep_rows_equal_the_per_row_reference_when_taus_keep_the_ue_awake():
 @given(values=scenario_values(), iats=st.lists(domain_values("iat"), min_size=1, max_size=4))
 def test_sweep_rows_equal_the_per_row_reference_property(values, iats):
     assert_rows_are_the_reference(evaluate(lambda s: s, values), tuple(iats))
+
+
+# SHA-256 of the repr of every lifetime row, error rows and the baseline row
+# included, over 72 points (procedure x case x reachability x coverage) under
+# four knob sets: the defaults, non-default sizes and timers, and a 7-s and a
+# 1-h TAU period.  Each group sweeps whole-second and dyadic IATs from 0.5 s to
+# 2e6 s, past the 310 h PSM maximum.  Every IAT and TAU period is a whole
+# microsecond, so the rows pin the lifetime and share floats bit for bit,
+# independently of the `==` tests, which compare the row path with itself.
+ROW_DIGEST = "b7e259f67b570768af7ca17b0d8c6a27aa342a60189b3ae32f45100f55e7ec3d"
+ROW_IATS = (0.5, 0.625, 0.75, 1.0, 1.5, 2.0, 7.0, 60.0, 600.0,
+            *(h * 3600.0 for h in range(1, 25)), 432000.0, MAX_PSM_TIME_S,
+            MAX_PSM_TIME_S + 0.5, 2e6)
+ROW_KNOBS = ({}, LAYOUT_KNOBS, dict(psm_tau_period_s=7.0), dict(psm_tau_period_s=3600.0))
+
+
+def test_lifetime_rows_match_pinned_digest():
+    digest = hashlib.sha256()
+    for knobs in ROW_KNOBS:
+        groups = [(dict(procedure=proc, traffic_case=case, mt_reachability=reach,
+                        coverage=builtin_coverage_profile(cov)), ROW_IATS)
+                  for proc, case, reach, cov in itertools.product(
+                      Procedure, TrafficCase, Reachability, COVERAGE_NAMES)]
+        for row in _lifetime_rows(Scenario(**knobs), groups).rows:
+            digest.update(f"{row!r}\n".encode())
+    assert digest.hexdigest() == ROW_DIGEST
+
+
+def test_iats_in_one_microsecond_price_the_same():
+    # an IAT is read once, as whole microseconds: 3600.0000004 s prices as
+    # 3600 s (12.147 years on SR/UL/Normal), and a downlink PSM_TAU cycle at
+    # 310 h plus 0.4 us fits, as at 310 h
+    for s, iat_s, near_s in [(Scenario(procedure=Procedure.SR), 3600.0, 3600.0000004),
+                             (Scenario(traffic_case=TrafficCase.DL), MAX_PSM_TIME_S,
+                              MAX_PSM_TIME_S + 4e-7)]:
+        at, near = replace(s, iat_s=iat_s), replace(s, iat_s=near_s)
+        assert near.iat_s != at.iat_s
+        assert energy.cycle_energy(near) == energy.cycle_energy(at)
+        assert energy.battery_lifetime_years(near) == energy.battery_lifetime_years(at)
+        rows = _lifetime_rows(s, [({}, (iat_s, near_s))]).rows[1:]
+        assert rows[0][4:] == rows[1][4:] and rows[0][-1] == ""
 
 
 def test_sweep_other_axes():
@@ -594,6 +636,23 @@ def test_cli_reader_closing_the_pipe_early_is_quiet():
     _, err = proc.communicate(timeout=60)
     assert err == b""
     assert proc.returncode == EXIT_VALIDATION
+
+
+def test_cli_cold_import_loads_no_resource_machinery():
+    # the packaged data files are files on disk, read with open(): importing
+    # the CLI and loading every data file, as a cold run does first, loads
+    # none of these.  -S, because a site .pth file may import them itself
+    src = os.path.dirname(os.path.dirname(nbiotsim.__file__))
+    code = ("import sys, nbiotsim.cli\n"
+            "from nbiotsim import flows, phy\n"
+            "flows._catalog()\n"
+            "for ch in phy.SHARED_CHANNELS:\n"
+            "    phy._tbs_table(ch)\n"
+            "print(sorted({'importlib.resources', 'pathlib', 'tempfile', 'shutil'}"
+            " & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
 
 
 # --- key domains at the command line -----------------------------------------

@@ -91,7 +91,7 @@ def test_idle_active_timer_must_be_shorter_than_tau_period():
     # an uplink PSM_TAU cycle amortizes standalone TAUs, and each one's
     # timeline holds the whole T3324 window (base + 2 long DRX cycles, 2.08 s
     # each at Normal), so T3324 >= T3412 keeps the UE awake longer than any
-    # IAT: the scenario validates, and every row fails in breakdown
+    # IAT: the scenario validates, and its cycle profile refuses every row
     iats = (3600.0, 86400.0, 1e6, 1e9)
     short = make(psm_tau_period_s=100.0)                             # T3324 14.160 s
     long = replace(short, idle_active_timer_base_s=96.0)             # T3324 100.160 s

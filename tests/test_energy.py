@@ -136,17 +136,18 @@ def test_amortized_tau_assembly():
 def assembled_breakdown(s):
     """Cycle energy assembled from the IAT-filled timeline, plus the amortized
     TAU on uplink PSM_TAU cycles, in the model's order: integrate the active
-    intervals, scale the TAU integral and charge its idle DRX to ra_sync, then
-    take the TAU's awake microseconds out of the rest interval and price what
-    is left once."""
+    intervals, scale the TAU integral by the IAT's and the TAU period's whole
+    microseconds and charge its idle DRX to ra_sync, then take the TAU's awake
+    microseconds out of the rest interval and price what is left once."""
     *active, rest = flow_timeline(build_flow(s), s)
-    assert rest.end_us == int(round(s.iat_s * 1e6)) and rest.label in ("psm", "paging")
+    iat_us = round(s.iat_s * 1e6)
+    assert rest.end_us == iat_us and rest.label in ("psm", "paging")
     cats = integrate_timeline(active)
     rest_us = rest.duration_us
     if (not s.traffic_case.mobile_terminated
             and s.mt_reachability is Reachability.PSM_TAU):
         tau_tl = flow_timeline(build_tau_flow(s), s, fill_to_iat=False)
-        frac = s.iat_s / s.psm_tau_period_s
+        frac = iat_us / round(s.psm_tau_period_s * 1e6)
         rest_us -= tau_tl[-1].end_us * frac
         for cat, value in integrate_timeline(tau_tl).items():
             target = EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat
@@ -165,23 +166,23 @@ def assembled_breakdown(s):
 @pytest.mark.parametrize("case", [c.value for c in TrafficCase])
 @pytest.mark.parametrize("proc", [p.value for p in Procedure])
 def test_profile_breakdown_equals_assembled_timeline(proc, case, cov, reach):
-    # one profile serves every IAT, bit for bit
+    # one profile serves every IAT, bit for bit, on the IAT's whole microseconds
     base = make_scenario(proc, case, cov, mt_reachability=reach)
     profile = cycle_profile(base)
     for iat_s in (3600.0, 86400.0, 12345.6789):
-        s = replace(base, iat_s=iat_s)
-        got, want = profile.breakdown(iat_s), assembled_breakdown(s)
+        s, iat_us = replace(base, iat_s=iat_s), round(iat_s * 1e6)
+        got, want = EnergyBreakdown(*profile.category_mj(iat_us)), assembled_breakdown(s)
         for field in ("ra_sync_mj", "post_ra_messages_mj", "connected_drx_mj",
                       "idle_drx_mj", "psm_mj"):
             assert getattr(got, field) == getattr(want, field), (iat_s, field)
         assert cycle_energy(s) == got
-        assert lifetime_and_shares(profile.category_mj(iat_s), iat_s, s.battery_wh)[0] == (
-            s.battery_wh / (want.total_mj / 1000.0 / iat_s) / HOURS_PER_YEAR)
+        assert lifetime_and_shares(profile.category_mj(iat_us), iat_us, s.battery_wh)[0] == (
+            s.battery_wh / (want.total_mj / 1000.0 / (iat_us / 1e6)) / HOURS_PER_YEAR)
 
 
 def test_category_values_are_the_breakdown_fields():
     # one name per category, in field order: share() reads the field by value,
-    # and breakdown() builds the breakdown positionally in category order
+    # and cycle_energy() builds the breakdown positionally in category order
     assert [c.value for c in EnergyCategory] == [f.name for f in fields(EnergyBreakdown)]
 
 
@@ -197,9 +198,9 @@ def test_profile_active_times_are_timeline_microseconds(proc, case, reach):
     s = make_scenario(proc, case, "Robust", mt_reachability=reach)
     profile = cycle_profile(s)
     assert [f.name for f in fields(CycleProfile)] == [
-        "active_mj", "active_us", "rest_mw", "rest_category", "events", "max_iat_s"]
+        "active_mj", "active_us", "rest_mw", "rest_category", "events", "max_iat_us"]
     paced_by_tau = s.traffic_case.mobile_terminated and reach is Reachability.PSM_TAU
-    assert profile.max_iat_s == (MAX_PSM_TIME_S if paced_by_tau else math.inf)
+    assert profile.max_iat_us == (MAX_PSM_TIME_S * 10**6 if paced_by_tau else math.inf)
     timeline = flow_timeline(build_flow(s), s, fill_to_iat=False)
     assert profile.active_us == timeline[-1].end_us
     rest = flow_timeline(build_flow(s), s)[-1]
@@ -211,7 +212,7 @@ def test_profile_active_times_are_timeline_microseconds(proc, case, reach):
     (tau,) = profile.events
     tau_tl = flow_timeline(build_tau_flow(s), s, fill_to_iat=False)
     assert tau.active_us == tau_tl[-1].end_us > 0
-    assert tau.period_s == s.psm_tau_period_s
+    assert tau.period_us == s.psm_tau_period_s * 10**6
     want = integrate_timeline(tau_tl)
     want[EnergyCategory.RA_SYNC] += want.pop(EnergyCategory.IDLE_DRX)
     got = {cat: 0.0 for cat in want}
@@ -243,7 +244,7 @@ def test_iat_sweep_builds_timelines_once(monkeypatch):
 
 def test_iat_sweep_validates_its_scenario_once(monkeypatch):
     # rows that share a cycle profile differ only in their parsed IAT, whose
-    # bounds on the cycle breakdown checks, so the scenario is validated once
+    # bounds on the cycle category_mj checks, so the scenario is validated once
     calls = []
     real = Scenario.violations
     monkeypatch.setattr(Scenario, "violations", lambda s: calls.append(s) or real(s))
@@ -288,9 +289,9 @@ def test_iat_shorter_than_active_cycle_rejected():
     s = make_scenario("SR", "DL_ACK", "Extreme")
     profile = cycle_profile(s)
     assert 52.0 < profile.active_us / 1e6 < 52.5
-    assert profile.breakdown(profile.active_us / 1e6).psm_mj == 0.0
+    assert profile.category_mj(profile.active_us)[-1] == 0.0       # psm_mj
     with pytest.raises(ConfigurationError, match="active cycle"):
-        profile.breakdown((profile.active_us - 1) / 1e6)
+        profile.category_mj(profile.active_us - 1)
     with pytest.raises(ConfigurationError, match="iat_s=30.0"):
         cycle_energy(replace(s, iat_s=30.0))
 
@@ -309,9 +310,9 @@ def test_amortized_taus_longer_than_iat_rejected():
     # a TAU period longer than one TAU leaves deep sleep in the cycle, and an
     # IAT shorter than the cycle is its own fault
     profile = cycle_profile(replace(s, psm_tau_period_s=7.0))
-    assert profile.breakdown(3600.0).psm_mj > 0.0
+    assert profile.category_mj(3600 * 10**6)[-1] > 0.0
     with pytest.raises(ConfigurationError, match=r"iat_s=0\.5: shorter than the \S+ s active"):
-        profile.breakdown(0.5)
+        profile.category_mj(500_000)
 
 
 def test_rest_time_boundary_of_an_uplink_psm_tau_cycle():
@@ -326,11 +327,11 @@ def test_rest_time_boundary_of_an_uplink_psm_tau_cycle():
     least_us = math.ceil(Fraction(profile.active_us)
                          / (1 - Fraction(tau.active_us, 7 * 10**6)))
     assert least_us > profile.active_us + tau.active_us * profile.active_us / 7e6
-    b = profile.breakdown(least_us / 1e6)
-    assert b.psm_mj >= 0.0 and b.psm_mj < s.power.deep_sleep_mw * 1e-6
+    psm_mj = profile.category_mj(least_us)[-1]
+    assert psm_mj >= 0.0 and psm_mj < s.power.deep_sleep_mw * 1e-6
     with pytest.raises(ConfigurationError, match=re.escape(
             f"iat_s={(least_us - 1) / 1e6}: shorter than the ")):
-        profile.breakdown((least_us - 1) / 1e6)
+        profile.category_mj(least_us - 1)
 
 
 def assert_energy_pass_exact(flow, s):

@@ -168,7 +168,8 @@ def paging_and_asleep_mj(s):
     profile = cycle_profile(s)
     asleep = replace(profile, rest_mw=s.power.deep_sleep_mw,
                      rest_category=EnergyCategory.PSM)
-    return profile.breakdown(s.iat_s).total_mj, asleep.breakdown(s.iat_s).total_mj
+    iat_us = round(s.iat_s * US_PER_S)
+    return sum(profile.category_mj(iat_us)), sum(asleep.category_mj(iat_us))
 
 
 @settings(max_examples=15, deadline=None)
@@ -231,7 +232,7 @@ TIMERS = st.fixed_dictionaries({key: domain_values(key) for key in (
 def test_validation_does_not_depend_on_iat(values, timers, iat):
     # the premise of a lifetime sweep that validates its scenario once: every
     # IAT of the key's domain gets the same verdict, and the bounds that the
-    # cycle sets on the IAT are CycleProfile.breakdown's
+    # cycle sets on the IAT are CycleProfile.category_mj's
     values.update(timers)
     assert verdict({**values, "iat": iat}) == verdict(values)
 
@@ -250,12 +251,12 @@ def test_a_built_profile_prices_twice_its_least_iat(values, timers):
         # the one refusal that no IAT can lift, raised where the profile is built
         assert str(exc).startswith("periodic TAUs keep the UE awake"), exc
         reject()
-    awake = sum(Fraction(e.active_us, US_PER_S) / Fraction(e.period_s) for e in profile.events)
+    awake = sum(Fraction(e.active_us, e.period_us) for e in profile.events)
     assert awake < 1, f"a built profile is awake {float(awake)} of each TAU period"
     least_us = math.ceil(Fraction(profile.active_us) / (1 - awake))
-    iat_s = 2 * least_us / US_PER_S
+    iat_us = 2 * least_us
     lo, hi = _SCENARIO_KEYS["iat"][3:]
-    if not lo <= iat_s <= min(hi, profile.max_iat_s):
+    if not (lo <= iat_us / US_PER_S <= hi and iat_us <= profile.max_iat_us):
         reject()
-    mj = profile.category_mj(iat_s)
+    mj = profile.category_mj(iat_us)
     assert len(mj) == 5 and all(math.isfinite(v) and v >= 0.0 for v in mj), mj

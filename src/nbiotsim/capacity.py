@@ -4,7 +4,8 @@ Fluid-flow accounting: each flow's per-channel resource usage is summed from
 message airtimes, every shared-channel message charges one NPDCCH assignment,
 and random access charges expected preamble slots.  Cell capacity is the
 tightest budget/usage ratio across channels after coverage-level sharing; the
-budgets are the scenario's, which default to the cell's pools (config).
+budgets are the scenario's, which default to the cell's pools (config).  A
+scenario was validated when it was built, so none is checked here.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import flows, phy, ra
-from .config import ConfigurationError, Scenario, validate_scenario
+from .config import ConfigurationError, Scenario
 from .flows import ProcedureFlow
 from .phy import ChannelKind
 
@@ -65,7 +66,6 @@ def flow_channel_usage(flow: ProcedureFlow, s: Scenario) -> dict[ChannelKind, fl
 
 def cell_capacity(s: Scenario) -> CapacityReport:
     """Supported reports per hour and the limiting channel for one scenario."""
-    validate_scenario(s)
     usage = flow_channel_usage(flows.build_flow(s), s)
     budgets = default_budgets(s)
     share = s.coverage.resource_share

@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 from . import capacity as cap
 from . import energy, flows, phy
 from .config import (ConfigurationError, Procedure, Scenario, TrafficCase,
-                     parse_scenario_file, scenario_value, validate_scenario,
-                     COVERAGE_NAMES)
+                     parse_scenario_file, scenario_value, COVERAGE_NAMES)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -83,29 +82,25 @@ LIFETIME_COLUMNS = ("procedure", "case", "coverage", "iat_s", "lifetime_years",
                     "error")
 
 
-def _baseline_row(base: Scenario) -> tuple:
-    try:
-        return ("PSM_BASELINE", "-", "-", 0.0,
-                energy.psm_baseline_lifetime_years(base), 0.0, 0.0, 0.0, 1.0, "")
-    except ConfigurationError as exc:
-        return ("PSM_BASELINE", "-", "-", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, str(exc))
-
-
 def _lifetime_rows(base: Scenario, groups) -> Table:
     """The deep-sleep-only baseline row of base, then the rows of each point group.
 
     A group pairs the sweep-axis fields other than iat_s that it sets on base
-    with the IATs it runs over.  It is one cycle profile, which validates its
-    scenario, and a `replace` of base only if it sets a field; each IAT row
-    then prices only the profile's category mJ at its IAT, rounded once to
-    whole us.  `scenario_value` parsed each IAT and `category_mj` checks it, so
-    no row is validated again.
+    with the IATs it runs over.  It is one cycle profile, and one `replace` of
+    base, which validates the group's scenario, only if it sets a field; a
+    refused scenario or profile fills the rows of base's procedure, case and
+    coverage overlaid with the fields.  Each IAT row prices only the profile's
+    category mJ at its IAT, rounded once to whole us, which `scenario_value`
+    parsed and `category_mj` checks, so no row is validated again.
     """
-    rows = [_baseline_row(base)]
+    rows = [("PSM_BASELINE", "-", "-", 0.0,
+             energy.psm_baseline_lifetime_years(base), 0.0, 0.0, 0.0, 1.0, "")]
     for fields, iats in groups:
-        s = replace(base, **fields) if fields else base
-        ident = (s.procedure.value, s.traffic_case.value, s.coverage.name)
+        proc, case, cov = (fields.get(f, getattr(base, f))
+                           for f in ("procedure", "traffic_case", "coverage"))
+        ident = (proc.value, case.value, cov.name)
         try:
+            s = replace(base, **fields) if fields else base
             profile = energy.cycle_profile(s)
         except ConfigurationError as exc:
             rows.extend(ident + (iat_s, 0.0, 0.0, 0.0, 0.0, 0.0, str(exc)) for iat_s in iats)
@@ -129,12 +124,17 @@ def _grid(flags: dict, **axes) -> list[dict]:
 
 
 def run_lifetime_sweep(spec: SweepSpec) -> Table:
-    """One row per sweep point plus the deep-sleep-only baseline row.  An IAT
-    sweep is one point group, any other axis one group per value."""
+    """One row per sweep point plus the deep-sleep-only baseline row."""
+    return _sweep_rows(spec, {}, spec.fixed.iat_s)
+
+
+def _sweep_rows(spec: SweepSpec, fields: dict, iat_s: float) -> Table:
+    """A sweep's rows, each point setting fields on spec.fixed, at iat_s unless the
+    IAT is swept: an IAT sweep is one point group, any other axis one per value."""
     field = _SWEEP_AXES[spec.axis]
     if field == "iat_s":
-        return _lifetime_rows(spec.fixed, [({}, spec.values)])
-    return _lifetime_rows(spec.fixed, [({field: value}, (spec.fixed.iat_s,))
+        return _lifetime_rows(spec.fixed, [(fields, spec.values)])
+    return _lifetime_rows(spec.fixed, [({**fields, field: value}, (iat_s,))
                                        for value in spec.values])
 
 
@@ -144,7 +144,6 @@ CAPACITY_COLUMNS = ("procedure", "case", "coverage", "reports_per_hour",
 
 def run_capacity_report(s: Scenario, fixed=()) -> Table:
     """CP and UP gain over SR per case and coverage; fields in fixed keep s's value."""
-    validate_scenario(s)
     rows = []
     for fields in _grid({f: getattr(s, f) for f in fixed},
                         procedure=(Procedure.CP, Procedure.UP),
@@ -195,12 +194,13 @@ def _lifetime_table(args) -> Table:
     base, flags = _file_and_flags(args)
     if args.sweep:
         axis, values = _parse_sweep(args.sweep)
-        # the flags change no field of the baseline row
-        spec = SweepSpec(axis, values, fixed=replace(base, **flags))
+        spec = SweepSpec(axis, values, fixed=base)
         if _SWEEP_AXES[axis] in flags:
             raise ConfigurationError(f"--{axis} and --sweep {axis}=... both set "
                                      f"the {axis} axis")
-        return run_lifetime_sweep(spec)
+        # each point sets the flags, so a point the flags make invalid is an error row
+        iat_s = flags.pop("iat_s", base.iat_s)
+        return _sweep_rows(spec, flags, iat_s)
     if args.iat is not None:
         # a pinned inter-arrival time means a single evaluation point
         iat_s = flags.pop("iat_s")

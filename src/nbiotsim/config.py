@@ -5,7 +5,8 @@ scenario with its traffic sizes, DRX/PSM timers and cell budgets (each a plain
 value; a budget defaults to its pool, defined here), scenario validation, and a
 key=value scenario file format.  Every other module consumes only these types.
 Each numeric field has one domain, its row (target, field, type, lo, hi), and
-validation checks the rows before the rules that are not ranges.
+validation checks the rows before the rules that are not ranges.  Building a
+Scenario validates it, so every Scenario that exists is valid.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ class PowerProfile:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One evaluation point: procedure, traffic case, coverage, and parameters."""
+    """One evaluation point: procedure, traffic case, coverage, and parameters;
+    `Scenario(...)` and `dataclasses.replace` raise ConfigurationError if invalid."""
 
     procedure: Procedure = Procedure.CP
     traffic_case: TrafficCase = TrafficCase.UL
@@ -182,6 +184,9 @@ class Scenario:
     budget_npdsch_sf_per_s: float = DL_POOL_SF_PER_S
     budget_npusch_sc_ms_per_s: float = UL_SUBCARRIER_MS_PER_S
     budget_nprach_slots_per_s: float = NPRACH_POOL_SLOTS_PER_S
+
+    def __post_init__(self):
+        validate_scenario(self)
 
     @property
     def data_message_bytes(self) -> int:
@@ -429,7 +434,7 @@ def parse_scenario(text: str) -> Scenario:
     for target, part in _PARTS.items():
         if kw[target]:
             kw["scenario"][target] = part(**kw[target])
-    return validate_scenario(Scenario(**kw["scenario"]))
+    return Scenario(**kw["scenario"])
 
 
 def parse_scenario_file(path) -> Scenario:

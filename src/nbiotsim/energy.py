@@ -24,8 +24,7 @@ import math
 from dataclasses import dataclass
 
 from . import flows
-from .config import (HOURS_PER_YEAR, MAX_PSM_TIME_S, ConfigurationError, Reachability,
-                     Scenario, scenario_value, validate_scenario)
+from .config import HOURS_PER_YEAR, MAX_PSM_TIME_S, ConfigurationError, Reachability, Scenario
 from .flows import US_PER_S, EnergyCategory, Interval
 
 
@@ -134,9 +133,8 @@ class CycleProfile:
 
 
 def cycle_profile(s: Scenario) -> CycleProfile:
-    """Active-cycle profile of a scenario, which it validates and refuses where the
-    periodic events leave no IAT a rest time; `category_mj` checks each IAT."""
-    validate_scenario(s)
+    """Active-cycle profile of a scenario, valid since it was built, refused where
+    the periodic events leave no IAT a rest time; `category_mj` checks each IAT."""
     us, active_us = flows.active_time(flows.build_flow(s), s)
     _, rest_mw, rest_category, _ = flows.rest_state(s)
     psm_tau = s.mt_reachability is Reachability.PSM_TAU
@@ -179,11 +177,6 @@ def battery_lifetime_years(s: Scenario) -> float:
 
 
 def psm_baseline_lifetime_years(s: Scenario) -> float:
-    """Lifetime of a traffic-free UE that only deep-sleeps (the PSM floor).
-
-    Raises ConfigurationError if the battery or the deep-sleep power lies
-    outside its key's domain.
-    """
-    battery_wh = scenario_value("battery_wh", s.battery_wh)
-    deep_sleep_mw = scenario_value("deep_sleep_mw", s.power.deep_sleep_mw)
-    return lifetime_and_shares((0.0, 0.0, 0.0, 0.0, deep_sleep_mw), US_PER_S, battery_wh)[0]
+    """Lifetime of a traffic-free UE that only deep-sleeps (the PSM floor)."""
+    return lifetime_and_shares((0.0, 0.0, 0.0, 0.0, s.power.deep_sleep_mw), US_PER_S,
+                               s.battery_wh)[0]

@@ -17,12 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nbiotsim
-from nbiotsim import (PowerProfile, Procedure, Reachability, Scenario, TrafficCase,
+from nbiotsim import (Procedure, Reachability, Scenario, TrafficCase,
                       builtin_coverage_profile, cell_capacity)
 from nbiotsim.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, SweepSpec, Table,
                           _lifetime_rows, emit, main, run_capacity_report,
                           run_lifetime_sweep, LIFETIME_COLUMNS)
-from nbiotsim import energy, flows, phy
+from nbiotsim import config, energy, flows, phy
 from nbiotsim.config import COVERAGE_NAMES, MAX_PSM_TIME_S, ConfigurationError
 from nbiotsim.flows import EnergyCategory
 from tests.conftest import domain_values, scenario_texts
@@ -39,19 +39,6 @@ def test_lifetime_sweep_monotone_and_baseline():
     lifetimes = [row[4] for row in table.rows[1:]]
     assert all(b >= a for a, b in zip(lifetimes, lifetimes[1:]))
     assert all(row[-1] == "" for row in table.rows)
-
-
-def test_lifetime_sweep_reports_bad_rows_and_continues():
-    # the baseline row, too, reports a battery or a deep-sleep power outside
-    # its domain, instead of a negative lifetime or a division by zero
-    for s, key in [(Scenario(battery_wh=-1.0), "battery_wh"),
-                   (Scenario(power=PowerProfile(deep_sleep_mw=0.0)), "deep_sleep_mw")]:
-        table = run_lifetime_sweep(SweepSpec("iat", (3600.0, 7200.0), s))
-        baseline, *points = table.rows
-        assert baseline[:9] == ("PSM_BASELINE", "-", "-") + (0.0,) * 6
-        assert key in baseline[-1]
-        assert [row[3] for row in points] == [3600.0, 7200.0]
-        assert all(key in row[-1] for row in points)
 
 
 def test_sweep_values_must_be_ordered():
@@ -575,17 +562,27 @@ def test_cli_idle_timer_above_tau_period_is_row_error(tmp_path, capsys):
 
 def test_cli_profile_error_is_built_once_and_fills_its_rows(tmp_path, capsys, monkeypatch):
     # Extreme coverage's 768-ms NPDCCH period takes the file's valid idle DRX
-    # cycle past its maximum: the one profile fails, and each row repeats it
-    calls = []
-    real = energy.cycle_profile
+    # cycle past its maximum: the one build of the point fails, no profile is
+    # built, and each row repeats the build's message
+    calls, refused = [], []
+    real, real_check = energy.cycle_profile, config.validate_scenario
+
+    def check(s):
+        try:
+            return real_check(s)
+        except ConfigurationError:
+            refused.append(s)
+            raise
+
     monkeypatch.setattr(energy, "cycle_profile", lambda s: calls.append(s) or real(s))
+    monkeypatch.setattr(config, "validate_scenario", check)
     f = tmp_path / "s.cfg"
     f.write_text("drx_cycle_base_s=10485.0\n")
     argv = ["lifetime", "--scenario", str(f), "--coverage", "Extreme",
             "--sweep", "iat=3600,7200,86400"]
     assert main(argv) == EXIT_VALIDATION
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[2:]
-    assert len(calls) == 1 and len(rows) == 3
+    assert len(calls) == 0 and len(refused) == 1 and len(rows) == 3
     assert {row[-1] for row in rows} == {
         "invalid scenario: idle DRX cycle 10485.768 s exceeds the 10485.76 s maximum"}
 

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nbiotsim import (ConfigurationError, Scenario, battery_lifetime_years, build_flow,
-                      builtin_coverage_profile, cell_capacity, cycle_energy,
+                      builtin_coverage_profile, cell_capacity, config, cycle_energy,
                       format_scenario, parse_scenario, validate_scenario)
 from nbiotsim.cli import SweepSpec, run_lifetime_sweep
+from nbiotsim.energy import cycle_profile
 from nbiotsim.config import (MAX_IDLE_DRX_CYCLE_S, MAX_PSM_TIME_S, _COVERAGE_ROWS,
                              _SCENARIO_KEYS, _bounds, CoverageProfile, PowerProfile, Procedure,
                              Reachability, TrafficCase, scenario_value)
@@ -69,11 +70,30 @@ def test_builtin_profiles_validate_with_default_powers(cov):
     validate_scenario(Scenario(coverage=builtin_coverage_profile(cov)))
 
 
+def test_a_scenario_is_validated_once_when_it_is_built(monkeypatch):
+    # Scenario(...), replace and parse_scenario each validate the scenario
+    # they build, once; the evaluators take a built scenario and check none
+    checks, rules = [], []
+    real_check, real_rules = config.validate_scenario, Scenario.violations
+    monkeypatch.setattr(config, "validate_scenario", lambda s: checks.append(s) or real_check(s))
+    monkeypatch.setattr(Scenario, "violations", lambda s: rules.append(s) or real_rules(s))
+    s = Scenario(procedure=Procedure.UP, traffic_case=TrafficCase.DL_ACK)
+    assert checks == rules == [s]
+    s = replace(s, coverage=builtin_coverage_profile("Robust"))
+    assert checks == rules and checks[1:] == [s]
+    s = parse_scenario("procedure=SR case=UL_ACK coverage=Extreme iat=7200")
+    assert checks == rules and checks[2:] == [s]
+    cycle_profile(s)
+    cycle_energy(s)
+    battery_lifetime_years(s)
+    cell_capacity(s)
+    assert len(checks) == len(rules) == 3
+
+
 def test_psm_timer_cap_reported():
-    s = Scenario(psm_tau_period_s=400 * 3600.0)
     with pytest.raises(ConfigurationError,
                        match=r"psm_tau_period_s=1440000.0: must be in \[1e-06, 1116000\]"):
-        validate_scenario(s)
+        Scenario(psm_tau_period_s=400 * 3600.0)
     assert 400 * 3600.0 > MAX_PSM_TIME_S
 
 
@@ -231,15 +251,15 @@ def test_non_numbers_are_configuration_errors(bad):
 
 
 def test_multiple_violations_all_reported():
-    s = Scenario(iat_s=-1.0, battery_wh=0.0)
     with pytest.raises(ConfigurationError) as err:
-        validate_scenario(s)
+        Scenario(iat_s=-1.0, battery_wh=0.0)
     assert "iat_s" in str(err.value) and "battery_wh" in str(err.value)
 
 
-def error_lines(s) -> list[str]:
+def error_lines(build) -> list[str]:
+    """The lines of the error that build(), which builds a scenario, raises."""
     with pytest.raises(ConfigurationError) as err:
-        validate_scenario(s)
+        build()
     return str(err.value).removeprefix("invalid scenario: ").split("; ")
 
 
@@ -261,6 +281,9 @@ OUTSIDE_DOMAIN = [
     ("scenario", "data_payload_bytes", 20.5,
      "data_payload_bytes=20.5: must be a whole number in [0, 65535]"),
     ("scenario", "rar_bytes", 7.5, "rar_bytes=7.5: must be a whole number in [1, 65535]"),
+    # the PSM floor's two inputs, which it once checked itself
+    ("scenario", "battery_wh", -1.0, "battery_wh=-1.0: must be in [1e-06, 1000000000000]"),
+    ("power", "deep_sleep_mw", 0.0, "deep_sleep_mw=0.0: must be in [1e-06, 1000000000000]"),
 ]
 
 
@@ -270,25 +293,27 @@ def test_value_outside_its_domain_is_one_line(target, fname, value, line):
     # each once raised a bare ZeroDivisionError, OverflowError or TypeError,
     # or validated and gave outputs from a negative sync time or a fractional
     # count of NPDCCH periods
-    assert error_lines(with_field(Scenario(), target, fname, value)) == [line]
+    assert error_lines(lambda: with_field(Scenario(), target, fname, value)) == [line]
 
 
 def test_cross_field_rules_run_unless_a_field_holds_no_number():
     misordered = PowerProfile(deep_sleep_mw=5.0)
     order = ("state powers must satisfy deep_sleep < inactive < rx < tx_max "
              "(got 5.0, 3.0, 90.0, 545.0 mW)")
-    assert error_lines(Scenario(battery_wh=0.0, power=misordered)) == [
+    assert error_lines(lambda: Scenario(battery_wh=0.0, power=misordered)) == [
         "battery_wh=0.0: must be in [1e-06, 1000000000000]", order]
+    assert error_lines(lambda: replace(Scenario(), battery_wh=0.0)) == [
+        "battery_wh=0.0: must be in [1e-06, 1000000000000]"]
     # they do not run while a field holds no number, nor while a coverage field
     # is outside its domain, which also stops the coverage rules (here the
     # power-of-two repetitions)
-    assert error_lines(Scenario(battery_wh=None, power=misordered)) == [
+    assert error_lines(lambda: Scenario(battery_wh=None, power=misordered)) == [
         "battery_wh=None: must be in [1e-06, 1000000000000]"]
     coverage = replace(builtin_coverage_profile("Normal"), g_factor=0.0, rep_npusch=3)
-    assert error_lines(Scenario(coverage=coverage, power=misordered)) == [
+    assert error_lines(lambda: Scenario(coverage=coverage, power=misordered)) == [
         "g_factor=0.0: must be in [1.5, 64]"]
     # a DRX base above its cap is one line, and is not added to a period
-    assert error_lines(Scenario(drx_long_cycle_base_s=10**400, power=misordered)) == [
+    assert error_lines(lambda: Scenario(drx_long_cycle_base_s=10**400, power=misordered)) == [
         f"drx_long_cycle_base_s={10**400}: must be in [1e-06, 10485.76]", order]
 
 
@@ -315,14 +340,17 @@ NUMERIC_FIELDS = ([row[:2] for row in _SCENARIO_KEYS.values() if row[3] is not N
 def test_odd_field_values_fail_cleanly_or_give_finite_outputs(proc, case, cov, reach,
                                                               changes):
     # a built-in coverage with one to three fields set in code to any value:
-    # validation refuses it with a ConfigurationError, or every output and
-    # resolved time is a finite number of its sign
+    # building it raises a ConfigurationError, or every output and resolved
+    # time is a finite number of its sign; all changes go in one build, so no
+    # intermediate state is refused
     s = Scenario(procedure=proc, traffic_case=case, coverage=builtin_coverage_profile(cov),
                  mt_reachability=reach)
+    parts: dict[str, dict] = {"scenario": {}}
     for (target, fname), value in changes:
-        s = with_field(s, target, fname, value)
+        parts.setdefault(target, {})[fname] = value
     try:
-        validate_scenario(s)
+        s = replace(s, **parts.pop("scenario"),
+                    **{target: replace(getattr(s, target), **kw) for target, kw in parts.items()})
         breakdown = cycle_energy(s)
         years = battery_lifetime_years(s)
         report = cell_capacity(s)
@@ -515,15 +543,18 @@ def test_round_trip_property(proc, case, cov, reach, values, powers):
     for key, value in values.items():
         target, fname = _SCENARIO_KEYS[key][:2]
         kw[target][fname] = value
-    s = Scenario(procedure=proc, traffic_case=case, coverage=builtin_coverage_profile(cov),
-                 mt_reachability=reach, power=PowerProfile(**kw["power"]),
-                 **kw["scenario"])
-    problems = s.violations()
-    if problems:
-        # the text carries the same values, so it breaks the same rules
-        with pytest.raises(ConfigurationError) as err:
-            parse_scenario(format_scenario(s))
-        assert str(err.value) == "invalid scenario: " + "; ".join(problems)
+    try:
+        s = Scenario(procedure=proc, traffic_case=case, coverage=builtin_coverage_profile(cov),
+                     mt_reachability=reach, power=PowerProfile(**kw["power"]),
+                     **kw["scenario"])
+    except ConfigurationError as built:
+        # text that carries the same values breaks the same rules
+        text = (f"procedure={proc.value} case={case.value} coverage={cov} "
+                f"reachability={reach.value} "
+                + " ".join(f"{key}={value!r}" for key, value in values.items()))
+        with pytest.raises(ConfigurationError) as parsed:
+            parse_scenario(text)
+        assert str(parsed.value) == str(built)
     else:
         assert parse_scenario(format_scenario(s)) == s
 

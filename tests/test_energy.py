@@ -243,8 +243,9 @@ def test_iat_sweep_builds_timelines_once(monkeypatch):
 
 
 def test_iat_sweep_validates_its_scenario_once(monkeypatch):
-    # rows that share a cycle profile differ only in their parsed IAT, whose
-    # bounds on the cycle category_mj checks, so the scenario is validated once
+    # the scenario is validated once, when it is built: rows that share a
+    # cycle profile differ only in their parsed IAT, whose bounds on the
+    # cycle category_mj checks, and the sweep builds no scenario
     calls = []
     real = Scenario.violations
     monkeypatch.setattr(Scenario, "violations", lambda s: calls.append(s) or real(s))

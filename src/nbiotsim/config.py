@@ -4,9 +4,10 @@ Defines the three coverage enhancement profiles, the UE power model, the
 scenario with its traffic sizes, DRX/PSM timers and cell budgets (each a plain
 value; a budget defaults to its pool, defined here), scenario validation, and a
 key=value scenario file format.  Every other module consumes only these types.
-Each numeric field has one domain, its row (target, field, type, lo, hi), and
-validation checks the rows before the rules that are not ranges.  Building a
-Scenario validates it, so every Scenario that exists is valid.
+Each field has one domain: a numeric field its key row (target, field, type,
+lo, hi), an enum field its enum, the coverage the three built-in levels and
+the power a PowerProfile.  Building a Scenario validates it, so every Scenario
+that exists is valid and is what a scenario file can say.
 """
 
 from __future__ import annotations
@@ -187,6 +188,8 @@ class Scenario:
 
     def __post_init__(self):
         validate_scenario(self)
+        # an equal copy of a level is that level: phy reads only its exact values
+        object.__setattr__(self, "coverage", _BUILTIN_COVERAGE[self.coverage.name])
 
     @property
     def data_message_bytes(self) -> int:
@@ -221,28 +224,22 @@ class Scenario:
         return self.sync_base_ms * self.coverage.sync_time_scale
 
     def violations(self) -> list[str]:
-        """Every numeric field outside its row's domain, then every broken
-        coverage rule while the coverage fields lie in theirs, then every
-        broken cross-field rule while also every field holds a number."""
-        bad = _out_of_bounds(_NUMERIC_ROWS, _numeric_values(self))
+        """Every numeric field outside its row's domain (a power's rows only
+        if it is a PowerProfile), then every choice field outside its own, then
+        every broken cross-field rule while every field holds a value of its type."""
+        part = isinstance(self.power, PowerProfile)
+        rows, values = (_NUMERIC_ROWS, _numeric_values) if part else (_OWN_ROWS, _own_values)
+        bad = _out_of_bounds(rows, values(self))
         out = [_outside(row, value) for row, value in bad]
-        if any(row[0] == "coverage" for row, _ in bad):
-            return out
-        c = self.coverage
-        out.extend(f"{fname}={rep}: repetitions must be a power of two in [1, 2048]"
-                   for fname in ("rep_npdcch", "rep_npdsch", "rep_npusch", "rep_nprach")
-                   if (rep := getattr(c, fname)) & (rep - 1))     # a power of two has one bit
-        if c.subcarrier_spacing_khz not in (15.0, 3.75):
-            out.append(f"subcarrier_spacing_khz={c.subcarrier_spacing_khz}: must be 15 or 3.75")
-        if c.subcarrier_spacing_khz == 3.75 and c.ul_subcarriers_per_burst != 1:
-            out.append("subcarrier_spacing_khz=3.75 requires ul_subcarriers_per_burst=1")
-        if c.ul_subcarriers_per_burst not in (1, 3, 6, 12):
-            out.append(f"ul_subcarriers_per_burst={c.ul_subcarriers_per_burst}: "
-                       "must be one of 1, 3, 6, 12")
-        period = c.r_max * c.g_factor
-        if abs(period - c.npdcch_period_ms) > 1e-9:
-            out.append(f"r_max * g_factor = {period} ms is not a whole number of ms")
-        if not all(_is_number(value) for _, value in bad):
+        out.extend(f"{fname}={value!r}: must be a {kind.__name__} ({names})"
+                   for fname, kind, names in _ENUM_FIELDS
+                   if not isinstance(value := getattr(self, fname), kind))
+        if self.coverage not in _BUILTIN_COVERAGE.values():
+            out.append(f"coverage={self.coverage!r}: must be a built-in coverage level "
+                       f"({', '.join(COVERAGE_NAMES)})")
+        if not part:
+            out.append(f"power={self.power!r}: must be a PowerProfile")
+        if len(out) > len(bad) or not all(_is_number(value) for _, value in bad):
             return out
         p = self.power
         if not p.deep_sleep_mw < p.inactive_mw < p.rx_mw < p.tx_max_mw:
@@ -279,6 +276,9 @@ _MAX_S = 1e9           # times up to ~32 years stay exact whole us (2^53 us is 2
 _MAGNITUDE = (1e-6, 1e12)  # mW, Wh and units/s: lifetimes and capacities stay above 0
 _MAX_BYTES = 65535     # one IP datagram: a message is a few thousand transport blocks at most
 _DB = (-300.0, 300.0)  # 10^(dBm/10) of any power-control sum stays inside a float
+# an idle DRX cycle adds one NPDCCH period of its level to its base, at least 32 ms
+_MAX_DRX_BASE_S = MAX_IDLE_DRX_CYCLE_S - min(
+    c.npdcch_period_ms for c in _BUILTIN_COVERAGE.values()) / 1000.0
 
 _SCENARIO_KEYS: dict[str, tuple] = {
     # key: (target, field, parser, lo, hi); target is "scenario" or a key of
@@ -314,35 +314,24 @@ _SCENARIO_KEYS: dict[str, tuple] = {
     "cp_inactivity_periods": ("scenario", "cp_inactivity_npdcch_periods", int, 0, 10**9),
     "idle_timer_base_s": ("scenario", "idle_active_timer_base_s", float, 0.0, _MAX_S),
     # Rel-13 caps: the idle eDRX cycle (TS 36.304) and the extended T3412 (TS 24.008)
-    "drx_cycle_base_s": ("scenario", "drx_long_cycle_base_s", float, _US, MAX_IDLE_DRX_CYCLE_S),
+    "drx_cycle_base_s": ("scenario", "drx_long_cycle_base_s", float, _US, _MAX_DRX_BASE_S),
     "tau_period_s":     ("scenario", "psm_tau_period_s", float, _US, MAX_PSM_TIME_S),
 }
 
-# The numeric coverage fields' rows: no key sets one, only a profile built in code
-_COVERAGE_ROWS = (
-    ("coverage", "target_mcl_db", float, *_DB),    # it enters the dB power-control sums
-    ("coverage", "subcarrier_spacing_khz", float, 3.75, 15.0),  # the two NB-IoT spacings
-    ("coverage", "ul_subcarriers_per_burst", int, 1, 12),       # up to the whole carrier
-    ("coverage", "mcs_index", int, 0, 10**9),      # the TBS tables are its upper check
-    # r2048, the most repetitions of npdcch-NumRepetitions and of each channel (TS 36.331)
-    *(("coverage", f"rep_{channel}", int, 1, 2048)
-      for channel in ("npdcch", "npdsch", "npusch", "nprach")),
-    ("coverage", "r_max", int, 1, 2048),
-    ("coverage", "g_factor", float, 1.5, 64.0),    # npdcch-StartSF-USS (TS 36.331)
-    ("coverage", "resource_share", float, 1e-6, 1.0),  # a positive share: capacity is finite
-    # times the 1e12-ms sync_base_ms cap, the sync time stays below 2^53 us
-    ("coverage", "sync_time_scale", float, 0.0, 8.0),
-    # from the 1-us grid to 1 s: 2048 repetitions of 200 attempts stay below _MAX_S
-    ("coverage", "nprach_preamble_ms", float, 0.001, 1000.0),
-)
-
 # Every numeric row with the type it takes, an int row only ints, and one
-# getter of their field values in the same order, for Scenario.violations
+# getter of their field values in the same order, for Scenario.violations; the
+# same for the scenario's own rows, read when its power is no PowerProfile
 _NUMBER = (int, float)
-_NUMERIC_ROWS = tuple((row, int if row[2] is int else _NUMBER) for row
-                      in (*_SCENARIO_KEYS.values(), *_COVERAGE_ROWS) if row[3] is not None)
-_numeric_values = attrgetter(*(fname if target == "scenario" else f"{target}.{fname}"
-                               for (target, fname, *_), _ in _NUMERIC_ROWS))
+_NUMERIC_ROWS = tuple((row, int if row[2] is int else _NUMBER)
+                      for row in _SCENARIO_KEYS.values() if row[3] is not None)
+_OWN_ROWS = tuple(row for row in _NUMERIC_ROWS if row[0][0] == "scenario")
+_numeric_values, _own_values = (
+    attrgetter(*(fname if target == "scenario" else f"{target}.{fname}"
+                 for (target, fname, *_), _ in rows)) for rows in (_NUMERIC_ROWS, _OWN_ROWS))
+# the choice fields besides the coverage: each with its enum and its values
+_ENUM_FIELDS = tuple((fname, kind, ", ".join(m.value for m in kind))
+                     for _, fname, kind, lo, _ in _SCENARIO_KEYS.values()
+                     if lo is None and kind is not builtin_coverage_profile)
 
 
 def _is_number(value, accepts=_NUMBER) -> bool:
@@ -371,19 +360,21 @@ def _bounds(row) -> str:
 def scenario_value(key: str, raw):
     """Parse the text of one scenario key into its field value.
 
-    Values that are already parsed (enum members, numbers inside the key's
-    bounds) pass through unchanged; a number that parsing changes, such as 3.5
-    for an int key, is a bad value, and so are a bool and number text with
-    more than ASCII characters or with digit separators, such as 1_0.  Raises
-    ConfigurationError for an unknown key or a bad value; the message states
-    the key's closed bounds (a whole number in them for an int key, as
-    `_outside` words it), or for procedure, case, coverage and reachability
-    lists the allowed values.
+    Values that are already parsed (enum members, built-in coverage levels,
+    numbers inside the key's bounds) pass through unchanged; a number that
+    parsing changes, such as 3.5 for an int key, is a bad value, and so are a
+    bool and number text with more than ASCII characters or with digit
+    separators, such as 1_0.  Raises ConfigurationError for an unknown key or
+    a bad value; the message states the key's closed bounds (a whole number in
+    them for an int key, as `_outside` words it), or for procedure, case,
+    coverage and reachability lists the allowed values.
     """
     if key not in _SCENARIO_KEYS:
         raise ConfigurationError(f"unknown key {key!r}")
     row = _SCENARIO_KEYS[key]
     parser, bounded = row[2], row[3] is not None
+    if parser is builtin_coverage_profile and raw in _BUILTIN_COVERAGE.values():
+        return raw
     # a bool is no number, nor is text that int() and float() read beyond
     # ASCII digits or with digit separators
     plain = not bounded or ((raw.isascii() and "_" not in raw) if isinstance(raw, str)
@@ -447,7 +438,7 @@ def parse_scenario_file(path) -> Scenario:
 
 
 def format_scenario(s: Scenario) -> str:
-    """Serialize a scenario to the key=value format (round-trips exactly)."""
+    """Serialize a scenario to the key=value format (every Scenario round-trips exactly)."""
     lines = []
     for key, (target, fname, *_) in _SCENARIO_KEYS.items():
         obj = s if target == "scenario" else getattr(s, target)

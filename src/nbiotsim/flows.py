@@ -270,9 +270,10 @@ def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> None:
     for index, msg in enumerate(flow.messages):
         if index == last:
             # inactivity timer runs after the data exchange, before release;
-            # it spans whole NPDCCH periods, so no cycle is truncated
+            # it spans whole NPDCCH periods (no cycle is truncated), each longer
+            # than its NPDCCH assignment at every level
             _emit_drx_cycles(sink, conn_drx_us, on_us=npdcch_us,
-                             off_us=max(0, period_us - npdcch_us),
+                             off_us=period_us - npdcch_us,
                              p=p, gap=(inactive, inactive_mw),
                              category=EnergyCategory.CONNECTED_DRX,
                              label="connected_drx")

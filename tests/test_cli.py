@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import nbiotsim
 from nbiotsim import (Procedure, Reachability, Scenario, TrafficCase,
-                      builtin_coverage_profile, cell_capacity)
+                      builtin_coverage_profile)
 from nbiotsim.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, SweepSpec, Table,
                           _lifetime_rows, emit, main, run_capacity_report,
                           run_lifetime_sweep, LIFETIME_COLUMNS)
@@ -182,13 +182,24 @@ def test_sweep_other_axes():
     assert [row[1] for row in run_lifetime_sweep(spec).rows[1:]] == ["UL", "DL", "DL"]
 
 
-def test_mcs_outside_tbs_table_is_row_error():
-    # validation does not bound the MCS above; the TBS lookup does
-    s = Scenario(coverage=replace(Scenario().coverage, mcs_index=13))
-    table = run_lifetime_sweep(SweepSpec("iat", (3600.0, 7200.0), s))
-    assert [row[-1] for row in table.rows[1:]] == ["mcs_index=13 outside the TBS table"] * 2
-    with pytest.raises(ConfigurationError, match="mcs_index=13 outside the TBS table"):
-        cell_capacity(s)
+def test_sweep_takes_a_built_coverage_level():
+    # a built-in level is a parsed coverage value, as an enum member is a
+    # parsed procedure; a profile built in code is no level
+    normal, robust = builtin_coverage_profile("Normal"), builtin_coverage_profile("Robust")
+    spec = SweepSpec("coverage", ("Normal", robust), Scenario())
+    assert spec.values == (normal, robust) and spec.values[1] is robust
+    assert run_lifetime_sweep(spec).rows == run_lifetime_sweep(
+        SweepSpec("coverage", ("Normal", "Robust"), Scenario())).rows
+    with pytest.raises(ConfigurationError, match=r"^coverage sweep values: bad value "
+                       r"CoverageProfile\(name='Robust', .*mcs_index=5, .*; expected one of "
+                       r"Normal, Robust, Extreme$"):
+        SweepSpec("coverage", (replace(robust, mcs_index=5),), Scenario())
+    # a number is still converted: an int IAT is a float, written as one
+    spec = SweepSpec("iat", (3600,), Scenario())
+    assert spec.values == (3600.0,) and type(spec.values[0]) is float
+    out = io.StringIO()
+    emit(run_lifetime_sweep(spec), "csv", out)
+    assert out.getvalue().splitlines()[2].split(",")[3] == "3600.000000"
 
 
 def test_capacity_grid_cardinality():

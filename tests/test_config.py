@@ -1,7 +1,9 @@
 """Coverage profiles, validation, and the scenario file format."""
 
+import copy
 import itertools
 import math
+import pickle
 import re
 from dataclasses import astuple, fields
 
@@ -13,7 +15,7 @@ from nbiotsim import (ConfigurationError, Scenario, battery_lifetime_years, buil
                       format_scenario, parse_scenario, validate_scenario)
 from nbiotsim.cli import SweepSpec, run_lifetime_sweep
 from nbiotsim.energy import cycle_profile
-from nbiotsim.config import (MAX_IDLE_DRX_CYCLE_S, MAX_PSM_TIME_S, _COVERAGE_ROWS,
+from nbiotsim.config import (COVERAGE_NAMES, MAX_IDLE_DRX_CYCLE_S, MAX_PSM_TIME_S,
                              _SCENARIO_KEYS, _bounds, CoverageProfile, PowerProfile, Procedure,
                              Reachability, TrafficCase, scenario_value)
 from dataclasses import replace
@@ -105,6 +107,20 @@ def test_idle_drx_cycle_cap_reported():
     with pytest.raises(ConfigurationError,
                        match="idle DRX cycle 10485.768 s exceeds the 10485.76 s maximum"):
         parse_scenario("coverage=Extreme drx_cycle_base_s=10485.0")
+    # the base's domain ends at the cap less Normal's 32-ms period, so its
+    # upper bound is valid at Normal and too long at the other two levels
+    top = _SCENARIO_KEYS["drx_cycle_base_s"][4]
+    assert top == 10485.728000000001
+    assert parse_scenario(f"drx_cycle_base_s={top!r}").idle_drx_cycle_s == MAX_IDLE_DRX_CYCLE_S
+    for cov, cycle in (("Robust", "10485.824"), ("Extreme", "10486.496")):
+        with pytest.raises(ConfigurationError) as err:
+            parse_scenario(f"coverage={cov} drx_cycle_base_s={top!r}")
+        assert str(err.value) == (f"invalid scenario: idle DRX cycle {cycle} s exceeds "
+                                  "the 10485.76 s maximum")
+    with pytest.raises(ConfigurationError) as err:
+        parse_scenario("drx_cycle_base_s=10485.76")
+    assert str(err.value) == ("line 1: bad value '10485.76' for 'drx_cycle_base_s'; "
+                              "expected a number in [1e-06, 10485.728]")
 
 
 def test_idle_active_timer_must_be_shorter_than_tau_period():
@@ -189,34 +205,84 @@ def test_alpha_range_enforced():
         validate_scenario(Scenario(power=PowerProfile(alpha=1.5)))
 
 
+def coverage_line(c) -> str:
+    """The one line of the error for a coverage that is no built-in level."""
+    return f"coverage={c!r}: must be a built-in coverage level (Normal, Robust, Extreme)"
+
+
+# A scenario's coverage is one of the built-in levels, so each rule that a
+# level keeps (power-of-two repetitions, one subcarrier at 3.75 kHz, a whole-ms
+# NPDCCH period) refuses a profile built in code that breaks it, in one line
+
 def test_repetitions_must_be_powers_of_two():
     c = replace(builtin_coverage_profile("Normal"), rep_npusch=3)
-    with pytest.raises(ConfigurationError, match="rep_npusch"):
-        validate_scenario(Scenario(coverage=c))
+    assert error_lines(lambda: Scenario(coverage=c)) == [coverage_line(c)]
 
 
 def test_single_tone_spacing_requires_one_subcarrier():
     c = replace(builtin_coverage_profile("Extreme"), ul_subcarriers_per_burst=3)
-    with pytest.raises(ConfigurationError, match="3.75"):
-        validate_scenario(Scenario(coverage=c))
+    assert error_lines(lambda: Scenario(coverage=c)) == [coverage_line(c)]
 
 
 def test_npdcch_period_must_be_whole_ms():
     c = replace(builtin_coverage_profile("Normal"), r_max=1, g_factor=1.5)
-    with pytest.raises(ConfigurationError, match="whole"):
-        validate_scenario(Scenario(coverage=c))
+    assert error_lines(lambda: Scenario(coverage=c)) == [coverage_line(c)]
 
 
 def test_non_whole_npdcch_period_reported_with_every_other_violation():
-    # the period is a plain value; its whole-ms rule is one line of the list
+    # the coverage is one line of the list, after the numbers
     c = replace(builtin_coverage_profile("Normal"), r_max=1, g_factor=1.5, rep_npusch=3)
     assert c.npdcch_period_ms == 2
     with pytest.raises(ConfigurationError) as err:
-        validate_scenario(Scenario(coverage=c, battery_wh=0.0))
+        Scenario(coverage=c, battery_wh=0.0)
     assert str(err.value) == (
         "invalid scenario: battery_wh=0.0: must be in [1e-06, 1000000000000]; "
-        "rep_npusch=3: repetitions must be a power of two in [1, 2048]; "
-        "r_max * g_factor = 1.5 ms is not a whole number of ms")
+        + coverage_line(c))
+
+
+# a choice field set in code outside its domain, and its one line of the error:
+# text equal to an enum value is no member, and a level's name is no level
+OUTSIDE_CHOICES = [
+    ("procedure", "CP", "procedure='CP': must be a Procedure (SR, CP, UP)"),
+    ("traffic_case", "XX", "traffic_case='XX': must be a TrafficCase (UL, UL_ACK, DL, DL_ACK)"),
+    ("mt_reachability", "PSM_TAU",
+     "mt_reachability='PSM_TAU': must be a Reachability (PSM_TAU, DRX_PAGING)"),
+    ("coverage", "Normal",
+     "coverage='Normal': must be a built-in coverage level (Normal, Robust, Extreme)"),
+    ("power", None, "power=None: must be a PowerProfile"),
+]
+
+
+@pytest.mark.parametrize("fname,value,line", OUTSIDE_CHOICES, ids=[c[0] for c in OUTSIDE_CHOICES])
+def test_choice_outside_its_domain_is_one_line(fname, value, line):
+    # each once built (a reachability string was priced as DRX_PAGING) or
+    # raised a bare AttributeError
+    with pytest.raises(ConfigurationError) as err:
+        Scenario(**{fname: value})
+    assert str(err.value) == "invalid scenario: " + line
+    # the choices follow the numbers, and a power that is no PowerProfile
+    # has no power rows to read
+    assert error_lines(lambda: replace(Scenario(), battery_wh=0.0, **{fname: value})) == [
+        "battery_wh=0.0: must be in [1e-06, 1000000000000]", line]
+
+
+def test_a_scenario_coverage_is_a_built_in_level():
+    normal = builtin_coverage_profile("Normal")
+    # a level with a field changed in code would be written as the level's
+    # name, and read back as the level
+    changed = replace(normal, mcs_index=5)
+    assert error_lines(lambda: Scenario(coverage=changed)) == [coverage_line(changed)]
+    # an equal copy is accepted, and the scenario holds the level itself, so
+    # a value that is equal but of another type (0.0 for the int 0) never
+    # reaches phy
+    s = Scenario(coverage=replace(normal))
+    assert s.coverage is normal
+    for c in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert replace(c) == s and replace(c, iat_s=7200.0).coverage is normal
+    extreme = builtin_coverage_profile("Extreme")
+    s = Scenario(coverage=replace(extreme, mcs_index=0.0, rep_npusch=True))
+    assert s.coverage is extreme
+    assert cycle_energy(s) == cycle_energy(Scenario(coverage=extreme))
 
 
 # no value, a string, NaN and a bool: none of them is a finite number
@@ -230,24 +296,22 @@ def test_non_numbers_are_configuration_errors(bad):
     # one line of the error, with its row's bounds, next to every other field
     # outside its bounds, and nothing raises a bare error
     normal = builtin_coverage_profile("Normal")
+    coverage = replace(normal, rep_npusch=3)
     for key, (target, fname, _parser, lo, _hi) in _SCENARIO_KEYS.items():
         if lo is None:
             continue
         kw = ({fname: bad} if target == "scenario"
               else {"power": PowerProfile(**{fname: bad})})
         with pytest.raises(ConfigurationError) as err:
-            validate_scenario(Scenario(coverage=replace(normal, rep_npusch=3), **kw))
+            validate_scenario(Scenario(coverage=coverage, **kw))
         lines = str(err.value).removeprefix("invalid scenario: ").split("; ")
         assert [line for line in lines if line.startswith(fname + "=")] == [
             f"{fname}={bad!r}: must be in {_bounds(_SCENARIO_KEYS[key])}"], key
-        assert "rep_npusch=3: repetitions must be a power of two in [1, 2048]" in lines, key
-    coverage_rows = {row[1]: row for row in _COVERAGE_ROWS}
-    for fname in (f.name for f in fields(normal)[1:]):
-        with pytest.raises(ConfigurationError) as err:
-            validate_scenario(Scenario(coverage=replace(normal, **{fname: bad}), battery_wh=0.0))
-        lines = str(err.value).removeprefix("invalid scenario: ").split("; ")
-        assert lines == ["battery_wh=0.0: must be in [1e-06, 1000000000000]",
-                         f"{fname}={bad!r}: must be in {_bounds(coverage_rows[fname])}"], fname
+        assert coverage_line(coverage) in lines, key
+    # a coverage field that holds no number makes the coverage no level
+    coverage = replace(normal, mcs_index=bad)
+    assert error_lines(lambda: Scenario(coverage=coverage, battery_wh=0.0)) == [
+        "battery_wh=0.0: must be in [1e-06, 1000000000000]", coverage_line(coverage)]
 
 
 def test_multiple_violations_all_reported():
@@ -270,11 +334,12 @@ def with_field(s, target, fname, value):
     return replace(s, **{target: replace(getattr(s, target), **{fname: value})})
 
 
-# a field set in code outside its domain, and its one line of the error
+# a field set in code outside its domain, and its one line of the error; a
+# coverage field set in code makes the coverage no level
 OUTSIDE_DOMAIN = [
-    ("coverage", "g_factor", 0.0, "g_factor=0.0: must be in [1.5, 64]"),
-    ("coverage", "r_max", 10**400, f"r_max={10**400}: must be in [1, 2048]"),
-    ("coverage", "sync_time_scale", -1.0, "sync_time_scale=-1.0: must be in [0, 8]"),
+    *(("coverage", fname, value,
+       coverage_line(replace(builtin_coverage_profile("Normal"), **{fname: value})))
+      for fname, value in (("g_factor", 0.0), ("r_max", 10**400), ("sync_time_scale", -1.0))),
     ("scenario", "ra_attempt_cap", 3.5, "ra_attempt_cap=3.5: must be a whole number in [1, 200]"),
     ("scenario", "cp_inactivity_npdcch_periods", 2.5,
      "cp_inactivity_npdcch_periods=2.5: must be a whole number in [0, 1000000000]"),
@@ -304,17 +369,18 @@ def test_cross_field_rules_run_unless_a_field_holds_no_number():
         "battery_wh=0.0: must be in [1e-06, 1000000000000]", order]
     assert error_lines(lambda: replace(Scenario(), battery_wh=0.0)) == [
         "battery_wh=0.0: must be in [1e-06, 1000000000000]"]
-    # they do not run while a field holds no number, nor while a coverage field
-    # is outside its domain, which also stops the coverage rules (here the
-    # power-of-two repetitions)
+    # they do not run while a field holds no number, nor while a choice field
+    # is outside its domain, such as a coverage that is no level
     assert error_lines(lambda: Scenario(battery_wh=None, power=misordered)) == [
         "battery_wh=None: must be in [1e-06, 1000000000000]"]
     coverage = replace(builtin_coverage_profile("Normal"), g_factor=0.0, rep_npusch=3)
     assert error_lines(lambda: Scenario(coverage=coverage, power=misordered)) == [
-        "g_factor=0.0: must be in [1.5, 64]"]
+        coverage_line(coverage)]
+    assert error_lines(lambda: Scenario(mt_reachability="PSM_TAU", power=misordered)) == [
+        "mt_reachability='PSM_TAU': must be a Reachability (PSM_TAU, DRX_PAGING)"]
     # a DRX base above its cap is one line, and is not added to a period
     assert error_lines(lambda: Scenario(drx_long_cycle_base_s=10**400, power=misordered)) == [
-        f"drx_long_cycle_base_s={10**400}: must be in [1e-06, 10485.76]", order]
+        f"drx_long_cycle_base_s={10**400}: must be in [1e-06, 10485.728]", order]
 
 
 # Values no domain holds, values at and near the edges of many, and any float
@@ -557,6 +623,39 @@ def test_round_trip_property(proc, case, cov, reach, values, powers):
         assert str(parsed.value) == str(built)
     else:
         assert parse_scenario(format_scenario(s)) == s
+
+
+LEVELS = [builtin_coverage_profile(name) for name in COVERAGE_NAMES]
+COVERAGE_FIELDS = [f.name for f in fields(CoverageProfile)[1:]]
+
+
+@given(
+    choices=st.fixed_dictionaries({
+        fname: st.sampled_from([*kind, *(m.value for m in kind)])
+        for fname, kind in (("procedure", Procedure), ("traffic_case", TrafficCase),
+                            ("mt_reachability", Reachability))}),
+    # a level, or a level with one field set in code, at times to a value equal
+    # to its own
+    coverage=st.one_of(st.sampled_from(LEVELS), st.builds(
+        lambda c, fname, value: replace(c, **{fname: value}), st.sampled_from(LEVELS),
+        st.sampled_from(COVERAGE_FIELDS), st.sampled_from([0, 0.0, 1, 1.5, 2, 3, 12, 512]))),
+    changes=st.dictionaries(st.sampled_from(NUMERIC_KEYS),
+                            st.one_of(ODD_VALUES, st.sampled_from([0, 1, 10, 1.0, 3600.0])),
+                            max_size=3),
+)
+def test_every_scenario_that_builds_round_trips(choices, coverage, changes):
+    # any values in every choice field and up to three numeric fields: a
+    # scenario that builds is written as text that reads back equal to it
+    kw = {"scenario": {}, "power": {}}
+    for key, value in changes.items():
+        target, fname = _SCENARIO_KEYS[key][:2]
+        kw[target][fname] = value
+    try:
+        s = Scenario(coverage=coverage, power=PowerProfile(**kw["power"]), **choices,
+                     **kw["scenario"])
+    except ConfigurationError:
+        return
+    assert parse_scenario(format_scenario(s)) == s
 
 
 @given(text=scenario_texts())

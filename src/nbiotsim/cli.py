@@ -18,6 +18,7 @@ from . import capacity as cap
 from . import energy, flows, phy
 from .config import (ConfigurationError, Procedure, Scenario, TrafficCase,
                      parse_scenario_file, scenario_value, COVERAGE_NAMES)
+from .flows import US_PER_S
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -95,6 +96,7 @@ def _lifetime_rows(base: Scenario, groups) -> Table:
     """
     rows = [("PSM_BASELINE", "-", "-", 0.0,
              energy.psm_baseline_lifetime_years(base), 0.0, 0.0, 0.0, 1.0, "")]
+    append, lifetime_and_shares = rows.append, energy.lifetime_and_shares
     for fields, iats in groups:
         proc, case, cov = (fields.get(f, getattr(base, f))
                            for f in ("procedure", "traffic_case", "coverage"))
@@ -105,15 +107,15 @@ def _lifetime_rows(base: Scenario, groups) -> Table:
         except ConfigurationError as exc:
             rows.extend(ident + (iat_s, 0.0, 0.0, 0.0, 0.0, 0.0, str(exc)) for iat_s in iats)
             continue
+        category_mj, battery_wh = profile.category_mj, s.battery_wh
         for iat_s in iats:
-            iat_us = round(iat_s * flows.US_PER_S)
+            iat_us = round(iat_s * US_PER_S)
             try:
-                mj = profile.category_mj(iat_us)
+                mj = category_mj(iat_us)
             except ConfigurationError as exc:
-                rows.append(ident + (iat_s, 0.0, 0.0, 0.0, 0.0, 0.0, str(exc)))
+                append(ident + (iat_s, 0.0, 0.0, 0.0, 0.0, 0.0, str(exc)))
                 continue
-            cells = energy.lifetime_and_shares(mj, iat_us, s.battery_wh)
-            rows.append(ident + (iat_s, *cells, ""))
+            append(ident + (iat_s, *lifetime_and_shares(mj, iat_us, battery_wh), ""))
     return Table(LIFETIME_COLUMNS, rows)
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import phy, ra
-from .config import (MAX_DRX_CYCLE_S, ConfigurationError, PowerProfile, Procedure,
-                     Reachability, Scenario, TrafficCase, UeState, _records)
+from .config import (MAX_DRX_CYCLE_S, ConfigurationError, CoverageProfile, PowerProfile,
+                     Procedure, Reachability, Scenario, TrafficCase, UeState, _records)
 from .phy import ChannelKind
 
 US_PER_MS = 1000
@@ -138,26 +138,30 @@ FLOW_IDS = frozenset(
 
 @lru_cache(maxsize=None)
 def _catalog() -> dict[str, tuple]:
-    """Flows of the packaged, checksummed message catalog, by flow id: all of FLOW_IDS."""
+    """Flows of the packaged, checksummed message catalog, by flow id: all of
+    FLOW_IDS, each as its (message, size base) pairs and whether one of them is
+    uplink DATA, the input of the release-assistance rule in `_build`."""
     flows = _parse_catalog(phy.verified_data_text("message_catalog.tsv"))
     missing = sorted(FLOW_IDS - flows.keys())
     if missing:
         raise ConfigurationError("message catalog has no flow " + ", ".join(map(repr, missing)))
-    return flows
+    return {flow_id: (entries, any(m.plane is Plane.DATA and m.channel is ChannelKind.NPUSCH
+                                   for m, _ in entries))
+            for flow_id, entries in flows.items()}
 
 
 # --- flow building ----------------------------------------------------------
 
 def _build(flow_id: str, s: Scenario) -> ProcedureFlow:
+    entries, uplink_data = _catalog()[flow_id]
     messages = tuple(msg if base is None else
                      SignalingMessage(msg.name, msg.channel, msg.plane,
                                       getattr(s, base) + msg.size_bytes)
-                     for msg, base in _catalog()[flow_id])
+                     for msg, base in entries)
     # Release assistance rides only in uplink NAS data PDUs, so only CP
     # exchanges that carry uplink data release without an idle-DRX window;
     # everywhere else the idle active timer runs.
-    rai = s.procedure is Procedure.CP and any(
-        m.plane is Plane.DATA and m.channel is ChannelKind.NPUSCH for m in messages)
+    rai = uplink_data and s.procedure is Procedure.CP
     return ProcedureFlow(flow_id=flow_id, messages=messages,
                          idle_drx_s=0.0 if rai else s.idle_active_timer_s)
 
@@ -177,28 +181,55 @@ def build_tau_flow(s: Scenario) -> ProcedureFlow:
 
 class _Sink:
     """Sums the layout's intervals as whole microseconds per (category,
-    power_mw), exact in any order, and with keep_intervals also keeps them as
-    Interval records; t_us is the end of the last one.  A non-positive
-    duration is skipped."""
+    power_mw), exact in any order; t_us is the end of the last one.  A
+    non-positive duration is skipped."""
 
-    def __init__(self, keep_intervals: bool = False) -> None:
+    def __init__(self) -> None:
         self.t_us = 0
         self.us: TimeByKey = {}
-        self.intervals: list[Interval] | None = [] if keep_intervals else None
 
     def emit(self, duration_us: int, state: UeState, power_mw: float,
              category: EnergyCategory, label: str) -> None:
         if duration_us > 0:
             key, us = (category, power_mw), self.us
             us[key] = us.get(key, 0) + duration_us
-            if self.intervals is not None:
-                self.intervals.append(Interval(self.t_us, duration_us, state,
-                                               power_mw, category, label))
             self.t_us += duration_us
 
-    def emit_ms(self, duration_ms: float, state: UeState, power_mw: float,
-                category: EnergyCategory, label: str) -> None:
-        self.emit(round(duration_ms * US_PER_MS), state, power_mw, category, label)
+    def message(self, name: str, airtime_us: int, period_us: int, plan: tuple) -> None:
+        """One shared-channel message, as four emits: the wait for the next
+        NPDCCH occasion (a multiple of period_us), then the assignment, the
+        schedule gap and the airtime, each under its key in its channel's plan
+        (see `_channel_plans`)."""
+        npdcch_us, gap_us, _, idle, rx, air = plan
+        us, t_us = self.us, self.t_us
+        for key, duration_us in ((idle, -t_us % period_us), (rx, npdcch_us),
+                                 (idle, gap_us), (air, airtime_us)):
+            if duration_us > 0:
+                us[key] = us.get(key, 0) + duration_us
+                t_us += duration_us
+        self.t_us = t_us
+
+
+class _Timeline(_Sink):
+    """A _Sink that also keeps each interval as an Interval record."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.intervals: list[Interval] = []
+
+    def emit(self, duration_us: int, state: UeState, power_mw: float,
+             category: EnergyCategory, label: str) -> None:
+        if duration_us > 0:
+            self.intervals.append(Interval(self.t_us, duration_us, state,
+                                           power_mw, category, label))
+        super().emit(duration_us, state, power_mw, category, label)
+
+    def message(self, name: str, airtime_us: int, period_us: int, plan: tuple) -> None:
+        npdcch_us, gap_us, state, (cat, inactive_mw), (_, rx_mw), (_, power_mw) = plan
+        self.emit(-self.t_us % period_us, UeState.INACTIVE, inactive_mw, cat, "npdcch_align")
+        self.emit(npdcch_us, UeState.RX, rx_mw, cat, f"npdcch:{name}")
+        self.emit(gap_us, UeState.INACTIVE, inactive_mw, cat, "schedule_gap")
+        self.emit(airtime_us, state, power_mw, cat, name)
 
 
 def _emit_drx_cycles(sink: _Sink, window_us: int, on_us: int, off_us: int,
@@ -234,6 +265,29 @@ def rest_state(s: Scenario) -> tuple[UeState, float, EnergyCategory, str]:
             EnergyCategory.IDLE_DRX, "paging")
 
 
+# The channel plans per (level, power)
+_PLANS = phy._Memo(256)
+
+
+def _channel_plans(c: CoverageProfile, p: PowerProfile) -> dict[ChannelKind, tuple]:
+    """Per shared channel, the constants of a message besides its airtime and
+    its wait for an NPDCCH occasion: the NPDCCH assignment and the schedule
+    gap in whole us, the airtime's state, and the (MESSAGES, power_mw) sink
+    keys of the time at inactive, at rx and on air."""
+    key = (id(c), p)
+    hit = _PLANS.get(key)
+    if hit is not None:
+        return hit[1]
+    npdcch_us = round(phy.message_airtime(1, c, ChannelKind.NPDCCH) * US_PER_MS)
+    idle, rx = (EnergyCategory.MESSAGES, p.inactive_mw), (EnergyCategory.MESSAGES, p.rx_mw)
+    npusch_mw = phy.tx_power_consumption_mw(p, phy.npusch_tx_power_dbm(c, p, c.target_mcl_db))
+    plans = {ch: (npdcch_us, round(phy.schedule_gap_ms(ch) * US_PER_MS), state,
+                  idle, rx, (EnergyCategory.MESSAGES, power_mw))
+             for ch, state, power_mw in ((ChannelKind.NPUSCH, UeState.TX, npusch_mw),
+                                         (ChannelKind.NPDSCH, UeState.RX, p.rx_mw))}
+    return _PLANS.put(key, c, plans)
+
+
 def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> None:
     """Lay one traffic cycle's active part out into sink, interval by interval.
 
@@ -245,49 +299,34 @@ def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> None:
     until the active timer expires.
     """
     c, p = s.coverage, s.power
-    rx, inactive = UeState.RX, UeState.INACTIVE
-    rx_mw, inactive_mw = p.rx_mw, p.inactive_mw
-    ra_cat, msg_cat = EnergyCategory.RA_SYNC, EnergyCategory.MESSAGES
+    ra_cat, emit = EnergyCategory.RA_SYNC, sink.emit
     period_us = c.npdcch_period_ms * US_PER_MS
 
     # cell search after deep sleep
-    sink.emit_ms(s.sync_time_ms, rx, rx_mw, ra_cat, "sync")
+    emit(round(s.sync_time_ms * US_PER_MS), UeState.RX, p.rx_mw, ra_cat, "sync")
 
     # random access, expectation-scaled
     attempts = ra.expected_attempts(s.ra_attempt_cap)
     for label, state, dur_ms, power_mw in ra.attempt_components(c, p, s.rar_bytes):
-        sink.emit_ms(attempts * dur_ms, state, power_mw, ra_cat, label)
+        emit(round(attempts * dur_ms * US_PER_MS), state, power_mw, ra_cat, label)
 
-    npusch_dbm = phy.npusch_tx_power_dbm(c, p, c.target_mcl_db)
-    conn_drx_us = round(s.connected_inactivity_s * US_PER_S)
-    npdcch_us = round(phy.message_airtime(1, c, ChannelKind.NPDCCH) * US_PER_MS)
-    # a message's channel sets its schedule gap in whole us and its airtime's state and power
-    uplink = (round(phy.schedule_gap_ms(ChannelKind.NPUSCH) * US_PER_MS),
-              UeState.TX, phy.tx_power_consumption_mw(p, npusch_dbm))
-    downlink = (round(phy.schedule_gap_ms(ChannelKind.NPDSCH) * US_PER_MS), rx, rx_mw)
-
-    last = len(flow.messages) - 1
+    plans = _channel_plans(c, p)
+    npdcch_us = plans[ChannelKind.NPDSCH][0]      # the same on either channel
+    message, last = sink.message, len(flow.messages) - 1
     for index, msg in enumerate(flow.messages):
         if index == last:
             # inactivity timer runs after the data exchange, before release;
             # it spans whole NPDCCH periods (no cycle is truncated), each longer
             # than its NPDCCH assignment at every level
-            _emit_drx_cycles(sink, conn_drx_us, on_us=npdcch_us,
-                             off_us=period_us - npdcch_us,
-                             p=p, gap=(inactive, inactive_mw),
-                             category=EnergyCategory.CONNECTED_DRX,
-                             label="connected_drx")
-        gap_us, state, power_mw = uplink if msg.channel is ChannelKind.NPUSCH else downlink
-        # wait for the next NPDCCH occasion
-        sink.emit((-sink.t_us) % period_us, inactive, inactive_mw, msg_cat, "npdcch_align")
-        sink.emit(npdcch_us, rx, rx_mw, msg_cat, f"npdcch:{msg.name}")
-        sink.emit(gap_us, inactive, inactive_mw, msg_cat, "schedule_gap")
-        sink.emit_ms(phy.message_airtime(msg.size_bytes, c, msg.channel), state, power_mw,
-                     msg_cat, msg.name)
+            _emit_drx_cycles(sink, round(s.connected_inactivity_s * US_PER_S),
+                             on_us=npdcch_us, off_us=period_us - npdcch_us,
+                             p=p, gap=(UeState.INACTIVE, p.inactive_mw),
+                             category=EnergyCategory.CONNECTED_DRX, label="connected_drx")
+        airtime_ms = phy.message_airtime(msg.size_bytes, c, msg.channel)
+        message(msg.name, round(airtime_ms * US_PER_MS), period_us, plans[msg.channel])
 
     # idle DRX: the active timer keeps the UE reachable before PSM
-    idle_us = round(flow.idle_drx_s * US_PER_S)
-    _emit_drx_cycles(sink, idle_us, on_us=period_us,
+    _emit_drx_cycles(sink, round(flow.idle_drx_s * US_PER_S), on_us=period_us,
                      off_us=round(s.drx_long_cycle_base_s * US_PER_S),
                      p=p, gap=_idle_drx_gap(s), category=EnergyCategory.IDLE_DRX, label="drx")
 
@@ -297,7 +336,7 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
     """One traffic cycle as contiguous power-state intervals: the layout that
     `active_time` sums, kept as Interval records, then (with fill_to_iat)
     the rest state up to the inter-arrival time."""
-    sink = _Sink(keep_intervals=True)
+    sink = _Timeline()
     _lay_out(flow, s, sink)
     if fill_to_iat:
         iat_us = round(s.iat_s * US_PER_S)

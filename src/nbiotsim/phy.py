@@ -92,8 +92,9 @@ def _tbs_table(ch: ChannelKind) -> tuple[tuple[int, ...], ...]:
 
 def _tbs_row(c: CoverageProfile, ch: ChannelKind) -> tuple[int, ...]:
     table = _tbs_table(ch)
-    if not 0 <= c.mcs_index < len(table):
-        raise ConfigurationError(f"mcs_index={c.mcs_index} outside the TBS table")
+    if not (isinstance(c.mcs_index, int) and 0 <= c.mcs_index < len(table)):
+        raise ConfigurationError(f"mcs_index={c.mcs_index!r} outside the TBS table: "
+                                 f"expected an int from 0 to {len(table) - 1}")
     return table[c.mcs_index]
 
 
@@ -128,6 +129,35 @@ def transport_block_units(size_bits: int, c: CoverageProfile,
     return blocks
 
 
+# --- memos ------------------------------------------------------------------
+
+class _Memo(dict):
+    """Answers that depend on a coverage level, keyed on the level by identity
+    (id), so that an equal copy, such as one holding a float mcs_index, is
+    answered anew.  Each entry holds its level, whose id is therefore not
+    reused while the entry lives.  At most maxsize entries: a full memo is
+    emptied whole, so no answer depends on what was asked before.
+    `cache_clear` empties it, as it does an lru_cache."""
+
+    def __init__(self, maxsize: int) -> None:
+        super().__init__()
+        self.maxsize = maxsize
+
+    def put(self, key, level: CoverageProfile, value):
+        if len(self) >= self.maxsize:
+            self.clear()
+        self[key] = (level, value)
+        return value
+
+    cache_clear = dict.clear
+
+
+# A shared-channel message's airtime by (size_bytes, level, channel): the
+# level fixes the TBS row, so transport_block_units runs only on a miss.  One
+# CLI run asks for about 60 keys.
+_AIRTIME = _Memo(4096)
+
+
 # --- durations --------------------------------------------------------------
 
 def ul_resource_unit_ms(c: CoverageProfile) -> float:
@@ -154,10 +184,16 @@ def message_airtime(size_bytes: int, c: CoverageProfile, ch: ChannelKind) -> flo
         return c.rep_nprach * c.nprach_preamble_ms
     if ch is ChannelKind.NPDCCH:
         return c.rep_npdcch * SUBFRAME_MS
+    key = (size_bytes, id(c), ch)
+    hit = _AIRTIME.get(key)
+    if hit is not None:
+        return hit[1]
     units = sum(transport_block_units(size_bytes * 8, c, ch))
     if ch is ChannelKind.NPUSCH:
-        return units * ul_resource_unit_ms(c) * c.rep_npusch
-    return units * SUBFRAME_MS * c.rep_npdsch
+        ms = units * ul_resource_unit_ms(c) * c.rep_npusch
+    else:
+        ms = units * SUBFRAME_MS * c.rep_npdsch
+    return _AIRTIME.put(key, c, ms)
 
 
 def schedule_gap_ms(ch: ChannelKind) -> float:

@@ -53,17 +53,26 @@ def _expected_attempts(cap: int) -> float:
     return total
 
 
+# The phases per (level, power, rar_bytes)
+_PHASES = phy._Memo(256)
+
+
 def attempt_components(c: CoverageProfile, p: PowerProfile,
-                       rar_bytes: int) -> list[tuple[str, UeState, float, float]]:
-    """Per-attempt phases as (label, state, duration_ms, power_mw) tuples.
+                       rar_bytes: int) -> tuple[tuple[str, UeState, float, float], ...]:
+    """Per-attempt phases, a tuple of (label, state, duration_ms, power_mw)
+    tuples, the same one for the same level, power and RAR size.
 
     One attempt: wait for the next RA opportunity, transmit the preamble with
     its repetitions, then receive the response (control assignment, scheduling
     gap, response block on the downlink shared channel).
     """
+    key = (id(c), p, rar_bytes)
+    hit = _PHASES.get(key)
+    if hit is not None:
+        return hit[1]
     preamble_dbm = phy.nprach_tx_power_dbm(p, c.target_mcl_db)
     preamble_mw = phy.tx_power_consumption_mw(p, preamble_dbm)
-    return [
+    phases = (
         ("ra_wait", UeState.INACTIVE, EXPECTED_OPPORTUNITY_WAIT_MS, p.inactive_mw),
         ("preamble", UeState.TX, phy.message_airtime(1, c, ChannelKind.NPRACH), preamble_mw),
         ("rar_npdcch", UeState.RX, phy.message_airtime(1, c, ChannelKind.NPDCCH), p.rx_mw),
@@ -71,4 +80,5 @@ def attempt_components(c: CoverageProfile, p: PowerProfile,
          p.inactive_mw),
         ("rar_npdsch", UeState.RX, phy.message_airtime(rar_bytes, c, ChannelKind.NPDSCH),
          p.rx_mw),
-    ]
+    )
+    return _PHASES.put(key, c, phases)

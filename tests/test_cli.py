@@ -22,7 +22,7 @@ from nbiotsim import (Procedure, Reachability, Scenario, TrafficCase,
 from nbiotsim.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, SweepSpec, Table,
                           _lifetime_rows, emit, main, run_capacity_report,
                           run_lifetime_sweep, LIFETIME_COLUMNS)
-from nbiotsim import config, energy, flows, phy
+from nbiotsim import config, energy, flows, phy, ra
 from nbiotsim.config import COVERAGE_NAMES, MAX_PSM_TIME_S, ConfigurationError
 from nbiotsim.flows import EnergyCategory
 from tests.conftest import domain_values, scenario_texts
@@ -395,19 +395,39 @@ BROKEN_DATA = {
 }
 
 
+# every cache of what the package data gives: the loaders, and the memos of
+# airtimes and RA phases, which the TBS tables give
+DATA_LOADERS = (flows._catalog, phy._tbs_table, phy._checksums, phy._AIRTIME, ra._PHASES)
+
+
 @pytest.fixture
 def data_texts(monkeypatch):
     """The packaged data texts by file name, which the loaders read instead of
     the files; every loader cache is cleared before and after."""
     texts = {name: phy._data_text(name) for name in DATA_FILES}
-    loaders = (flows._catalog, phy._tbs_table, phy._checksums)
-    for loader in loaders:
+    for loader in DATA_LOADERS:
         loader.cache_clear()
     monkeypatch.setattr(phy, "_data_text", texts.__getitem__)
     yield texts
     monkeypatch.undo()
-    for loader in loaders:
+    for loader in DATA_LOADERS:
         loader.cache_clear()
+
+
+def test_edited_tbs_table_reaches_a_warm_airtime_memo(data_texts):
+    # 64 B at Normal: 512 bits fit 4 resource units of I_TBS row 9, twice over
+    # (two repetitions of 1-ms units).  A re-pinned table whose row 9 holds row
+    # 0's sizes takes two full 10-unit blocks, once the loaders read it afresh
+    normal = builtin_coverage_profile("Normal")
+    assert phy.message_airtime(64, normal, phy.ChannelKind.NPUSCH) == 8.0
+    row0 = data_texts["npusch_tbs.tsv"].split("\n0\t", 1)[1].split("\n", 1)[0]
+    edited = data_texts["npusch_tbs.tsv"].replace(
+        "\n9\t136\t296\t456\t616\t776\t936\t1256\t1544\n", f"\n9\t{row0}\n", 1)
+    assert edited != data_texts["npusch_tbs.tsv"]
+    data_texts.update(repinned(data_texts, "npusch_tbs.tsv", edited))
+    for loader in DATA_LOADERS:
+        loader.cache_clear()
+    assert phy.message_airtime(64, normal, phy.ChannelKind.NPUSCH) == 40.0
 
 
 @pytest.mark.parametrize("case", list(BROKEN_DATA))

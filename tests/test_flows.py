@@ -6,11 +6,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nbiotsim import build_flow, build_tau_flow, flow_timeline
+from nbiotsim import build_flow, build_tau_flow, cell_capacity, flow_timeline
 from nbiotsim.config import ConfigurationError, Reachability, UeState
 from nbiotsim.flows import FLOW_IDS, EnergyCategory, Plane, _parse_catalog, active_time
 from nbiotsim.phy import ChannelKind
-from tests.conftest import active_duration_s, make_scenario
+from nbiotsim.ra import attempt_components
+from tests.conftest import active_duration_s, clear_memos, make_scenario
 
 ALL_COMBOS = list(itertools.product(["SR", "CP", "UP"],
                                     ["UL", "UL_ACK", "DL", "DL_ACK"]))
@@ -161,6 +162,29 @@ def test_layouts_match_pinned_digest():
                 digest.update(f"{cat.value} {power_mw:.12g} {duration_us}\n".encode())
             digest.update(f"end {end_us}\n".encode())
     assert digest.hexdigest() == LAYOUT_DIGEST
+
+
+def memo_fed_outputs(s):
+    """What the memos of per-level radio work feed for one scenario: its RA
+    phases, its cell capacity, and the active time and timeline of its flows."""
+    out = [attempt_components(s.coverage, s.power, s.rar_bytes), cell_capacity(s)]
+    for flow in (build_flow(s), build_tau_flow(s)):
+        out += [active_time(flow, s), flow_timeline(flow, s)]
+    return out
+
+
+def test_cold_and_warm_memos_give_equal_outputs():
+    points = [make_scenario(proc, case, cov, mt_reachability=reach, **LAYOUT_KNOBS)
+              for proc, case, reach, cov in itertools.product(
+                  ["SR", "CP", "UP"], ["UL", "UL_ACK", "DL", "DL_ACK"],
+                  list(Reachability), ["Normal", "Robust", "Extreme"])]
+    cold = []
+    for s in points:
+        clear_memos()
+        cold.append(memo_fed_outputs(s))
+    for s in points:
+        memo_fed_outputs(s)
+    assert [memo_fed_outputs(s) for s in points] == cold
 
 
 DEFS = "message ul_data NPUSCH DATA data+0\nmessage rrc_release NPDSCH AS 7\n"

@@ -8,7 +8,11 @@ from nbiotsim import (ChannelKind, ConfigurationError, PowerProfile,
                       builtin_coverage_profile, message_airtime,
                       nprach_tx_power_dbm, npusch_tx_power_dbm, schedule_gap_ms,
                       tbs_bits, tx_power_consumption_mw)
-from nbiotsim.phy import ALLOCATION_UNITS, transport_block_units, ul_carrier_fraction
+from nbiotsim import phy
+from nbiotsim.phy import (ALLOCATION_UNITS, transport_block_units, ul_carrier_fraction,
+                          ul_resource_unit_ms)
+from nbiotsim.ra import attempt_components
+from tests.conftest import clear_memos
 
 NORMAL = builtin_coverage_profile("Normal")
 ROBUST = builtin_coverage_profile("Robust")
@@ -64,6 +68,35 @@ def test_mcs_outside_tbs_table_rejected():
         tbs_bits(c, ChannelKind.NPUSCH, 1)
     with pytest.raises(ConfigurationError, match="mcs_index=13 outside the TBS table"):
         transport_block_units(512, c, ChannelKind.NPDSCH)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold-memo", "warm-memo"])
+def test_non_int_mcs_index_rejected(warm):
+    # 0.0 == 0 and the two hash alike, so a memo keyed on the profile by
+    # equality would hand the float copy Extreme's entry once Extreme warmed it
+    clear_memos()
+    if warm:
+        assert message_airtime(64, EXTREME, ChannelKind.NPUSCH) > 0.0
+        assert attempt_components(EXTREME, POWER, 7)
+    c = replace(EXTREME, mcs_index=0.0)
+    for call in (lambda: tbs_bits(c, ChannelKind.NPUSCH, 1),
+                 lambda: transport_block_units(512, c, ChannelKind.NPDSCH),
+                 lambda: message_airtime(64, c, ChannelKind.NPUSCH),
+                 lambda: attempt_components(c, POWER, 7)):
+        with pytest.raises(ConfigurationError,
+                           match=r"mcs_index=0\.0 outside the TBS table: expected an int"):
+            call()
+
+
+@pytest.mark.parametrize("c", [NORMAL, ROBUST, EXTREME], ids=lambda c: c.name)
+def test_memoized_airtime_is_the_segmented_airtime(c):
+    # each size twice: the first call may fill the memo, the second reads it
+    clear_memos()
+    for ch, unit_ms, reps in ((ChannelKind.NPUSCH, ul_resource_unit_ms(c), c.rep_npusch),
+                              (ChannelKind.NPDSCH, phy.SUBFRAME_MS, c.rep_npdsch)):
+        for size in range(1, 2001):
+            expected = sum(transport_block_units(size * 8, c, ch)) * unit_ms * reps
+            assert message_airtime(size, c, ch) == message_airtime(size, c, ch) == expected
 
 
 @pytest.mark.parametrize("ch", [ChannelKind.NPDCCH, ChannelKind.NPRACH])

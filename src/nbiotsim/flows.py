@@ -199,7 +199,7 @@ class _Sink:
         """One shared-channel message, as four emits: the wait for the next
         NPDCCH occasion (a multiple of period_us), then the assignment, the
         schedule gap and the airtime, each under its key in its channel's plan
-        (see `_channel_plans`)."""
+        (see `_plan`)."""
         npdcch_us, gap_us, _, idle, rx, air = plan
         us, t_us = self.us, self.t_us
         for key, duration_us in ((idle, -t_us % period_us), (rx, npdcch_us),
@@ -265,27 +265,25 @@ def rest_state(s: Scenario) -> tuple[UeState, float, EnergyCategory, str]:
             EnergyCategory.IDLE_DRX, "paging")
 
 
-# The channel plans per (level, power)
-_PLANS = phy._Memo(256)
+@lru_cache(maxsize=256)
+def _plan(c: CoverageProfile, p: PowerProfile, rar_bytes: int) -> tuple:
+    """The constants of a layout pass: the RA attempt's phases, then per
+    shared channel those of a message besides its airtime and its wait for
+    an NPDCCH occasion: the NPDCCH assignment and the schedule gap in whole
+    us, the airtime's state, and the (MESSAGES, power_mw) sink keys of the
+    time at inactive, at rx and on air.
 
-
-def _channel_plans(c: CoverageProfile, p: PowerProfile) -> dict[ChannelKind, tuple]:
-    """Per shared channel, the constants of a message besides its airtime and
-    its wait for an NPDCCH occasion: the NPDCCH assignment and the schedule
-    gap in whole us, the airtime's state, and the (MESSAGES, power_mw) sink
-    keys of the time at inactive, at rx and on air."""
-    key = (id(c), p)
-    hit = _PLANS.get(key)
-    if hit is not None:
-        return hit[1]
+    Keyed on the level by value, which is exact here: only a Scenario's level
+    reaches `_lay_out`, a Scenario holds the built-in level equal to the one
+    it is given, and no two built-in levels are equal."""
+    phases = ra.attempt_components(c, p, rar_bytes)
     npdcch_us = round(phy.message_airtime(1, c, ChannelKind.NPDCCH) * US_PER_MS)
     idle, rx = (EnergyCategory.MESSAGES, p.inactive_mw), (EnergyCategory.MESSAGES, p.rx_mw)
     npusch_mw = phy.tx_power_consumption_mw(p, phy.npusch_tx_power_dbm(c, p, c.target_mcl_db))
-    plans = {ch: (npdcch_us, round(phy.schedule_gap_ms(ch) * US_PER_MS), state,
-                  idle, rx, (EnergyCategory.MESSAGES, power_mw))
-             for ch, state, power_mw in ((ChannelKind.NPUSCH, UeState.TX, npusch_mw),
-                                         (ChannelKind.NPDSCH, UeState.RX, p.rx_mw))}
-    return _PLANS.put(key, c, plans)
+    return phases, {ch: (npdcch_us, round(phy.schedule_gap_ms(ch) * US_PER_MS), state,
+                         idle, rx, (EnergyCategory.MESSAGES, power_mw))
+                    for ch, state, power_mw in ((ChannelKind.NPUSCH, UeState.TX, npusch_mw),
+                                                (ChannelKind.NPDSCH, UeState.RX, p.rx_mw))}
 
 
 def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> None:
@@ -307,10 +305,10 @@ def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> None:
 
     # random access, expectation-scaled
     attempts = ra.expected_attempts(s.ra_attempt_cap)
-    for label, state, dur_ms, power_mw in ra.attempt_components(c, p, s.rar_bytes):
+    phases, plans = _plan(c, p, s.rar_bytes)
+    for label, state, dur_ms, power_mw in phases:
         emit(round(attempts * dur_ms * US_PER_MS), state, power_mw, ra_cat, label)
 
-    plans = _channel_plans(c, p)
     npdcch_us = plans[ChannelKind.NPDSCH][0]      # the same on either channel
     message, last = sink.message, len(flow.messages) - 1
     for index, msg in enumerate(flow.messages):

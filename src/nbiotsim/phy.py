@@ -129,33 +129,14 @@ def transport_block_units(size_bits: int, c: CoverageProfile,
     return blocks
 
 
-# --- memos ------------------------------------------------------------------
-
-class _Memo(dict):
-    """Answers that depend on a coverage level, keyed on the level by identity
-    (id), so that an equal copy, such as one holding a float mcs_index, is
-    answered anew.  Each entry holds its level, whose id is therefore not
-    reused while the entry lives.  At most maxsize entries: a full memo is
-    emptied whole, so no answer depends on what was asked before.
-    `cache_clear` empties it, as it does an lru_cache."""
-
-    def __init__(self, maxsize: int) -> None:
-        super().__init__()
-        self.maxsize = maxsize
-
-    def put(self, key, level: CoverageProfile, value):
-        if len(self) >= self.maxsize:
-            self.clear()
-        self[key] = (level, value)
-        return value
-
-    cache_clear = dict.clear
-
-
-# A shared-channel message's airtime by (size_bytes, level, channel): the
-# level fixes the TBS row, so transport_block_units runs only on a miss.  One
-# CLI run asks for about 60 keys.
-_AIRTIME = _Memo(4096)
+# A shared-channel message's airtime by (size_bytes, id(level), channel): the
+# level fixes the TBS row, so transport_block_units runs only on a miss.  The
+# level is keyed by identity, so that an equal copy, such as one holding a
+# float mcs_index, is answered anew, and each entry holds its level, whose id
+# is therefore not reused while the entry lives.  At 4,096 entries it is
+# emptied whole, so no answer depends on what was asked before.  One CLI run
+# asks for about 60 keys.
+_AIRTIME: dict[tuple, tuple[CoverageProfile, float]] = {}
 
 
 # --- durations --------------------------------------------------------------
@@ -193,7 +174,10 @@ def message_airtime(size_bytes: int, c: CoverageProfile, ch: ChannelKind) -> flo
         ms = units * ul_resource_unit_ms(c) * c.rep_npusch
     else:
         ms = units * SUBFRAME_MS * c.rep_npdsch
-    return _AIRTIME.put(key, c, ms)
+    if len(_AIRTIME) >= 4096:
+        _AIRTIME.clear()
+    _AIRTIME[key] = (c, ms)
+    return ms
 
 
 def schedule_gap_ms(ch: ChannelKind) -> float:

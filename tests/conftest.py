@@ -7,19 +7,16 @@ import math
 import pytest
 from hypothesis import strategies as st
 
-from nbiotsim import Scenario, builtin_coverage_profile, flows, phy, ra
+from nbiotsim import Scenario, builtin_coverage_profile, flows, phy
 from nbiotsim.config import _SCENARIO_KEYS, COVERAGE_NAMES, Procedure, TrafficCase
 from nbiotsim.flows import US_PER_S, EnergyCategory, Interval
 
 
-# every memo of per-level radio work: the airtime of a message, the phases of
-# an RA attempt and the channel plans of a layout
-MEMOS = (phy._AIRTIME, ra._PHASES, flows._PLANS)
-
-
 def clear_memos() -> None:
-    for memo in MEMOS:
-        memo.cache_clear()
+    """Empty both memos of per-level radio work: the airtime of a message and
+    the plan of a layout."""
+    phy._AIRTIME.clear()
+    flows._plan.cache_clear()
 
 
 def make_scenario(proc="CP", case="UL", cov="Normal", iat_h=1.0, **kw) -> Scenario:

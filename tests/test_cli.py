@@ -395,23 +395,37 @@ BROKEN_DATA = {
 }
 
 
-# every cache of what the package data gives: the loaders, and the memos of
-# airtimes and RA phases, which the TBS tables give
-DATA_LOADERS = (flows._catalog, phy._tbs_table, phy._checksums, phy._AIRTIME, ra._PHASES)
+# every cache of what the package data gives: the loaders, and the layout
+# plan, which holds the RAR's airtime from a TBS table
+DATA_LOADERS = (flows._catalog, phy._tbs_table, phy._checksums, flows._plan)
+
+
+def clear_data_caches() -> None:
+    """Empty the DATA_LOADERS and, beside them, the airtime memo."""
+    for loader in DATA_LOADERS:
+        loader.cache_clear()
+    phy._AIRTIME.clear()
 
 
 @pytest.fixture
 def data_texts(monkeypatch):
     """The packaged data texts by file name, which the loaders read instead of
-    the files; every loader cache is cleared before and after."""
+    the files; every data cache is cleared before and after."""
     texts = {name: phy._data_text(name) for name in DATA_FILES}
-    for loader in DATA_LOADERS:
-        loader.cache_clear()
+    clear_data_caches()
     monkeypatch.setattr(phy, "_data_text", texts.__getitem__)
     yield texts
     monkeypatch.undo()
-    for loader in DATA_LOADERS:
-        loader.cache_clear()
+    clear_data_caches()
+
+
+def with_row_9_as_row_0(texts, name):
+    """texts with the I_TBS row 9 of a TBS table holding row 0's sizes, re-pinned."""
+    row0 = texts[name].split("\n0\t", 1)[1].split("\n", 1)[0]
+    edited = texts[name].replace(
+        "\n9\t136\t296\t456\t616\t776\t936\t1256\t1544\n", f"\n9\t{row0}\n", 1)
+    assert edited != texts[name]
+    return repinned(texts, name, edited)
 
 
 def test_edited_tbs_table_reaches_a_warm_airtime_memo(data_texts):
@@ -420,14 +434,26 @@ def test_edited_tbs_table_reaches_a_warm_airtime_memo(data_texts):
     # 0's sizes takes two full 10-unit blocks, once the loaders read it afresh
     normal = builtin_coverage_profile("Normal")
     assert phy.message_airtime(64, normal, phy.ChannelKind.NPUSCH) == 8.0
-    row0 = data_texts["npusch_tbs.tsv"].split("\n0\t", 1)[1].split("\n", 1)[0]
-    edited = data_texts["npusch_tbs.tsv"].replace(
-        "\n9\t136\t296\t456\t616\t776\t936\t1256\t1544\n", f"\n9\t{row0}\n", 1)
-    assert edited != data_texts["npusch_tbs.tsv"]
-    data_texts.update(repinned(data_texts, "npusch_tbs.tsv", edited))
-    for loader in DATA_LOADERS:
-        loader.cache_clear()
+    data_texts.update(with_row_9_as_row_0(data_texts, "npusch_tbs.tsv"))
+    clear_data_caches()
     assert phy.message_airtime(64, normal, phy.ChannelKind.NPUSCH) == 40.0
+
+
+def test_edited_tbs_table_reaches_a_warm_layout_plan(data_texts):
+    # the 7-B RAR at Normal fills 1 NPDSCH subframe of I_TBS row 9 per
+    # attempt; once row 9 holds row 0's sizes its 56 bits fill 3, and the
+    # layout plan, which holds the RA phases, must be read afresh
+    s = Scenario()
+    attempts = ra.expected_attempts(s.ra_attempt_cap)
+
+    def rar_npdsch_us():
+        return [iv.duration_us for iv in flows.flow_timeline(flows.build_flow(s), s)
+                if iv.label == "rar_npdsch"]
+
+    assert rar_npdsch_us() == [round(attempts * 1000)]
+    data_texts.update(with_row_9_as_row_0(data_texts, "npdsch_tbs.tsv"))
+    clear_data_caches()
+    assert rar_npdsch_us() == [round(attempts * 3000)]
 
 
 @pytest.mark.parametrize("case", list(BROKEN_DATA))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbiotsim import build_flow, build_tau_flow, cell_capacity, flow_timeline
-from nbiotsim.config import ConfigurationError, Reachability, UeState
+from nbiotsim.config import ConfigurationError, PowerProfile, Reachability, UeState
 from nbiotsim.flows import FLOW_IDS, EnergyCategory, Plane, _parse_catalog, active_time
 from nbiotsim.phy import ChannelKind
 from nbiotsim.ra import attempt_components
@@ -174,10 +174,17 @@ def memo_fed_outputs(s):
 
 
 def test_cold_and_warm_memos_give_equal_outputs():
+    # at each level a second RAR size and a second power profile, each with
+    # its own layout plan: a plan keyed without either reads another's
     points = [make_scenario(proc, case, cov, mt_reachability=reach, **LAYOUT_KNOBS)
               for proc, case, reach, cov in itertools.product(
                   ["SR", "CP", "UP"], ["UL", "UL_ACK", "DL", "DL_ACK"],
                   list(Reachability), ["Normal", "Robust", "Extreme"])]
+    points += [make_scenario("CP", "UL", cov, **{**LAYOUT_KNOBS, **knob})
+               for cov in ["Normal", "Robust", "Extreme"]
+               for knob in [{"rar_bytes": 120},
+                            {"power": PowerProfile(inactive_mw=2.5, rx_mw=80.0,
+                                                   tx_max_mw=600.0)}]]
     cold = []
     for s in points:
         clear_memos()

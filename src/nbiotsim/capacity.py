@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import flows, phy, ra
-from .config import ConfigurationError, Scenario
+from .config import LEVEL_RESOURCE_SHARE, ConfigurationError, Scenario
 from .flows import ProcedureFlow
 from .phy import ChannelKind
 
@@ -68,9 +68,9 @@ def cell_capacity(s: Scenario) -> CapacityReport:
     """Supported reports per hour and the limiting channel for one scenario."""
     usage = flow_channel_usage(flows.build_flow(s), s)
     budgets = default_budgets(s)
-    share = s.coverage.resource_share
     # NPRACH usage is the expected RA attempts, at least 1, so rates is never empty
-    rates = {ch: share * budgets[ch] / usage[ch] for ch in BOTTLENECK_ORDER if usage[ch] > 0.0}
+    rates = {ch: LEVEL_RESOURCE_SHARE * budgets[ch] / usage[ch]
+             for ch in BOTTLENECK_ORDER if usage[ch] > 0.0}
     bottleneck = min(rates, key=rates.get)      # the first channel wins a tie
     return CapacityReport(per_channel_usage=usage, bottleneck=bottleneck,
                           reports_per_hour=rates[bottleneck] * 3600.0)

@@ -125,30 +125,27 @@ def _grid(flags: dict, **axes) -> list[dict]:
     return [{**flags, **dict(zip(axes, point))} for point in itertools.product(*choices)]
 
 
-def run_lifetime_sweep(spec: SweepSpec) -> Table:
-    """One row per sweep point plus the deep-sleep-only baseline row."""
-    return _sweep_rows(spec, {}, spec.fixed.iat_s)
-
-
-def _sweep_rows(spec: SweepSpec, fields: dict, iat_s: float) -> Table:
-    """A sweep's rows, each point setting fields on spec.fixed, at iat_s unless the
-    IAT is swept: an IAT sweep is one point group, any other axis one per value."""
-    field = _SWEEP_AXES[spec.axis]
-    if field == "iat_s":
-        return _lifetime_rows(spec.fixed, [(fields, spec.values)])
-    return _lifetime_rows(spec.fixed, [({**fields, field: value}, (iat_s,))
-                                       for value in spec.values])
+def run_lifetime_sweep(spec: SweepSpec, flags=None) -> Table:
+    """One row per sweep point plus the deep-sleep-only baseline row; each point sets
+    flags, fields of the other axes, on spec.fixed, at the flags' IAT or spec.fixed's
+    unless the IAT is swept: an IAT sweep is one point group, any other one per value."""
+    flags, field = dict(flags or {}), _SWEEP_AXES[spec.axis]
+    if field in flags:
+        raise ConfigurationError(f"--{spec.axis} and --sweep {spec.axis}=... both set "
+                                 f"the {spec.axis} axis")
+    iat_s = flags.pop("iat_s", spec.fixed.iat_s)
+    axes, iats = ({}, spec.values) if field == "iat_s" else ({field: spec.values}, (iat_s,))
+    return _lifetime_rows(spec.fixed, [(fields, iats) for fields in _grid(flags, **axes)])
 
 
 CAPACITY_COLUMNS = ("procedure", "case", "coverage", "reports_per_hour",
                     "bottleneck", "gain_vs_sr_pct")
 
 
-def run_capacity_report(s: Scenario, fixed=()) -> Table:
-    """CP and UP gain over SR per case and coverage; fields in fixed keep s's value."""
+def run_capacity_report(s: Scenario, flags=None) -> Table:
+    """CP and UP gain over SR per case and coverage, each point setting flags on s."""
     rows = []
-    for fields in _grid({f: getattr(s, f) for f in fixed},
-                        procedure=(Procedure.CP, Procedure.UP),
+    for fields in _grid(flags or {}, procedure=(Procedure.CP, Procedure.UP),
                         traffic_case=tuple(TrafficCase), coverage=_COVERAGES):
         point = replace(s, **fields)
         report = cap.cell_capacity(point)
@@ -195,22 +192,15 @@ def _parse_sweep(text: str) -> tuple[str, tuple]:
 def _lifetime_table(args) -> Table:
     base, flags = _file_and_flags(args)
     if args.sweep:
-        axis, values = _parse_sweep(args.sweep)
-        spec = SweepSpec(axis, values, fixed=base)
-        if _SWEEP_AXES[axis] in flags:
-            raise ConfigurationError(f"--{axis} and --sweep {axis}=... both set "
-                                     f"the {axis} axis")
         # each point sets the flags, so a point the flags make invalid is an error row
-        iat_s = flags.pop("iat_s", base.iat_s)
-        return _sweep_rows(spec, flags, iat_s)
-    if args.iat is not None:
-        # a pinned inter-arrival time means a single evaluation point
-        iat_s = flags.pop("iat_s")
-        return _lifetime_rows(base, [(flags, (iat_s,))])
-    # default: the full lifetime picture, every procedure and coverage
+        return run_lifetime_sweep(SweepSpec(*_parse_sweep(args.sweep), fixed=base), flags)
+    # the full lifetime picture, every procedure and coverage over a day; a
+    # pinned inter-arrival time means a single evaluation point
+    axes = {"procedure": tuple(Procedure), "coverage": _COVERAGES}
     iats = tuple(h * 3600.0 for h in DEFAULT_IAT_HOURS)
-    return _lifetime_rows(base, [(fields, iats) for fields in
-                                 _grid(flags, procedure=tuple(Procedure), coverage=_COVERAGES)])
+    if "iat_s" in flags:
+        axes, iats = {}, (flags.pop("iat_s"),)
+    return _lifetime_rows(base, [(fields, iats) for fields in _grid(flags, **axes)])
 
 
 def _glue_dash_values(argv: list[str]) -> list[str]:
@@ -260,8 +250,7 @@ def main(argv=None) -> int:
         if args.command == "lifetime":
             table = _lifetime_table(args)
         else:
-            base, flags = _file_and_flags(args)
-            table = run_capacity_report(replace(base, **flags), fixed=tuple(flags))
+            table = run_capacity_report(*_file_and_flags(args))
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

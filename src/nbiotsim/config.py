@@ -13,7 +13,7 @@ that exists is valid and is what a scenario file can say.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 # Rel-13 bounds on the power-saving timers; a longer DRX base than
@@ -38,6 +38,7 @@ RA_OPPORTUNITY_PERIOD_MS = 40.0
 NPRACH_SLOTS_PER_OPPORTUNITY = 12
 DL_POOL_SF_PER_S = 1000.0 * DL_SUBFRAME_AVAILABILITY * INBAND_DERATING
 NPRACH_POOL_SLOTS_PER_S = 1000.0 / RA_OPPORTUNITY_PERIOD_MS * NPRACH_SLOTS_PER_OPPORTUNITY
+LEVEL_RESOURCE_SHARE = 0.33   # each coverage level's slice of every pool
 
 
 class ConfigurationError(ValueError):
@@ -88,9 +89,7 @@ class CoverageProfile:
     rep_nprach: int
     r_max: int                            # NPDCCH search space size
     g_factor: float
-    resource_share: float = 0.33          # slice of cell resources for this level
-    sync_time_scale: float = 1.0          # multiplies the scenario's sync time
-    nprach_preamble_ms: float = 6.4       # preamble format 1: 4 symbol groups of 1.6 ms
+    sync_time_scale: float                # multiplies the scenario's sync time
 
     @property
     def npdcch_period_ms(self) -> int:
@@ -156,10 +155,9 @@ class Scenario:
 
     procedure: Procedure = Procedure.CP
     traffic_case: TrafficCase = TrafficCase.UL
-    coverage: CoverageProfile = field(
-        default_factory=lambda: builtin_coverage_profile("Normal"))
+    coverage: CoverageProfile = _BUILTIN_COVERAGE["Normal"]
     iat_s: float = 3600.0
-    power: PowerProfile = field(default_factory=PowerProfile)
+    power: PowerProfile = PowerProfile()
     battery_wh: float = 5.0
     mt_reachability: Reachability = Reachability.PSM_TAU
 

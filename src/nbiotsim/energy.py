@@ -78,17 +78,6 @@ class PeriodicEvent:
     period_us: int
 
 
-def standalone_event(flow: flows.ProcedureFlow, s: Scenario, period_us: int) -> PeriodicEvent:
-    """A standalone flow run once per period_us.  Its idle DRX is part of the
-    wake-up and charged to ra_sync, so a cycle's idle-DRX energy is only its
-    own reachability window, which is zero whenever release assistance applies."""
-    us, active_us = flows.active_time(flow, s)
-    return PeriodicEvent(
-        mj=tuple((EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat, mj)
-                 for cat, mj in price(us).items()),
-        active_us=active_us, period_us=period_us)
-
-
 @dataclass(frozen=True)
 class CycleProfile:
     """The part of a traffic cycle that does not depend on the IAT.
@@ -126,7 +115,7 @@ class CycleProfile:
                 cats[cat] += mj * fraction
         if rest_us < 0:
             raise ConfigurationError(f"iat_s={iat_us / US_PER_S}: shorter than the "
-                                     f"{(iat_us - rest_us) / US_PER_S} s active cycle")
+                                     f"{(iat_us - rest_us) / US_PER_S:.6f} s active cycle")
         cats[self.rest_category] += self.rest_mw * rest_us * 1e-6
         # cats is keyed in EnergyCategory order, which is the field order
         return tuple(cats.values())
@@ -140,10 +129,16 @@ def cycle_profile(s: Scenario) -> CycleProfile:
     psm_tau = s.mt_reachability is Reachability.PSM_TAU
     paced_by_tau = psm_tau and s.traffic_case.mobile_terminated
     # reachability costs PSM_TAU a periodic TAU, carried inside a downlink
-    # flow, and DRX_PAGING the paging occasions of its rest state
-    events = ((standalone_event(flows.build_tau_flow(s), s,
-                                round(s.psm_tau_period_s * US_PER_S)),)
-              if psm_tau and not paced_by_tau else ())
+    # flow, and DRX_PAGING the paging occasions of its rest state.  A standalone
+    # TAU's idle DRX is part of its wake-up and charged to ra_sync, so a cycle's
+    # idle-DRX energy is only its own reachability window, which is zero
+    # whenever release assistance applies
+    events = ()
+    if psm_tau and not paced_by_tau:
+        tau_us, tau_active_us = flows.active_time(flows.build_tau_flow(s), s)
+        tau_mj = tuple((EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat, mj)
+                       for cat, mj in price(tau_us).items())
+        events = (PeriodicEvent(tau_mj, tau_active_us, round(s.psm_tau_period_s * US_PER_S)),)
     if sum(e.active_us / e.period_us for e in events) >= 1.0:
         raise ConfigurationError("periodic TAUs keep the UE awake " + " and ".join(
             f"{e.active_us / US_PER_S} s of every {e.period_us / US_PER_S} s"

@@ -338,7 +338,7 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
     _lay_out(flow, s, sink)
     if fill_to_iat:
         iat_us = round(s.iat_s * US_PER_S)
-        sink.emit(max(0, iat_us - sink.t_us), *rest_state(s))
+        sink.emit(iat_us - sink.t_us, *rest_state(s))
     return sink.intervals
 
 

@@ -22,6 +22,7 @@ SUBFRAME_MS = 1.0
 # Start of a shared-channel transmission after the end of its associated NPDCCH.
 NPUSCH_SCHEDULE_GAP_MS = 8.0
 NPDSCH_SCHEDULE_GAP_MS = 4.0
+NPRACH_PREAMBLE_MS = 6.4   # format 1 at every level: 4 symbol groups of 1.6 ms
 
 # Allocation sizes of the TBS tables: N resource units (UL) / N subframes (DL).
 ALLOCATION_UNITS = (1, 2, 3, 4, 5, 6, 8, 10)
@@ -162,7 +163,7 @@ def message_airtime(size_bytes: int, c: CoverageProfile, ch: ChannelKind) -> flo
     preamble format and repetition count, independent of size.
     """
     if ch is ChannelKind.NPRACH:
-        return c.rep_nprach * c.nprach_preamble_ms
+        return c.rep_nprach * NPRACH_PREAMBLE_MS
     if ch is ChannelKind.NPDCCH:
         return c.rep_npdcch * SUBFRAME_MS
     key = (size_bytes, id(c), ch)

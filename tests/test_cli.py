@@ -132,7 +132,7 @@ def test_sweep_rows_equal_the_per_row_reference_property(values, iats):
 # 2e6 s, past the 310 h PSM maximum.  Every IAT and TAU period is a whole
 # microsecond, so the rows pin the lifetime and share floats bit for bit,
 # independently of the `==` tests, which compare the row path with itself.
-ROW_DIGEST = "b7e259f67b570768af7ca17b0d8c6a27aa342a60189b3ae32f45100f55e7ec3d"
+ROW_DIGEST = "ee233121497929f6060adba6047aedc3fa158ae1dd7b9485700ca28e1a5c62b2"
 ROW_IATS = (0.5, 0.625, 0.75, 1.0, 1.5, 2.0, 7.0, 60.0, 600.0,
             *(h * 3600.0 for h in range(1, 25)), 432000.0, MAX_PSM_TIME_S,
             MAX_PSM_TIME_S + 0.5, 2e6)
@@ -341,7 +341,16 @@ def test_cli_bad_sweep_or_capacity_iat_is_one_error_line(argv, prefix, capsys):
     ("budget_npdcch=1e-320", ["capacity"], "error: line 1: bad value '1e-320' for "
                                            "'budget_npdcch'; expected a number in "
                                            "[1e-06, 1000000000000]"),
-], ids=["zero-reference-capacity"])
+    ("procedure=CP coverage", ["lifetime"],
+     "error: line 1: expected key=value, got 'coverage'"),
+    # a base valid at Normal whose idle DRX cycle overruns the cap at Extreme:
+    # the capacity grid refuses its first Extreme point, or the pinned level
+    ("drx_cycle_base_s=10485.0", ["capacity"], "error: invalid scenario: idle DRX "
+                                               "cycle 10485.768 s exceeds the 10485.76 s maximum"),
+    ("drx_cycle_base_s=10485.0", ["capacity", "--coverage", "Extreme"],
+     "error: invalid scenario: idle DRX cycle 10485.768 s exceeds the 10485.76 s maximum"),
+], ids=["zero-reference-capacity", "token-without-equals", "drx-over-cap-in-grid",
+        "drx-over-cap-at-pinned-coverage"])
 def test_cli_bad_scenario_file_is_one_error_line(text, argv, line, tmp_path, capsys):
     f = tmp_path / "s.cfg"
     f.write_text(text + "\n")
@@ -666,6 +675,16 @@ def test_cli_scenario_file_not_utf8_is_one_error_line(command, tmp_path, capsys)
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"error: scenario file {str(f)!r} is not UTF-8 text: invalid start byte at byte 9"]
+
+
+@pytest.mark.parametrize("command", ["lifetime", "capacity"])
+def test_cli_missing_scenario_file_is_one_io_error_line(command, tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    assert main([command, "--scenario", str(missing)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: [Errno 2] No such file or directory: {str(missing)!r}"]
 
 
 def test_cli_unwritable_out_exit_code(tmp_path, capsys):

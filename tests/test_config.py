@@ -15,9 +15,9 @@ from nbiotsim import (ConfigurationError, Scenario, battery_lifetime_years, buil
                       format_scenario, parse_scenario, validate_scenario)
 from nbiotsim.cli import SweepSpec, run_lifetime_sweep
 from nbiotsim.energy import cycle_profile
-from nbiotsim.config import (COVERAGE_NAMES, MAX_IDLE_DRX_CYCLE_S, MAX_PSM_TIME_S,
-                             _SCENARIO_KEYS, _bounds, CoverageProfile, PowerProfile, Procedure,
-                             Reachability, TrafficCase, scenario_value)
+from nbiotsim.config import (COVERAGE_NAMES, LEVEL_RESOURCE_SHARE, MAX_IDLE_DRX_CYCLE_S,
+                             MAX_PSM_TIME_S, _SCENARIO_KEYS, _bounds, CoverageProfile,
+                             PowerProfile, Procedure, Reachability, TrafficCase, scenario_value)
 from dataclasses import replace
 from tests.conftest import domain_values, scenario_texts
 
@@ -30,7 +30,7 @@ def test_builtin_normal_profile():
     assert c.mcs_index == 9
     assert (c.rep_npdcch, c.rep_npdsch, c.rep_npusch, c.rep_nprach) == (1, 1, 2, 1)
     assert c.r_max == 1 and c.g_factor == 32.0
-    assert c.resource_share == 0.33
+    assert LEVEL_RESOURCE_SHARE == 0.33
 
 
 def test_builtin_robust_profile():
@@ -57,9 +57,7 @@ def test_unknown_coverage_name():
 
 
 def test_profile_shares_sum_below_one():
-    total = sum(builtin_coverage_profile(n).resource_share
-                for n in ("Normal", "Robust", "Extreme"))
-    assert total <= 1.0
+    assert len(COVERAGE_NAMES) * LEVEL_RESOURCE_SHARE <= 1.0
 
 
 def test_default_scenario_is_valid():

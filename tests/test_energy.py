@@ -312,7 +312,9 @@ def test_amortized_taus_longer_than_iat_rejected():
     # IAT shorter than the cycle is its own fault
     profile = cycle_profile(replace(s, psm_tau_period_s=7.0))
     assert profile.category_mj(3600 * 10**6)[-1] > 0.0
-    with pytest.raises(ConfigurationError, match=r"iat_s=0\.5: shorter than the \S+ s active"):
+    # the active cycle is printed to whole microseconds
+    with pytest.raises(ConfigurationError,
+                       match=r"iat_s=0\.5: shorter than the \d+\.\d{6} s active cycle$"):
         profile.category_mj(500_000)
 
 

@@ -99,6 +99,22 @@ def test_memoized_airtime_is_the_segmented_airtime(c):
             assert message_airtime(size, c, ch) == message_airtime(size, c, ch) == expected
 
 
+def test_airtime_memo_is_emptied_at_its_bound():
+    # 4,100 distinct keys at one level overfill the 4,096-entry memo once: it
+    # is emptied whole, never holds more, and answers each key alike after
+    clear_memos()
+    keys = [(size, ch) for ch in phy.SHARED_CHANNELS for size in range(1, 2051)]
+    first, sizes = [], []
+    for size, ch in keys:
+        first.append(message_airtime(size, EXTREME, ch))
+        sizes.append(len(phy._AIRTIME))
+    assert max(sizes) == 4096
+    assert sizes[-1] == len(keys) - 4096
+    assert [message_airtime(size, EXTREME, ch) for size, ch in keys] == first
+    with pytest.raises(ConfigurationError, match=r"mcs_index=0\.0 outside the TBS table"):
+        message_airtime(64, replace(EXTREME, mcs_index=0.0), ChannelKind.NPUSCH)
+
+
 @pytest.mark.parametrize("ch", [ChannelKind.NPDCCH, ChannelKind.NPRACH])
 def test_tbs_needs_a_shared_channel(ch):
     with pytest.raises(ConfigurationError, match="not a shared channel"):

@@ -12,16 +12,18 @@ makes the UE reachable) and a paging UE pays in its rest state.
 each event, and the rest state (`flows.rest_state`) priced once over the rest
 time, the IAT less the active timeline and the events' awake time.
 `cycle_profile` refuses events awake for their whole period, so every profile
-admits some IAT, and `category_mj` raises only at the IAT's two bounds.  Rows
-that differ only in their IAT share one profile, and a row costs only
-`category_mj` and `lifetime_and_shares`, the one lifetime formula, at its IAT;
-the PSM floor is one second of deep sleep priced by the same formula.
+admits some IAT, and `category_mj` raises only at the IAT's two bounds.  A
+scenario's breakdown, lifetime and lifetime rows share one memoized profile,
+which no caller may mutate; a row costs only `category_mj` and
+`lifetime_and_shares`, the one lifetime formula, at its IAT; the PSM floor is
+one second of deep sleep priced by the same formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import flows
 from .config import HOURS_PER_YEAR, MAX_PSM_TIME_S, ConfigurationError, Reachability, Scenario
@@ -121,9 +123,12 @@ class CycleProfile:
         return tuple(cats.values())
 
 
+@lru_cache(maxsize=256)
 def cycle_profile(s: Scenario) -> CycleProfile:
     """Active-cycle profile of a scenario, valid since it was built, refused where
-    the periodic events leave no IAT a rest time; `category_mj` checks each IAT."""
+    the periodic events leave no IAT a rest time; `category_mj` checks each IAT.
+    Memoized per Scenario value, exact as equal scenarios differ at most as int/float
+    or -0.0/0.0 twins, which price alike; callers share it, so none mutates `active_mj`."""
     us, active_us = flows.active_time(flows.build_flow(s), s)
     _, rest_mw, rest_category, _ = flows.rest_state(s)
     psm_tau = s.mt_reachability is Reachability.PSM_TAU

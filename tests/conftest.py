@@ -7,16 +7,17 @@ import math
 import pytest
 from hypothesis import strategies as st
 
-from nbiotsim import Scenario, builtin_coverage_profile, flows, phy
+from nbiotsim import Scenario, builtin_coverage_profile, energy, flows, phy
 from nbiotsim.config import _SCENARIO_KEYS, COVERAGE_NAMES, Procedure, TrafficCase
 from nbiotsim.flows import US_PER_S, EnergyCategory, Interval
 
 
 def clear_memos() -> None:
-    """Empty both memos of per-level radio work: the airtime of a message and
-    the plan of a layout."""
+    """Empty both memos of per-level radio work, the airtime of a message and
+    the plan of a layout, and the memo of cycle profiles built from them."""
     phy._AIRTIME.clear()
     flows._plan.cache_clear()
+    energy.cycle_profile.cache_clear()
 
 
 def make_scenario(proc="CP", case="UL", cov="Normal", iat_h=1.0, **kw) -> Scenario:

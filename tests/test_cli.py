@@ -404,9 +404,11 @@ BROKEN_DATA = {
 }
 
 
-# every cache of what the package data gives: the loaders, and the layout
-# plan, which holds the RAR's airtime from a TBS table
-DATA_LOADERS = (flows._catalog, phy._tbs_table, phy._checksums, flows._plan)
+# every cache of what the package data gives: the loaders, the layout plan,
+# which holds the RAR's airtime from a TBS table, and the cycle profile, which
+# holds the time and energy of a whole laid-out cycle
+DATA_LOADERS = (flows._catalog, phy._tbs_table, phy._checksums, flows._plan,
+                energy.cycle_profile)
 
 
 def clear_data_caches() -> None:
@@ -463,6 +465,22 @@ def test_edited_tbs_table_reaches_a_warm_layout_plan(data_texts):
     data_texts.update(with_row_9_as_row_0(data_texts, "npdsch_tbs.tsv"))
     clear_data_caches()
     assert rar_npdsch_us() == [round(attempts * 3000)]
+
+
+def test_edited_tbs_table_reaches_a_warm_cycle_profile(data_texts):
+    # the same edit takes each expected RAR from 1 to 3 NPDSCH subframes, so
+    # a cycle profile, memoized per scenario, must be laid out afresh: its RA
+    # energy grows by that RAR time at rx power, and its active time grows
+    s = Scenario()
+    attempts = ra.expected_attempts(s.ra_attempt_cap)
+    rar_us = round(attempts * 3000) - round(attempts * 1000)
+    warm = energy.cycle_profile(s)
+    data_texts.update(with_row_9_as_row_0(data_texts, "npdsch_tbs.tsv"))
+    clear_data_caches()
+    edited = energy.cycle_profile(s)
+    assert edited.active_us > warm.active_us
+    ra_sync_mj = [p.active_mj[EnergyCategory.RA_SYNC] for p in (warm, edited)]
+    assert ra_sync_mj[1] - ra_sync_mj[0] == pytest.approx(s.power.rx_mw * rar_us * 1e-6)
 
 
 @pytest.mark.parametrize("case", list(BROKEN_DATA))

@@ -17,9 +17,10 @@ from nbiotsim.cli import SweepSpec, run_lifetime_sweep
 from nbiotsim.config import (_SCENARIO_KEYS, COVERAGE_NAMES, HOURS_PER_YEAR, MAX_PSM_TIME_S,
                              Procedure, Reachability, TrafficCase, UeState)
 from nbiotsim.energy import cycle_profile, integrate_timeline, lifetime_and_shares, price
-from nbiotsim.flows import EnergyCategory, Interval
-from tests.conftest import (active_duration_s, binned_energy_mj, domain_values,
+from nbiotsim.flows import US_PER_S, EnergyCategory, Interval
+from tests.conftest import (active_duration_s, binned_energy_mj, clear_memos, domain_values,
                             make_scenario)
+from tests.test_invariants import evaluate, scenario_values
 
 
 def test_rx_interval_energy():
@@ -224,7 +225,9 @@ def test_profile_active_times_are_timeline_microseconds(proc, case, reach):
 
 def test_iat_sweep_builds_timelines_once(monkeypatch):
     # the cycle and its standalone TAU are each laid out once, into a sink
-    # that sums time: no profile builds an Interval list
+    # that sums time: no profile builds an Interval list.  Every memo starts
+    # empty, so a profile built by an earlier test hides no pass
+    clear_memos()
     passes, timelines = [], []
     real_time, real_timeline = flows.active_time, flows.flow_timeline
     monkeypatch.setattr(flows, "active_time",
@@ -285,6 +288,91 @@ def test_coverage_sweep_builds_one_scenario_and_one_profile_per_value(monkeypatc
     assert len(built) == 3 and len(profiles) == 3
 
 
+def priced(profile, iat_us):
+    """repr of a profile's category mJ at iat_us, or the text of its refusal."""
+    try:
+        return repr(profile.category_mj(iat_us))
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=scenario_values(), iats=st.lists(domain_values("iat"), min_size=1, max_size=3))
+def test_memoized_profile_is_a_fresh_build(values, iats):
+    # cycle_profile shares one profile per scenario value; it must equal a
+    # build that bypasses the memo and price every IAT to the same bits
+    s = evaluate(lambda s: s, values)
+    try:
+        fresh = cycle_profile.__wrapped__(s)
+    except ConfigurationError as exc:
+        with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
+            cycle_profile(s)
+        return
+    memo = cycle_profile(s)
+    assert cycle_profile(s) is memo and memo == fresh
+    for iat_s in iats:
+        iat_us = round(iat_s * US_PER_S)
+        assert priced(memo, iat_us) == priced(fresh, iat_us)
+
+
+# equal scenarios that are not alike: int/float and -0.0/0.0 twins
+TWINS = {
+    "sync-int": ({"sync_base_ms": 330}, {"sync_base_ms": 330.0}),
+    "power-int": ({"power": PowerProfile(inactive_mw=3, rx_mw=90, tx_max_mw=545)},
+                  {"power": PowerProfile(inactive_mw=3.0, rx_mw=90.0, tx_max_mw=545.0)}),
+    "alpha-zero": ({"power": PowerProfile(alpha=-0.0)}, {"power": PowerProfile(alpha=0.0)}),
+    "idle-timer-zero": ({"idle_active_timer_base_s": -0.0}, {"idle_active_timer_base_s": 0.0}),
+}
+
+
+@pytest.mark.parametrize("reach", list(Reachability))
+@pytest.mark.parametrize("twins", TWINS.values(), ids=list(TWINS))
+def test_equal_twins_share_one_profile_and_price_alike(twins, reach):
+    # twins are one memo key, so each must price as the other: built with
+    # every memo empty, their profiles are equal and their lifetime rows and
+    # category mJ repr-identical
+    s, t = (make_scenario("CP", "UL", mt_reachability=reach, **kw) for kw in twins)
+    assert s == t and s is not t
+    fresh = []
+    for x in (s, t):
+        clear_memos()
+        fresh.append(cycle_profile.__wrapped__(x))
+    assert fresh[0] == fresh[1]
+    for iat_us in (3600 * US_PER_S, 86400 * US_PER_S):
+        mj = [p.category_mj(iat_us) for p in fresh]
+        assert repr(mj[0]) == repr(mj[1])
+        assert repr(lifetime_and_shares(mj[0], iat_us, s.battery_wh)) == repr(
+            lifetime_and_shares(mj[1], iat_us, t.battery_wh))
+    energy.cycle_profile.cache_clear()
+    assert cycle_profile(s) is cycle_profile(t)
+    assert cycle_profile.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("case", [c.value for c in TrafficCase])
+def test_callers_leave_the_shared_profile_unchanged(case):
+    # the breakdown, the lifetime and the sweep rows all read the one
+    # memoized profile, and none may change it
+    s = make_scenario("UP", case)
+    shared = cycle_profile(s)
+    cycle_energy(s)
+    battery_lifetime_years(s)
+    run_lifetime_sweep(SweepSpec("iat", (3600.0, 86400.0), s))
+    assert cycle_profile(s) is shared
+    assert shared == cycle_profile.__wrapped__(s)
+
+
+def test_profile_memo_holds_at_most_its_bound():
+    # more distinct scenarios than the memo holds: it never grows past its
+    # bound, and a scenario built again after its eviction prices alike
+    energy.cycle_profile.cache_clear()
+    maxsize = cycle_profile.cache_info().maxsize
+    points = [make_scenario("CP", "UL", data_payload_bytes=k) for k in range(maxsize + 44)]
+    first = [cycle_profile(s) for s in points]
+    assert cycle_profile.cache_info().currsize == maxsize
+    assert [cycle_profile(s) for s in points] == first
+    assert cycle_profile.cache_info().currsize == maxsize
+
+
 def test_iat_shorter_than_active_cycle_rejected():
     # SR/DL_ACK at Extreme coverage has the longest active cycle of the grid
     s = make_scenario("SR", "DL_ACK", "Extreme")
@@ -304,10 +392,12 @@ def test_amortized_taus_longer_than_iat_rejected():
     s = make_scenario("CP", "UL", idle_active_timer_base_s=0.0,
                       drx_long_cycle_base_s=1e-6, psm_tau_period_s=0.07)
     assert flows.active_time(build_tau_flow(s), s)[1] > 70_000
-    with pytest.raises(ConfigurationError, match=re.escape(
-            "periodic TAUs keep the UE awake 0.774002 s of every 0.07 s "
-            "TAU period: no IAT is long enough")):
-        cycle_profile(s)
+    # the profile memo keeps no exception, so a second call is refused too
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "periodic TAUs keep the UE awake 0.774002 s of every 0.07 s "
+                "TAU period: no IAT is long enough")):
+            cycle_profile(s)
     # a TAU period longer than one TAU leaves deep sleep in the cycle, and an
     # IAT shorter than the cycle is its own fault
     profile = cycle_profile(replace(s, psm_tau_period_s=7.0))

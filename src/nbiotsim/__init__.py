@@ -19,7 +19,6 @@ from .flows import (EnergyCategory, Interval, Plane, ProcedureFlow,
 from .energy import (CycleProfile, EnergyBreakdown, battery_lifetime_years,
                      cycle_energy, cycle_profile, lifetime_and_shares,
                      psm_baseline_lifetime_years)
-from .capacity import (CapacityReport, capacity_gain_pct, cell_capacity,
-                       default_budgets, flow_channel_usage)
+from .capacity import CapacityReport, capacity_gain_pct, cell_capacity, default_budgets
 
 __version__ = "0.1.0"

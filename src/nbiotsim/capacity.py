@@ -1,20 +1,20 @@
-"""Radio-resource accounting and cell capacity relative to the legacy procedure.
+"""Cell capacity relative to the legacy procedure.
 
-Fluid-flow accounting: each flow's per-channel resource usage is summed from
-message airtimes, every shared-channel message charges one NPDCCH assignment,
-and random access charges expected preamble slots.  Cell capacity is the
-tightest budget/usage ratio across channels after coverage-level sharing; the
-budgets are the scenario's, which default to the cell's pools (config).  A
-scenario was validated when it was built, so none is checked here.
+Fluid-flow accounting: a report's per-channel resource usage is the one its
+flow's layout pass summed (`flows._lay_out`), read from the scenario's memoized
+`energy.cycle_profile`, so a scenario whose TAUs keep the UE awake is refused
+here as in its lifetime rows.  Cell capacity is the tightest budget/usage ratio
+across channels after coverage-level sharing; the budgets are the scenario's,
+which default to the cell's pools (config).  A scenario was validated when it
+was built, so none is checked here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import flows, phy, ra
+from . import energy
 from .config import LEVEL_RESOURCE_SHARE, ConfigurationError, Scenario
-from .flows import ProcedureFlow
 from .phy import ChannelKind
 
 # Deterministic tie-break for equal capacity ratios.
@@ -43,30 +43,9 @@ def default_budgets(s: Scenario) -> dict[ChannelKind, float]:
             ChannelKind.NPRACH: s.budget_nprach_slots_per_s}
 
 
-def flow_channel_usage(flow: ProcedureFlow, s: Scenario) -> dict[ChannelKind, float]:
-    """Radio resources one report consumes, per channel.
-
-    NPUSCH usage in subcarrier-ms, NPDSCH and NPDCCH in subframes, NPRACH in
-    expected preamble slots.  Every shared-channel message adds one NPDCCH
-    assignment.
-    """
-    c = s.coverage
-    usage = {ch: 0.0 for ch in ChannelKind}
-    ul_fraction = phy.ul_carrier_fraction(c)
-    for msg in flow.messages:
-        airtime_ms = phy.message_airtime(msg.size_bytes, c, msg.channel)
-        usage[msg.channel] += (airtime_ms * ul_fraction * 12.0
-                               if msg.channel is ChannelKind.NPUSCH
-                               else airtime_ms / phy.SUBFRAME_MS)
-    npdcch_sf = phy.message_airtime(1, c, ChannelKind.NPDCCH) / phy.SUBFRAME_MS
-    usage[ChannelKind.NPDCCH] += len(flow.messages) * npdcch_sf
-    usage[ChannelKind.NPRACH] += ra.expected_attempts(s.ra_attempt_cap)
-    return usage
-
-
 def cell_capacity(s: Scenario) -> CapacityReport:
     """Supported reports per hour and the limiting channel for one scenario."""
-    usage = flow_channel_usage(flows.build_flow(s), s)
+    usage = dict(energy.cycle_profile(s).per_channel_usage)    # a copy: the profile is shared
     budgets = default_budgets(s)
     # NPRACH usage is the expected RA attempts, at least 1, so rates is never empty
     rates = {ch: LEVEL_RESOURCE_SHARE * budgets[ch] / usage[ch]

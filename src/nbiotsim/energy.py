@@ -13,8 +13,8 @@ each event, and the rest state (`flows.rest_state`) priced once over the rest
 time, the IAT less the active timeline and the events' awake time.
 `cycle_profile` refuses events awake for their whole period, so every profile
 admits some IAT, and `category_mj` raises only at the IAT's two bounds.  A
-scenario's breakdown, lifetime and lifetime rows share one memoized profile,
-which no caller may mutate; a row costs only `category_mj` and
+scenario's breakdown, lifetime, lifetime rows and cell capacity share one
+memoized profile, which no caller may mutate; a row costs only `category_mj` and
 `lifetime_and_shares`, the one lifetime formula, at its IAT; the PSM floor is
 one second of deep sleep priced by the same formula.
 """
@@ -28,6 +28,7 @@ from functools import lru_cache
 from . import flows
 from .config import HOURS_PER_YEAR, MAX_PSM_TIME_S, ConfigurationError, Reachability, Scenario
 from .flows import US_PER_S, EnergyCategory, Interval
+from .phy import ChannelKind
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,8 @@ class CycleProfile:
 
     Holds the per-category energy and the length of the active timeline, the
     rest state's power and category, the periodic events the cycle amortizes,
-    and the longest IAT the cycle can take, in us (inf where it has no ceiling).
+    the longest IAT the cycle can take, in us (inf where it has no ceiling),
+    and the channel usage of one report's flow (`flows._lay_out`; no event's).
     """
 
     active_mj: dict[EnergyCategory, float]
@@ -95,6 +97,7 @@ class CycleProfile:
     rest_category: EnergyCategory
     events: tuple[PeriodicEvent, ...]
     max_iat_us: float
+    per_channel_usage: dict[ChannelKind, float]
 
     def category_mj(self, iat_us: int) -> tuple[float, ...]:
         """mJ per category, in EnergyBreakdown field order, of one inter-arrival
@@ -128,8 +131,8 @@ def cycle_profile(s: Scenario) -> CycleProfile:
     """Active-cycle profile of a scenario, valid since it was built, refused where
     the periodic events leave no IAT a rest time; `category_mj` checks each IAT.
     Memoized per Scenario value, exact as equal scenarios differ at most as int/float
-    or -0.0/0.0 twins, which price alike; callers share it, so none mutates `active_mj`."""
-    us, active_us = flows.active_time(flows.build_flow(s), s)
+    or -0.0/0.0 twins, which price alike; callers share it, so none mutates its dicts."""
+    us, active_us, usage = flows.active_time(flows.build_flow(s), s)
     _, rest_mw, rest_category, _ = flows.rest_state(s)
     psm_tau = s.mt_reachability is Reachability.PSM_TAU
     paced_by_tau = psm_tau and s.traffic_case.mobile_terminated
@@ -140,7 +143,7 @@ def cycle_profile(s: Scenario) -> CycleProfile:
     # whenever release assistance applies
     events = ()
     if psm_tau and not paced_by_tau:
-        tau_us, tau_active_us = flows.active_time(flows.build_tau_flow(s), s)
+        tau_us, tau_active_us, _ = flows.active_time(flows.build_tau_flow(s), s)
         tau_mj = tuple((EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat, mj)
                        for cat, mj in price(tau_us).items())
         events = (PeriodicEvent(tau_mj, tau_active_us, round(s.psm_tau_period_s * US_PER_S)),)
@@ -153,6 +156,7 @@ def cycle_profile(s: Scenario) -> CycleProfile:
         rest_mw=rest_mw, rest_category=rest_category, events=events,
         # a downlink PSM_TAU cycle's IAT is its T3412: at most 310 h (TS 24.008)
         max_iat_us=round(MAX_PSM_TIME_S * US_PER_S) if paced_by_tau else math.inf,
+        per_channel_usage=usage,
     )
 
 

@@ -10,7 +10,8 @@ total off time, so the timeline's length does not grow with the timers.
 One layout pass writes the intervals to one sink, which sums each one's whole
 microseconds under its (category, power_mw) key: `active_time` returns those
 sums, and only `flow_timeline` also keeps `Interval` records.  Nothing here
-prices time; `energy.price` does.
+prices time; `energy.price` does.  The same pass sums the radio resources the
+flow consumes per channel, which `capacity` reads through `energy.cycle_profile`.
 """
 
 from __future__ import annotations
@@ -267,27 +268,30 @@ def rest_state(s: Scenario) -> tuple[UeState, float, EnergyCategory, str]:
 
 @lru_cache(maxsize=256)
 def _plan(c: CoverageProfile, p: PowerProfile, rar_bytes: int) -> tuple:
-    """The constants of a layout pass: the RA attempt's phases, then per
-    shared channel those of a message besides its airtime and its wait for
-    an NPDCCH occasion: the NPDCCH assignment and the schedule gap in whole
-    us, the airtime's state, and the (MESSAGES, power_mw) sink keys of the
-    time at inactive, at rx and on air.
+    """The constants of a layout pass: the RA attempt's phases, the NPDCCH
+    assignment in subframes and the uplink carrier share (the channel usage's
+    constants), then per shared channel those of a message besides its airtime
+    and its wait for an NPDCCH occasion: the NPDCCH assignment and the schedule
+    gap in whole us, the airtime's state, and the (MESSAGES, power_mw) sink
+    keys of the time at inactive, at rx and on air.
 
     Keyed on the level by value, which is exact here: only a Scenario's level
     reaches `_lay_out`, a Scenario holds the built-in level equal to the one
     it is given, and no two built-in levels are equal."""
     phases = ra.attempt_components(c, p, rar_bytes)
-    npdcch_us = round(phy.message_airtime(1, c, ChannelKind.NPDCCH) * US_PER_MS)
+    npdcch_ms = phy.message_airtime(1, c, ChannelKind.NPDCCH)
     idle, rx = (EnergyCategory.MESSAGES, p.inactive_mw), (EnergyCategory.MESSAGES, p.rx_mw)
     npusch_mw = phy.tx_power_consumption_mw(p, phy.npusch_tx_power_dbm(c, p, c.target_mcl_db))
-    return phases, {ch: (npdcch_us, round(phy.schedule_gap_ms(ch) * US_PER_MS), state,
-                         idle, rx, (EnergyCategory.MESSAGES, power_mw))
-                    for ch, state, power_mw in ((ChannelKind.NPUSCH, UeState.TX, npusch_mw),
-                                                (ChannelKind.NPDSCH, UeState.RX, p.rx_mw))}
+    return (phases, npdcch_ms / phy.SUBFRAME_MS, phy.ul_carrier_fraction(c),
+            {ch: (round(npdcch_ms * US_PER_MS), round(phy.schedule_gap_ms(ch) * US_PER_MS), state,
+                  idle, rx, (EnergyCategory.MESSAGES, power_mw))
+             for ch, state, power_mw in ((ChannelKind.NPUSCH, UeState.TX, npusch_mw),
+                                         (ChannelKind.NPDSCH, UeState.RX, p.rx_mw))})
 
 
-def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> None:
-    """Lay one traffic cycle's active part out into sink, interval by interval.
+def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> dict[ChannelKind, float]:
+    """Lay one traffic cycle's active part out into sink, interval by interval,
+    and return the radio resources the flow consumes per channel.
 
     The random access phase uses expectation values (durations scaled by the
     expected attempt count).  Each shared-channel message is preceded by a
@@ -295,6 +299,9 @@ def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> None:
     standard scheduling gap; transmit and receive never overlap.  Connected
     DRX (when configured) runs before the final release message, idle DRX
     until the active timer expires.
+
+    Usage is subcarrier-ms on NPUSCH, subframes on NPDSCH and NPDCCH (each message
+    adds one assignment) and expected RA attempts on NPRACH (preamble slots).
     """
     c, p = s.coverage, s.power
     ra_cat, emit = EnergyCategory.RA_SYNC, sink.emit
@@ -305,12 +312,13 @@ def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> None:
 
     # random access, expectation-scaled
     attempts = ra.expected_attempts(s.ra_attempt_cap)
-    phases, plans = _plan(c, p, s.rar_bytes)
+    phases, npdcch_sf, ul_fraction, plans = _plan(c, p, s.rar_bytes)
     for label, state, dur_ms, power_mw in phases:
         emit(round(attempts * dur_ms * US_PER_MS), state, power_mw, ra_cat, label)
 
     npdcch_us = plans[ChannelKind.NPDSCH][0]      # the same on either channel
     message, last = sink.message, len(flow.messages) - 1
+    usage = dict.fromkeys(ChannelKind, 0.0)
     for index, msg in enumerate(flow.messages):
         if index == last:
             # inactivity timer runs after the data exchange, before release;
@@ -321,12 +329,17 @@ def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> None:
                              p=p, gap=(UeState.INACTIVE, p.inactive_mw),
                              category=EnergyCategory.CONNECTED_DRX, label="connected_drx")
         airtime_ms = phy.message_airtime(msg.size_bytes, c, msg.channel)
+        usage[msg.channel] += (airtime_ms * ul_fraction * 12.0 if msg.channel is ChannelKind.NPUSCH
+                               else airtime_ms / phy.SUBFRAME_MS)
         message(msg.name, round(airtime_ms * US_PER_MS), period_us, plans[msg.channel])
+    usage[ChannelKind.NPDCCH] += len(flow.messages) * npdcch_sf
+    usage[ChannelKind.NPRACH] += attempts
 
     # idle DRX: the active timer keeps the UE reachable before PSM
     _emit_drx_cycles(sink, round(flow.idle_drx_s * US_PER_S), on_us=period_us,
                      off_us=round(s.drx_long_cycle_base_s * US_PER_S),
                      p=p, gap=_idle_drx_gap(s), category=EnergyCategory.IDLE_DRX, label="drx")
+    return usage
 
 
 def flow_timeline(flow: ProcedureFlow, s: Scenario,
@@ -342,10 +355,11 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
     return sink.intervals
 
 
-def active_time(flow: ProcedureFlow, s: Scenario) -> tuple[TimeByKey, int]:
+def active_time(flow: ProcedureFlow, s: Scenario) -> tuple[TimeByKey, int, dict]:
     """Time per (category, power_mw), in first-emit order, and the end in
     microseconds of the unfilled `flow_timeline(flow, s, fill_to_iat=False)`,
-    summed as the layout runs, without building the intervals."""
+    summed as the layout runs, without building the intervals; then the
+    flow's radio resources per channel (see `_lay_out`)."""
     sink = _Sink()
-    _lay_out(flow, s, sink)
-    return sink.us, sink.t_us
+    usage = _lay_out(flow, s, sink)
+    return sink.us, sink.t_us, usage

@@ -1,25 +1,89 @@
 """Per-channel resource usage, bottlenecks, and capacity gains."""
 
+import itertools
+
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
 
-from nbiotsim import (ChannelKind, Scenario, build_flow, capacity_gain_pct,
-                      cell_capacity, default_budgets, flow_channel_usage,
-                      message_airtime)
+from nbiotsim import (ChannelKind, Reachability, Scenario, build_flow, capacity_gain_pct,
+                      cell_capacity, cycle_energy, default_budgets, flows, message_airtime, phy)
 from nbiotsim.capacity import BOTTLENECK_ORDER, CapacityReport
 from nbiotsim.config import ConfigurationError
-from nbiotsim.flows import ProcedureFlow
+from nbiotsim.energy import cycle_profile
+from nbiotsim.flows import ProcedureFlow, active_time
 from nbiotsim.phy import ul_carrier_fraction
 from nbiotsim.ra import expected_attempts
-from tests.conftest import make_scenario
+from tests.conftest import clear_memos, make_scenario
+from tests.test_flows import LAYOUT_KNOBS
+from tests.test_invariants import evaluate, scenario_values
+
+
+def reference_usage(flow: ProcedureFlow, s: Scenario) -> dict[ChannelKind, float]:
+    """Radio resources one report consumes, per channel, walked message by
+    message apart from the layout: NPUSCH in subcarrier-ms, NPDSCH and NPDCCH
+    in subframes, NPRACH in expected preamble slots.  Every shared-channel
+    message adds one NPDCCH assignment."""
+    c = s.coverage
+    usage = {ch: 0.0 for ch in ChannelKind}
+    ul_fraction = phy.ul_carrier_fraction(c)
+    for msg in flow.messages:
+        airtime_ms = phy.message_airtime(msg.size_bytes, c, msg.channel)
+        usage[msg.channel] += (airtime_ms * ul_fraction * 12.0
+                               if msg.channel is ChannelKind.NPUSCH
+                               else airtime_ms / phy.SUBFRAME_MS)
+    npdcch_sf = phy.message_airtime(1, c, ChannelKind.NPDCCH) / phy.SUBFRAME_MS
+    usage[ChannelKind.NPDCCH] += len(flow.messages) * npdcch_sf
+    usage[ChannelKind.NPRACH] += expected_attempts(s.ra_attempt_cap)
+    return usage
+
+
+def assert_usage_is_the_reference(s):
+    # exact, in channel order: the layout sums the reference's expressions
+    # in the reference's order
+    usage = cell_capacity(s).per_channel_usage
+    assert list(usage.items()) == list(reference_usage(build_flow(s), s).items())
+
+
+def test_capacity_usage_is_the_reference_walk():
+    for proc, case, reach, cov in itertools.product(
+            ["SR", "CP", "UP"], ["UL", "UL_ACK", "DL", "DL_ACK"],
+            list(Reachability), ["Normal", "Robust", "Extreme"]):
+        assert_usage_is_the_reference(
+            make_scenario(proc, case, cov, mt_reachability=reach, **LAYOUT_KNOBS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=scenario_values())
+def test_capacity_usage_is_the_reference_walk_property(values):
+    evaluate(assert_usage_is_the_reference, values)
+
+
+def test_capacity_reads_the_scenarios_one_layout_pass(monkeypatch):
+    # once the scenario's lifetime is priced, its capacity builds no flow and
+    # lays nothing out: it reads the memoized profile's usage
+    clear_memos()
+    s = make_scenario("CP", "UL", "Robust")
+    cycle_energy(s)
+    calls = []
+    real_build = flows.build_flow
+    monkeypatch.setattr(flows, "build_flow", lambda *a: calls.append(a) or real_build(*a))
+    monkeypatch.setattr(flows, "active_time", lambda *a: calls.append(a))
+    report = cell_capacity(s)
+    assert calls == []
+    # the report holds a copy: mutating it moves neither the profile nor a
+    # second report
+    want = dict(report.per_channel_usage)
+    report.per_channel_usage[ChannelKind.NPUSCH] = 1e9
+    report.per_channel_usage.clear()
+    assert cycle_profile(s).per_channel_usage == want
+    assert cell_capacity(s).per_channel_usage == want
 
 
 def test_cp_uses_less_npdcch_than_up():
     for cov in ("Normal", "Robust", "Extreme"):
-        cp = flow_channel_usage(build_flow(make_scenario("CP", "UL", cov)),
-                                make_scenario("CP", "UL", cov))
-        up = flow_channel_usage(build_flow(make_scenario("UP", "UL", cov)),
-                                make_scenario("UP", "UL", cov))
+        cp = cell_capacity(make_scenario("CP", "UL", cov)).per_channel_usage
+        up = cell_capacity(make_scenario("UP", "UL", cov)).per_channel_usage
         assert cp[ChannelKind.NPDCCH] < up[ChannelKind.NPDCCH]
 
 
@@ -27,7 +91,7 @@ def test_single_message_flow_usage_assembly():
     s = make_scenario("UP", "UL")
     flow = build_flow(s)
     one = replace(flow, messages=flow.messages[3:4])    # the 64 B uplink report
-    usage = flow_channel_usage(one, s)
+    usage = active_time(one, s)[2]
     assert usage[ChannelKind.NPUSCH] == pytest.approx(
         message_airtime(64, s.coverage, ChannelKind.NPUSCH)
         * ul_carrier_fraction(s.coverage) * 12.0)
@@ -38,7 +102,7 @@ def test_single_message_flow_usage_assembly():
 
 def test_capacity_is_min_over_channels():
     s = make_scenario("CP", "UL")
-    usage = flow_channel_usage(build_flow(s), s)
+    usage = cell_capacity(s).per_channel_usage
     budgets = default_budgets(s)
     expected = min(0.33 * budgets[ch] / usage[ch]
                    for ch in ChannelKind if usage[ch] > 0) * 3600.0
@@ -50,7 +114,7 @@ def test_simple_budget_division():
     # budgets pinned so the uplink ratio is exactly 1000 reports/s and every
     # other channel is loose: capacity must be the plain division
     s = make_scenario("CP", "UL")
-    usage = flow_channel_usage(build_flow(s), s)
+    usage = cell_capacity(s).per_channel_usage
     s2 = replace(s,
                  budget_npusch_sc_ms_per_s=usage[ChannelKind.NPUSCH] * 1000.0 / 0.33,
                  budget_npdcch_sf_per_s=usage[ChannelKind.NPDCCH] * 1e9,
@@ -113,7 +177,7 @@ def test_removing_messages_never_decreases_capacity():
     flow = build_flow(s)
     budgets = default_budgets(s)
     def rate(f: ProcedureFlow) -> float:
-        usage = flow_channel_usage(f, s)
+        usage = active_time(f, s)[2]
         return min(0.33 * budgets[ch] / usage[ch]
                    for ch in ChannelKind if usage[ch] > 0)
     full = rate(flow)
@@ -132,7 +196,7 @@ def test_grid_is_deterministic():
 
 def test_bottleneck_tie_break_order():
     s = make_scenario("CP", "UL")
-    usage = flow_channel_usage(build_flow(s), s)
+    usage = cell_capacity(s).per_channel_usage
     # budgets chosen so NPDCCH and NPDSCH ratios tie and everything else is loose
     tied = replace(s,
                    budget_npdcch_sf_per_s=usage[ChannelKind.NPDCCH] * 100.0,

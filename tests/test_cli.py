@@ -349,8 +349,13 @@ def test_cli_bad_sweep_or_capacity_iat_is_one_error_line(argv, prefix, capsys):
                                                "cycle 10485.768 s exceeds the 10485.76 s maximum"),
     ("drx_cycle_base_s=10485.0", ["capacity", "--coverage", "Extreme"],
      "error: invalid scenario: idle DRX cycle 10485.768 s exceeds the 10485.76 s maximum"),
+    # capacity reads the scenario's cycle profile, which refuses TAUs that
+    # keep the UE awake, with the lifetime rows' text
+    ("idle_timer_base_s=0 drx_cycle_base_s=1e-06 tau_period_s=0.07", ["capacity"],
+     "error: periodic TAUs keep the UE awake 0.774002 s of every 0.07 s TAU period: "
+     "no IAT is long enough"),
 ], ids=["zero-reference-capacity", "token-without-equals", "drx-over-cap-in-grid",
-        "drx-over-cap-at-pinned-coverage"])
+        "drx-over-cap-at-pinned-coverage", "taus-keep-the-ue-awake"])
 def test_cli_bad_scenario_file_is_one_error_line(text, argv, line, tmp_path, capsys):
     f = tmp_path / "s.cfg"
     f.write_text(text + "\n")

@@ -199,7 +199,8 @@ def test_profile_active_times_are_timeline_microseconds(proc, case, reach):
     s = make_scenario(proc, case, "Robust", mt_reachability=reach)
     profile = cycle_profile(s)
     assert [f.name for f in fields(CycleProfile)] == [
-        "active_mj", "active_us", "rest_mw", "rest_category", "events", "max_iat_us"]
+        "active_mj", "active_us", "rest_mw", "rest_category", "events", "max_iat_us",
+        "per_channel_usage"]
     paced_by_tau = s.traffic_case.mobile_terminated and reach is Reachability.PSM_TAU
     assert profile.max_iat_us == (MAX_PSM_TIME_S * 10**6 if paced_by_tau else math.inf)
     timeline = flow_timeline(build_flow(s), s, fill_to_iat=False)
@@ -432,7 +433,7 @@ def assert_energy_pass_exact(flow, s):
     unfilled timeline, in first-interval order, and its last end; priced, they
     give the reference integral of that timeline bit for bit."""
     timeline = flow_timeline(flow, s, fill_to_iat=False)
-    us, end_us = flows.active_time(flow, s)
+    us, end_us, _ = flows.active_time(flow, s)
     want_us = {}
     for iv in timeline:
         want_us[iv.category, iv.power_mw] = want_us.get((iv.category, iv.power_mw), 0) \

@@ -156,7 +156,7 @@ def test_layouts_match_pinned_digest():
             list(Reachability), ["Normal", "Robust", "Extreme"]):
         s = make_scenario(proc, case, cov, mt_reachability=reach, **LAYOUT_KNOBS)
         for flow in (build_flow(s), build_tau_flow(s)):
-            us, end_us = active_time(flow, s)
+            us, end_us, _ = active_time(flow, s)
             digest.update(f"{flow.flow_id}\n".encode())
             for (cat, power_mw), duration_us in us.items():
                 digest.update(f"{cat.value} {power_mw:.12g} {duration_us}\n".encode())

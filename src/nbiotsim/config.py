@@ -332,16 +332,17 @@ _ENUM_FIELDS = tuple((fname, kind, ", ".join(m.value for m in kind))
                      if lo is None and kind is not builtin_coverage_profile)
 
 
-def _is_number(value, accepts=_NUMBER) -> bool:
-    """Whether value is of the type accepts; a bool is no number."""
-    return isinstance(value, accepts) and not isinstance(value, bool)
+def _is_number(value) -> bool:
+    """Whether value is an int or a float; a bool is no number."""
+    return isinstance(value, _NUMBER) and not isinstance(value, bool)
 
 
 def _out_of_bounds(rows, values) -> list[tuple]:
     """(row, value) of every value that is not of its row's type inside the
     row's closed bounds (NaN is outside all); rows are (row, type) pairs."""
     return [(row, value) for (row, accepts), value in zip(rows, values)
-            if not (_is_number(value, accepts) and row[3] <= value <= row[4])]
+            if not (isinstance(value, accepts) and not isinstance(value, bool)
+                    and row[3] <= value <= row[4])]
 
 
 def _outside(row, value) -> str:
@@ -378,9 +379,9 @@ def scenario_value(key: str, raw):
     plain = not bounded or ((raw.isascii() and "_" not in raw) if isinstance(raw, str)
                             else _is_number(raw))
     try:
-        value = parser(raw)
+        value = parser(raw)     # of the parser's own type, so only its bounds remain
         if (plain and (isinstance(raw, str) or value == raw)
-                and not (bounded and _out_of_bounds(((row, parser),), (value,)))):
+                and (not bounded or row[3] <= value <= row[4])):
             return value
     except (TypeError, ValueError, OverflowError):
         pass

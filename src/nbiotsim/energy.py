@@ -14,9 +14,10 @@ time, the IAT less the active timeline and the events' awake time.
 `cycle_profile` refuses events awake for their whole period, so every profile
 admits some IAT, and `category_mj` raises only at the IAT's two bounds.  A
 scenario's breakdown, lifetime, lifetime rows and cell capacity share one
-memoized profile, which no caller may mutate; a row costs only `category_mj` and
-`lifetime_and_shares`, the one lifetime formula, at its IAT; the PSM floor is
-one second of deep sleep priced by the same formula.
+memoized profile, which no caller may mutate, and scenarios that agree on the
+fields a standalone TAU's layout reads share one memoized TAU; a row costs
+only `category_mj` and `lifetime_and_shares`, the one lifetime formula, at its
+IAT; the PSM floor is one second of deep sleep priced by the same formula.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from . import flows
 from .config import HOURS_PER_YEAR, MAX_PSM_TIME_S, ConfigurationError, Reachability, Scenario
@@ -126,12 +128,34 @@ class CycleProfile:
         return tuple(cats.values())
 
 
+# the Scenario fields that a standalone TAU's layout reads, and only they
+_TAU_FIELDS = ("procedure", "coverage", "power", "sync_base_ms", "ra_attempt_cap", "rar_bytes",
+              "cp_inactivity_npdcch_periods", "idle_active_timer_base_s",
+              "drx_long_cycle_base_s", "psm_tau_period_s")
+_tau_key = attrgetter(*_TAU_FIELDS)
+
+
+@lru_cache(maxsize=256)
+def _tau_event(values: tuple) -> PeriodicEvent:
+    """The standalone periodic TAU of every scenario whose _TAU_FIELDS hold
+    values, laid out on a Scenario of those values and defaults elsewhere,
+    its idle DRX charged to ra_sync.  Memoized per value, exact for the
+    reasons `cycle_profile` gives, as the layout reads no other field."""
+    s = Scenario(**dict(zip(_TAU_FIELDS, values)))
+    us, active_us, _ = flows.active_time(flows.build_tau_flow(s), s)
+    return PeriodicEvent(tuple((EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX
+                                else cat, mj) for cat, mj in price(us).items()),
+                         active_us, round(s.psm_tau_period_s * US_PER_S))
+
+
 @lru_cache(maxsize=256)
 def cycle_profile(s: Scenario) -> CycleProfile:
     """Active-cycle profile of a scenario, valid since it was built, refused where
     the periodic events leave no IAT a rest time; `category_mj` checks each IAT.
     Memoized per Scenario value, exact as equal scenarios differ at most as int/float
-    or -0.0/0.0 twins, which price alike; callers share it, so none mutates its dicts."""
+    or -0.0/0.0 twins, which price alike; callers share it, so none mutates its dicts.
+    A standalone TAU comes from a memo of its own, `_tau_event`, shared by every
+    scenario that agrees on the fields its layout reads."""
     us, active_us, usage = flows.active_time(flows.build_flow(s), s)
     _, rest_mw, rest_category, _ = flows.rest_state(s)
     psm_tau = s.mt_reachability is Reachability.PSM_TAU
@@ -141,12 +165,7 @@ def cycle_profile(s: Scenario) -> CycleProfile:
     # TAU's idle DRX is part of its wake-up and charged to ra_sync, so a cycle's
     # idle-DRX energy is only its own reachability window, which is zero
     # whenever release assistance applies
-    events = ()
-    if psm_tau and not paced_by_tau:
-        tau_us, tau_active_us, _ = flows.active_time(flows.build_tau_flow(s), s)
-        tau_mj = tuple((EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat, mj)
-                       for cat, mj in price(tau_us).items())
-        events = (PeriodicEvent(tau_mj, tau_active_us, round(s.psm_tau_period_s * US_PER_S)),)
+    events = (_tau_event(_tau_key(s)),) if psm_tau and not paced_by_tau else ()
     if sum(e.active_us / e.period_us for e in events) >= 1.0:
         raise ConfigurationError("periodic TAUs keep the UE awake " + " and ".join(
             f"{e.active_us / US_PER_S} s of every {e.period_us / US_PER_S} s"

@@ -289,6 +289,9 @@ def _plan(c: CoverageProfile, p: PowerProfile, rar_bytes: int) -> tuple:
                                          (ChannelKind.NPDSCH, UeState.RX, p.rx_mw))})
 
 
+_NO_USAGE = dict.fromkeys(ChannelKind, 0.0)
+
+
 def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> dict[ChannelKind, float]:
     """Lay one traffic cycle's active part out into sink, interval by interval,
     and return the radio resources the flow consumes per channel.
@@ -318,7 +321,7 @@ def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> dict[ChannelKind,
 
     npdcch_us = plans[ChannelKind.NPDSCH][0]      # the same on either channel
     message, last = sink.message, len(flow.messages) - 1
-    usage = dict.fromkeys(ChannelKind, 0.0)
+    usage = _NO_USAGE.copy()
     for index, msg in enumerate(flow.messages):
         if index == last:
             # inactivity timer runs after the data exchange, before release;

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
@@ -14,10 +15,18 @@ from nbiotsim.flows import US_PER_S, EnergyCategory, Interval
 
 def clear_memos() -> None:
     """Empty both memos of per-level radio work, the airtime of a message and
-    the plan of a layout, and the memo of cycle profiles built from them."""
+    the plan of a layout, and the memos of standalone TAUs and cycle profiles
+    built from them."""
     phy._AIRTIME.clear()
     flows._plan.cache_clear()
+    energy._tau_event.cache_clear()
     energy.cycle_profile.cache_clear()
+
+
+def fresh_profile(s: Scenario) -> energy.CycleProfile:
+    """cycle_profile(s) built past its memo and the standalone TAU's memo."""
+    with mock.patch.object(energy, "_tau_event", energy._tau_event.__wrapped__):
+        return energy.cycle_profile.__wrapped__(s)
 
 
 def make_scenario(proc="CP", case="UL", cov="Normal", iat_h=1.0, **kw) -> Scenario:

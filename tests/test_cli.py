@@ -410,10 +410,10 @@ BROKEN_DATA = {
 
 
 # every cache of what the package data gives: the loaders, the layout plan,
-# which holds the RAR's airtime from a TBS table, and the cycle profile, which
-# holds the time and energy of a whole laid-out cycle
+# which holds the RAR's airtime from a TBS table, and the standalone TAU and
+# the cycle profile, which hold the time and energy of a whole laid-out flow
 DATA_LOADERS = (flows._catalog, phy._tbs_table, phy._checksums, flows._plan,
-                energy.cycle_profile)
+                energy._tau_event, energy.cycle_profile)
 
 
 def clear_data_caches() -> None:
@@ -475,7 +475,8 @@ def test_edited_tbs_table_reaches_a_warm_layout_plan(data_texts):
 def test_edited_tbs_table_reaches_a_warm_cycle_profile(data_texts):
     # the same edit takes each expected RAR from 1 to 3 NPDSCH subframes, so
     # a cycle profile, memoized per scenario, must be laid out afresh: its RA
-    # energy grows by that RAR time at rx power, and its active time grows
+    # energy grows by that RAR time at rx power, and its active time grows, as
+    # does its standalone TAU's, memoized on its own
     s = Scenario()
     attempts = ra.expected_attempts(s.ra_attempt_cap)
     rar_us = round(attempts * 3000) - round(attempts * 1000)
@@ -484,6 +485,7 @@ def test_edited_tbs_table_reaches_a_warm_cycle_profile(data_texts):
     clear_data_caches()
     edited = energy.cycle_profile(s)
     assert edited.active_us > warm.active_us
+    assert edited.events[0].active_us > warm.events[0].active_us
     ra_sync_mj = [p.active_mj[EnergyCategory.RA_SYNC] for p in (warm, edited)]
     assert ra_sync_mj[1] - ra_sync_mj[0] == pytest.approx(s.power.rx_mw * rar_us * 1e-6)
 

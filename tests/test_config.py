@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nbiotsim import (ConfigurationError, Scenario, battery_lifetime_years, build_flow,
-                      builtin_coverage_profile, cell_capacity, config, cycle_energy,
+                      builtin_coverage_profile, cell_capacity, config, cycle_energy, energy,
                       format_scenario, parse_scenario, validate_scenario)
 from nbiotsim.cli import SweepSpec, run_lifetime_sweep
 from nbiotsim.energy import cycle_profile
@@ -19,7 +19,7 @@ from nbiotsim.config import (COVERAGE_NAMES, LEVEL_RESOURCE_SHARE, MAX_IDLE_DRX_
                              MAX_PSM_TIME_S, _SCENARIO_KEYS, _bounds, CoverageProfile,
                              PowerProfile, Procedure, Reachability, TrafficCase, scenario_value)
 from dataclasses import replace
-from tests.conftest import domain_values, scenario_texts
+from tests.conftest import clear_memos, domain_values, scenario_texts
 
 
 def test_builtin_normal_profile():
@@ -72,7 +72,9 @@ def test_builtin_profiles_validate_with_default_powers(cov):
 
 def test_a_scenario_is_validated_once_when_it_is_built(monkeypatch):
     # Scenario(...), replace and parse_scenario each validate the scenario
-    # they build, once; the evaluators take a built scenario and check none
+    # they build, once; the evaluators take a built scenario and check none.
+    # The one scenario they build is a standalone TAU's, on a miss of its
+    # memo: the fields its layout reads, the defaults elsewhere
     checks, rules = [], []
     real_check, real_rules = config.validate_scenario, Scenario.violations
     monkeypatch.setattr(config, "validate_scenario", lambda s: checks.append(s) or real_check(s))
@@ -83,11 +85,17 @@ def test_a_scenario_is_validated_once_when_it_is_built(monkeypatch):
     assert checks == rules and checks[1:] == [s]
     s = parse_scenario("procedure=SR case=UL_ACK coverage=Extreme iat=7200")
     assert checks == rules and checks[2:] == [s]
+    clear_memos()
     cycle_profile(s)
     cycle_energy(s)
     battery_lifetime_years(s)
     cell_capacity(s)
-    assert len(checks) == len(rules) == 3
+    assert checks == rules and len(checks) == 4
+    assert energy._tau_key(checks[3]) == energy._tau_key(s)
+    assert checks[3].traffic_case is TrafficCase.UL and checks[3].iat_s == 3600.0
+    energy.cycle_profile.cache_clear()
+    cycle_profile(s)
+    assert len(checks) == len(rules) == 4
 
 
 def test_psm_timer_cap_reported():

@@ -19,7 +19,7 @@ from nbiotsim.config import (_SCENARIO_KEYS, COVERAGE_NAMES, HOURS_PER_YEAR, MAX
 from nbiotsim.energy import cycle_profile, integrate_timeline, lifetime_and_shares, price
 from nbiotsim.flows import US_PER_S, EnergyCategory, Interval
 from tests.conftest import (active_duration_s, binned_energy_mj, clear_memos, domain_values,
-                            make_scenario)
+                            fresh_profile, make_scenario)
 from tests.test_invariants import evaluate, scenario_values
 
 
@@ -263,9 +263,11 @@ def test_iat_sweep_validates_its_scenario_once(monkeypatch):
 def test_iat_sweep_builds_one_scenario_and_one_profile(monkeypatch):
     # the 24 rows of an IAT sweep form one point group, which sets no field:
     # no replace of the fixed scenario and one cycle profile, then only the
-    # IAT per row
-    spec = SweepSpec("iat", tuple(h * 3600.0 for h in range(1, 25)),
-                     make_scenario("UP", "UL"))
+    # IAT per row.  Every memo starts empty, so the one Scenario built is the
+    # standalone TAU's, of the fields its layout reads
+    s = make_scenario("UP", "UL")
+    spec = SweepSpec("iat", tuple(h * 3600.0 for h in range(1, 25)), s)
+    clear_memos()
     built, profiles = [], []
     real_init, real_profile = Scenario.__init__, energy.cycle_profile
     monkeypatch.setattr(Scenario, "__init__",
@@ -273,12 +275,16 @@ def test_iat_sweep_builds_one_scenario_and_one_profile(monkeypatch):
     monkeypatch.setattr(energy, "cycle_profile", lambda s: profiles.append(s) or real_profile(s))
     table = run_lifetime_sweep(spec)
     assert len(table.rows) == 1 + 24 and all(row[-1] == "" for row in table.rows)
-    assert len(built) == 0 and len(profiles) == 1
+    assert built == [dict(zip(energy._TAU_FIELDS, energy._tau_key(s)))]
+    assert len(profiles) == 1
 
 
 def test_coverage_sweep_builds_one_scenario_and_one_profile_per_value(monkeypatch):
-    # a group that sets a field is one replace of the fixed scenario
+    # a group that sets a field is one replace of the fixed scenario.  Every
+    # memo starts empty, so each level's standalone TAU is built too, on the
+    # fields its layout reads alone
     spec = SweepSpec("coverage", COVERAGE_NAMES, make_scenario("UP", "UL"))
+    clear_memos()
     built, profiles = [], []
     real_init, real_profile = Scenario.__init__, energy.cycle_profile
     monkeypatch.setattr(Scenario, "__init__",
@@ -286,7 +292,8 @@ def test_coverage_sweep_builds_one_scenario_and_one_profile_per_value(monkeypatc
     monkeypatch.setattr(energy, "cycle_profile", lambda s: profiles.append(s) or real_profile(s))
     table = run_lifetime_sweep(spec)
     assert len(table.rows) == 1 + 3 and all(row[-1] == "" for row in table.rows)
-    assert len(built) == 3 and len(profiles) == 3
+    taus = [kw for kw in built if kw.keys() == set(energy._TAU_FIELDS)]
+    assert len(built) - len(taus) == 3 and len(taus) == 3 and len(profiles) == 3
 
 
 def priced(profile, iat_us):
@@ -301,10 +308,11 @@ def priced(profile, iat_us):
 @given(values=scenario_values(), iats=st.lists(domain_values("iat"), min_size=1, max_size=3))
 def test_memoized_profile_is_a_fresh_build(values, iats):
     # cycle_profile shares one profile per scenario value; it must equal a
-    # build that bypasses the memo and price every IAT to the same bits
+    # build that bypasses the memo, and the TAU's, and price every IAT to the
+    # same bits
     s = evaluate(lambda s: s, values)
     try:
-        fresh = cycle_profile.__wrapped__(s)
+        fresh = fresh_profile(s)
     except ConfigurationError as exc:
         with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
             cycle_profile(s)
@@ -331,22 +339,29 @@ TWINS = {
 def test_equal_twins_share_one_profile_and_price_alike(twins, reach):
     # twins are one memo key, so each must price as the other: built with
     # every memo empty, their profiles are equal and their lifetime rows and
-    # category mJ repr-identical
+    # category mJ repr-identical.  Each pair differs in a field the standalone
+    # TAU's layout reads, so the twins are one TAU memo key as well
     s, t = (make_scenario("CP", "UL", mt_reachability=reach, **kw) for kw in twins)
     assert s == t and s is not t
-    fresh = []
+    fresh, taus = [], []
     for x in (s, t):
         clear_memos()
-        fresh.append(cycle_profile.__wrapped__(x))
+        fresh.append(fresh_profile(x))
+        taus.append(fresh_tau_event(x))
     assert fresh[0] == fresh[1]
+    assert repr(taus[0]) == repr(taus[1])
     for iat_us in (3600 * US_PER_S, 86400 * US_PER_S):
         mj = [p.category_mj(iat_us) for p in fresh]
         assert repr(mj[0]) == repr(mj[1])
         assert repr(lifetime_and_shares(mj[0], iat_us, s.battery_wh)) == repr(
             lifetime_and_shares(mj[1], iat_us, t.battery_wh))
-    energy.cycle_profile.cache_clear()
+    clear_memos()
     assert cycle_profile(s) is cycle_profile(t)
     assert cycle_profile.cache_info().currsize == 1
+    assert energy._tau_event(energy._tau_key(s)) is energy._tau_event(energy._tau_key(t))
+    assert energy._tau_event.cache_info().currsize == 1
+    if reach is Reachability.PSM_TAU:
+        assert cycle_profile(t).events == (energy._tau_event(energy._tau_key(s)),)
 
 
 @pytest.mark.parametrize("case", [c.value for c in TrafficCase])
@@ -359,7 +374,7 @@ def test_callers_leave_the_shared_profile_unchanged(case):
     battery_lifetime_years(s)
     run_lifetime_sweep(SweepSpec("iat", (3600.0, 86400.0), s))
     assert cycle_profile(s) is shared
-    assert shared == cycle_profile.__wrapped__(s)
+    assert shared == fresh_profile(s)
 
 
 def test_profile_memo_holds_at_most_its_bound():
@@ -372,6 +387,55 @@ def test_profile_memo_holds_at_most_its_bound():
     assert cycle_profile.cache_info().currsize == maxsize
     assert [cycle_profile(s) for s in points] == first
     assert cycle_profile.cache_info().currsize == maxsize
+
+
+def fresh_tau_event(s):
+    """The standalone TAU of s, laid out and priced in place: its idle DRX
+    charged to ra_sync, once per TAU period of whole microseconds."""
+    us, active_us, _ = flows.active_time(build_tau_flow(s), s)
+    return energy.PeriodicEvent(
+        tuple((EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat, mj)
+              for cat, mj in price(us).items()),
+        active_us, round(s.psm_tau_period_s * US_PER_S))
+
+
+UPLINK_PSM_TAU = scenario_values(cases=(TrafficCase.UL, TrafficCase.UL_ACK),
+                                 reachability=(Reachability.PSM_TAU,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=UPLINK_PSM_TAU, other=UPLINK_PSM_TAU)
+def test_tau_memo_is_a_fresh_layout(values, other):
+    # the TAU memo is keyed on the fields its layout reads: t takes those of
+    # s and the rest of other, so it finds the entry s laid out, and that
+    # entry must be t's own TAU as well as s's.  A field missing from the key
+    # fails here: s's entry is laid out on that field's default, and t hits it
+    s = evaluate(lambda s: s, values)
+    t = evaluate(lambda t: replace(t, **dict(zip(energy._TAU_FIELDS, energy._tau_key(s)))),
+                 other)
+    clear_memos()
+    for x in (s, t):
+        want = fresh_tau_event(x)
+        if want.active_us < want.period_us:
+            assert cycle_profile(x).events == (want,)
+        else:
+            with pytest.raises(ConfigurationError, match="periodic TAUs keep the UE awake"):
+                cycle_profile(x)
+    assert energy._tau_event.cache_info().currsize == 1
+
+
+def test_tau_memo_holds_at_most_its_bound():
+    # more distinct TAU periods than the memo holds: it never grows past its
+    # bound, and a TAU laid out again after its eviction prices alike
+    clear_memos()
+    maxsize = energy._tau_event.cache_info().maxsize
+    points = [make_scenario("CP", "UL", psm_tau_period_s=86400.0 + k)
+              for k in range(maxsize + 44)]
+    first = [cycle_profile(s).events for s in points]
+    assert energy._tau_event.cache_info().currsize == maxsize
+    energy.cycle_profile.cache_clear()
+    assert [cycle_profile(s).events for s in points] == first
+    assert energy._tau_event.cache_info().currsize == maxsize
 
 
 def test_iat_shorter_than_active_cycle_rejected():

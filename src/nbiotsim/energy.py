@@ -111,7 +111,7 @@ class CycleProfile:
         """
         if iat_us > self.max_iat_us:
             raise ConfigurationError(
-                f"iat_s={iat_us / US_PER_S:.0f} s: a mobile-terminated PSM_TAU cycle "
+                f"iat_s={iat_us / US_PER_S:.15g} s: a mobile-terminated PSM_TAU cycle "
                 f"exceeds the {self.max_iat_us / US_PER_S / 3600.0:.0f} h PSM maximum")
         rest_us = iat_us - self.active_us
         cats = dict(self.active_mj)

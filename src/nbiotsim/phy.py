@@ -130,16 +130,6 @@ def transport_block_units(size_bits: int, c: CoverageProfile,
     return blocks
 
 
-# A shared-channel message's airtime by (size_bytes, id(level), channel): the
-# level fixes the TBS row, so transport_block_units runs only on a miss.  The
-# level is keyed by identity, so that an equal copy, such as one holding a
-# float mcs_index, is answered anew, and each entry holds its level, whose id
-# is therefore not reused while the entry lives.  At 4,096 entries it is
-# emptied whole, so no answer depends on what was asked before.  One CLI run
-# asks for about 60 keys.
-_AIRTIME: dict[tuple, tuple[CoverageProfile, float]] = {}
-
-
 # --- durations --------------------------------------------------------------
 
 def ul_resource_unit_ms(c: CoverageProfile) -> float:
@@ -160,25 +150,26 @@ def message_airtime(size_bytes: int, c: CoverageProfile, ch: ChannelKind) -> flo
     NPUSCH/NPDSCH messages are segmented into transport blocks against the TBS
     tables; NPDCCH carries one control assignment (rep_npdcch subframes, format
     0 / aggregation level 2 fills a subframe); NPRACH duration is set by the
-    preamble format and repetition count, independent of size.
+    preamble format and repetition count, independent of size.  A shared-channel
+    airtime is memoized per (size, level, channel) value, so transport_block_units
+    segments each size once per level and channel.
     """
     if ch is ChannelKind.NPRACH:
         return c.rep_nprach * NPRACH_PREAMBLE_MS
     if ch is ChannelKind.NPDCCH:
         return c.rep_npdcch * SUBFRAME_MS
-    key = (size_bytes, id(c), ch)
-    hit = _AIRTIME.get(key)
-    if hit is not None:
-        return hit[1]
+    return _airtime(size_bytes, c, ch, c.mcs_index)
+
+
+# Levels equal by value answer alike, but for a non-int mcs_index, which
+# _tbs_row refuses: typed=True keys on the type of the mcs_index passed beside
+# the level, so such a level never reads an int level's entry.
+@lru_cache(maxsize=4096, typed=True)
+def _airtime(size_bytes: int, c: CoverageProfile, ch: ChannelKind, mcs_index: int) -> float:
     units = sum(transport_block_units(size_bytes * 8, c, ch))
     if ch is ChannelKind.NPUSCH:
-        ms = units * ul_resource_unit_ms(c) * c.rep_npusch
-    else:
-        ms = units * SUBFRAME_MS * c.rep_npdsch
-    if len(_AIRTIME) >= 4096:
-        _AIRTIME.clear()
-    _AIRTIME[key] = (c, ms)
-    return ms
+        return units * ul_resource_unit_ms(c) * c.rep_npusch
+    return units * SUBFRAME_MS * c.rep_npdsch
 
 
 def schedule_gap_ms(ch: ChannelKind) -> float:

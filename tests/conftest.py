@@ -13,14 +13,16 @@ from nbiotsim.config import _SCENARIO_KEYS, COVERAGE_NAMES, Procedure, TrafficCa
 from nbiotsim.flows import US_PER_S, EnergyCategory, Interval
 
 
+# every memo of per-level and per-scenario work, each an lru_cache, named once:
+# the airtime of a message, the plan of a layout, and the standalone TAUs and
+# cycle profiles built from them
+MEMOS = (phy._airtime, flows._plan, energy._tau_event, energy.cycle_profile)
+
+
 def clear_memos() -> None:
-    """Empty both memos of per-level radio work, the airtime of a message and
-    the plan of a layout, and the memos of standalone TAUs and cycle profiles
-    built from them."""
-    phy._AIRTIME.clear()
-    flows._plan.cache_clear()
-    energy._tau_event.cache_clear()
-    energy.cycle_profile.cache_clear()
+    """Empty the MEMOS."""
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def fresh_profile(s: Scenario) -> energy.CycleProfile:

@@ -2,10 +2,12 @@
 
 import csv
 import hashlib
+import importlib
 import io
 import itertools
 import math
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -25,7 +27,7 @@ from nbiotsim.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, SweepSpec, Table,
 from nbiotsim import config, energy, flows, phy, ra
 from nbiotsim.config import COVERAGE_NAMES, MAX_PSM_TIME_S, ConfigurationError
 from nbiotsim.flows import EnergyCategory
-from tests.conftest import domain_values, scenario_texts
+from tests.conftest import MEMOS, domain_values, scenario_texts
 from tests.test_flows import LAYOUT_KNOBS
 from tests.test_golden import PAGING_CFG
 from tests.test_invariants import evaluate, scenario_values
@@ -132,7 +134,7 @@ def test_sweep_rows_equal_the_per_row_reference_property(values, iats):
 # 2e6 s, past the 310 h PSM maximum.  Every IAT and TAU period is a whole
 # microsecond, so the rows pin the lifetime and share floats bit for bit,
 # independently of the `==` tests, which compare the row path with itself.
-ROW_DIGEST = "ee233121497929f6060adba6047aedc3fa158ae1dd7b9485700ca28e1a5c62b2"
+ROW_DIGEST = "0aed99f9918a4d02d4087d31055b724f460677cc80500262e8ca7cd1af496422"
 ROW_IATS = (0.5, 0.625, 0.75, 1.0, 1.5, 2.0, 7.0, 60.0, 600.0,
             *(h * 3600.0 for h in range(1, 25)), 432000.0, MAX_PSM_TIME_S,
             MAX_PSM_TIME_S + 0.5, 2e6)
@@ -409,18 +411,26 @@ BROKEN_DATA = {
 }
 
 
-# every cache of what the package data gives: the loaders, the layout plan,
-# which holds the RAR's airtime from a TBS table, and the standalone TAU and
-# the cycle profile, which hold the time and energy of a whole laid-out flow
-DATA_LOADERS = (flows._catalog, phy._tbs_table, phy._checksums, flows._plan,
-                energy._tau_event, energy.cycle_profile)
+# every cache of what the package data gives: the loaders and the MEMOS, which
+# hold airtimes from a TBS table and the time and energy of laid-out flows
+DATA_LOADERS = (flows._catalog, phy._tbs_table, phy._checksums, *MEMOS)
+# the package's other caches, each with the reason it need not be emptied
+UNCLEARED = {ra._expected_attempts: "a pure function of the attempt cap"}
 
 
 def clear_data_caches() -> None:
-    """Empty the DATA_LOADERS and, beside them, the airtime memo."""
+    """Empty the DATA_LOADERS."""
     for loader in DATA_LOADERS:
         loader.cache_clear()
-    phy._AIRTIME.clear()
+
+
+def test_every_package_cache_is_cleared_or_exempt():
+    # a cache added to the package must join MEMOS or DATA_LOADERS, so the
+    # tests that empty them reach it, or UNCLEARED with its reason
+    modules = [importlib.import_module(f"nbiotsim.{m.name}")
+               for m in pkgutil.iter_modules(nbiotsim.__path__)]
+    caches = {v for m in modules for v in vars(m).values() if hasattr(v, "cache_clear")}
+    assert caches == {*DATA_LOADERS, *UNCLEARED}
 
 
 @pytest.fixture
@@ -510,6 +520,15 @@ def test_cli_dl_iat_above_psm_maximum_is_row_error(capsys):
     assert row[:4] == ["CP", "DL", "Normal", "2000000.000000"]
     assert row[-1].endswith("a mobile-terminated PSM_TAU cycle exceeds the 310 h "
                             "PSM maximum")
+
+
+def test_cli_psm_maximum_error_names_the_iat_unrounded(capsys):
+    # 310 h is 1116000 s: an IAT past it by a fraction of a second is named
+    # as given, never rounded onto the maximum it exceeds
+    assert main(["lifetime", "--case", "DL", "--iat", "1116000.4"]) == EXIT_VALIDATION
+    row = capsys.readouterr().out.splitlines()[2].split(",")
+    assert row[-1] == ("iat_s=1116000.4 s: a mobile-terminated PSM_TAU cycle exceeds "
+                       "the 310 h PSM maximum")
 
 
 # --- one-step composition: file scenario, then flags, then the row's fields --

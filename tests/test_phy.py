@@ -1,8 +1,9 @@
 """On-air durations, TBS lookups, and transmit-power formulas."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from dataclasses import replace
+from unittest import mock
 
 from nbiotsim import (ChannelKind, ConfigurationError, PowerProfile,
                       builtin_coverage_profile, message_airtime,
@@ -99,20 +100,56 @@ def test_memoized_airtime_is_the_segmented_airtime(c):
             assert message_airtime(size, c, ch) == message_airtime(size, c, ch) == expected
 
 
-def test_airtime_memo_is_emptied_at_its_bound():
-    # 4,100 distinct keys at one level overfill the 4,096-entry memo once: it
-    # is emptied whole, never holds more, and answers each key alike after
+def test_airtime_memo_holds_at_most_its_bound():
+    # more distinct keys at one level than the memo holds: it never grows past
+    # its bound, an airtime asked again after its eviction is answered alike,
+    # and a full memo still refuses a float mcs_index equal to Extreme's
     clear_memos()
-    keys = [(size, ch) for ch in phy.SHARED_CHANNELS for size in range(1, 2051)]
+    maxsize = phy._airtime.cache_info().maxsize
+    keys = [(size, ch) for ch in phy.SHARED_CHANNELS for size in range(1, maxsize // 2 + 3)]
     first, sizes = [], []
     for size, ch in keys:
         first.append(message_airtime(size, EXTREME, ch))
-        sizes.append(len(phy._AIRTIME))
-    assert max(sizes) == 4096
-    assert sizes[-1] == len(keys) - 4096
+        sizes.append(phy._airtime.cache_info().currsize)
+    assert max(sizes) == sizes[-1] == maxsize < len(keys)
     assert [message_airtime(size, EXTREME, ch) for size, ch in keys] == first
+    assert phy._airtime.cache_info().currsize == maxsize
     with pytest.raises(ConfigurationError, match=r"mcs_index=0\.0 outside the TBS table"):
         message_airtime(64, replace(EXTREME, mcs_index=0.0), ChannelKind.NPUSCH)
+
+
+@st.composite
+def airtime_calls(draw):
+    """A shared-channel message_airtime call on a built-in level or a copy
+    equal to it by value: mcs_index as an int, a float or a bool where one
+    equals it, the repetitions and the subcarrier layout as ints or floats."""
+    c = draw(st.sampled_from([NORMAL, ROBUST, EXTREME]))
+    mcs = draw(st.sampled_from([t for t in (int, float, bool) if t(c.mcs_index) == c.mcs_index]))
+    floats = draw(st.sets(st.sampled_from(["rep_npusch", "rep_npdsch", "ul_subcarriers_per_burst",
+                                           "subcarrier_spacing_khz"])))
+    c = replace(c, mcs_index=mcs(c.mcs_index), **{f: float(getattr(c, f)) for f in floats})
+    # few sizes, so that calls share keys, on the memoized channels only
+    return draw(st.sampled_from([1, 64, 3000])), c, draw(st.sampled_from(phy.SHARED_CHANNELS))
+
+
+def airtime_or_error(size, c, ch):
+    try:
+        return message_airtime(size, c, ch)
+    except ConfigurationError as err:
+        return f"error: {err}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(calls=st.lists(airtime_calls(), min_size=1, max_size=50))
+def test_airtime_memo_answers_as_no_memo(calls):
+    # whatever was asked before, each call answers as message_airtime does
+    # past its memo: a level keyed without its mcs_index's type would hand a
+    # float copy, which is refused, the airtime an equal int level stored
+    clear_memos()
+    for size, c, ch in calls:
+        with mock.patch.object(phy, "_airtime", phy._airtime.__wrapped__):
+            want = airtime_or_error(size, c, ch)
+        assert airtime_or_error(size, c, ch) == want, (size, c, ch)
 
 
 @pytest.mark.parametrize("ch", [ChannelKind.NPDCCH, ChannelKind.NPRACH])

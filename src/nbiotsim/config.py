@@ -96,6 +96,11 @@ class CoverageProfile:
         """NPDCCH search-space periodicity T = R_max * G, rounded to whole ms."""
         return round(self.r_max * self.g_factor)
 
+    # equal levels have equal names; hashing the name alone spares each memo
+    # lookup keyed on a level the hash of all twelve fields
+    def __hash__(self):
+        return hash(self.name)
+
 
 # Coverage levels with their link budget and channel configuration.
 _BUILTIN_COVERAGE = {
@@ -437,7 +442,10 @@ def parse_scenario_file(path) -> Scenario:
 
 
 def format_scenario(s: Scenario) -> str:
-    """Serialize a scenario to the key=value format (every Scenario round-trips exactly)."""
+    """Serialize a scenario to the key=value format (every Scenario round-trips exactly).
+
+    No code in the package calls it: it stays public as parse_scenario's inverse,
+    which the round-trip property checks and a planned --explain would print."""
     lines = []
     for key, (target, fname, *_) in _SCENARIO_KEYS.items():
         obj = s if target == "scenario" else getattr(s, target)

@@ -2,7 +2,6 @@
 
 A cycle is time: `flows.active_time` gives its whole microseconds per
 (category, power_mw), and `price` alone turns such times into mJ.
-`integrate_timeline` groups a timeline by the same key and prices it.
 `cycle_profile` prices the active cycle once, and each periodic event the
 cycle amortizes: an uplink PSM_TAU cycle runs one standalone TAU per TAU
 period, while a downlink flow carries its TAU inside the flow (the TAU is what
@@ -29,7 +28,7 @@ from operator import attrgetter
 
 from . import flows
 from .config import HOURS_PER_YEAR, MAX_PSM_TIME_S, ConfigurationError, Reachability, Scenario
-from .flows import US_PER_S, EnergyCategory, Interval
+from .flows import US_PER_S, EnergyCategory
 from .phy import ChannelKind
 
 
@@ -48,10 +47,6 @@ class EnergyBreakdown:
         return (self.ra_sync_mj + self.post_ra_messages_mj
                 + self.connected_drx_mj + self.idle_drx_mj + self.psm_mj)
 
-    def share(self, *categories: EnergyCategory) -> float:
-        """Fraction of the cycle total attributed to the given categories."""
-        return sum(getattr(self, cat.value) for cat in categories) / self.total_mj
-
 
 _NO_ENERGY = dict.fromkeys(EnergyCategory, 0.0)
 
@@ -62,14 +57,6 @@ def price(us: flows.TimeByKey) -> dict[EnergyCategory, float]:
     for (cat, power_mw), duration_us in us.items():
         out[cat] += power_mw * duration_us * 1e-6      # mW * us = nJ
     return out
-
-
-def integrate_timeline(timeline: list[Interval]) -> dict[EnergyCategory, float]:
-    """mJ by category of a timeline, priced from its time per (category, power_mw)."""
-    us: flows.TimeByKey = {}
-    for iv in timeline:
-        us[iv.category, iv.power_mw] = us.get((iv.category, iv.power_mw), 0) + iv.duration_us
-    return price(us)
 
 
 @dataclass(frozen=True)
@@ -194,7 +181,8 @@ def lifetime_and_shares(mj: tuple[float, ...], iat_us: int, battery_wh: float) -
 
 
 def battery_lifetime_years(s: Scenario) -> float:
-    """Battery lifetime in years at the scenario's long-run average power."""
+    """Battery lifetime in years at the scenario's long-run average power;
+    public, as bench/ checks each lifetime row against it."""
     iat_us = round(s.iat_s * US_PER_S)
     return lifetime_and_shares(cycle_profile(s).category_mj(iat_us), iat_us, s.battery_wh)[0]
 

@@ -9,9 +9,10 @@ total off time, so the timeline's length does not grow with the timers.
 
 One layout pass writes the intervals to one sink, which sums each one's whole
 microseconds under its (category, power_mw) key: `active_time` returns those
-sums, and only `flow_timeline` also keeps `Interval` records.  Nothing here
-prices time; `energy.price` does.  The same pass sums the radio resources the
-flow consumes per channel, which `capacity` reads through `energy.cycle_profile`.
+sums, and only `flow_timeline`, which bench/ reads, also keeps `Interval`
+records.  Nothing here prices time; `energy.price` does.  The same pass sums
+the radio resources the flow consumes per channel, which `capacity` reads
+through `energy.cycle_profile`.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ class Interval:
 
 # --- catalog ----------------------------------------------------------------
 
-# size base of a DATA message -> the Scenario size its catalog extra adds to
-_SIZE_BASES = {"data": "data_message_bytes", "ack": "ack_message_bytes"}
+# size base of a DATA message -> the reader of the Scenario size its catalog extra adds to
+_SIZE_BASES = {"data": lambda s: s.data_message_bytes, "ack": lambda s: s.ack_message_bytes}
 
 
 def _parse_message(name, channel, plane, size) -> tuple:
@@ -157,7 +158,7 @@ def _build(flow_id: str, s: Scenario) -> ProcedureFlow:
     entries, uplink_data = _catalog()[flow_id]
     messages = tuple(msg if base is None else
                      SignalingMessage(msg.name, msg.channel, msg.plane,
-                                      getattr(s, base) + msg.size_bytes)
+                                      base(s) + msg.size_bytes)
                      for msg, base in entries)
     # Release assistance rides only in uplink NAS data PDUs, so only CP
     # exchanges that carry uplink data release without an idle-DRX window;
@@ -349,7 +350,8 @@ def flow_timeline(flow: ProcedureFlow, s: Scenario,
                   fill_to_iat: bool = True) -> list[Interval]:
     """One traffic cycle as contiguous power-state intervals: the layout that
     `active_time` sums, kept as Interval records, then (with fill_to_iat)
-    the rest state up to the inter-arrival time."""
+    the rest state up to the inter-arrival time.  Public, as bench/ integrates
+    a downlink timeline on its own to check the cycle energy against it."""
     sink = _Timeline()
     _lay_out(flow, s, sink)
     if fill_to_iat:

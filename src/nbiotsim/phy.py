@@ -99,20 +99,6 @@ def _tbs_row(c: CoverageProfile, ch: ChannelKind) -> tuple[int, ...]:
     return table[c.mcs_index]
 
 
-def tbs_bits(c: CoverageProfile, ch: ChannelKind, resource_units: int) -> int:
-    """Transport block size in bits for the profile's MCS and an allocation size.
-
-    resource_units counts NPUSCH resource units or NPDSCH subframes and must
-    be one of the standard allocation sizes.  Kept public as the plain lookup
-    that the segmentation tests check transport_block_units against.
-    """
-    if resource_units not in ALLOCATION_UNITS:
-        raise ConfigurationError(
-            f"resource_units={resource_units} not a valid allocation "
-            f"(expected one of {ALLOCATION_UNITS})")
-    return _tbs_row(c, ch)[ALLOCATION_UNITS.index(resource_units)]
-
-
 def transport_block_units(size_bits: int, c: CoverageProfile,
                           ch: ChannelKind) -> list[int]:
     """Allocation sizes of the transport blocks carrying a PDU of size_bits.

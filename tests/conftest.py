@@ -42,6 +42,21 @@ def active_duration_s(timeline: list[Interval]) -> float:
                if iv.category is not EnergyCategory.PSM) / US_PER_S
 
 
+def timeline_us(timeline: list[Interval]) -> flows.TimeByKey:
+    """Whole microseconds per (category, power_mw) of a timeline, in
+    first-interval order."""
+    us: flows.TimeByKey = {}
+    for iv in timeline:
+        us[iv.category, iv.power_mw] = us.get((iv.category, iv.power_mw), 0) + iv.duration_us
+    return us
+
+
+def timeline_mj(timeline: list[Interval]) -> dict[EnergyCategory, float]:
+    """mJ by category of a timeline: its time per (category, power_mw),
+    priced by energy.price."""
+    return energy.price(timeline_us(timeline))
+
+
 def binned_energy_mj(timeline, bin_ms=1.0):
     """Re-integrate a timeline over fixed time bins (independent of the
     closed-form per-interval integration): for every bin, accumulate the exact

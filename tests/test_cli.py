@@ -69,9 +69,8 @@ def reference_row(s: Scenario) -> tuple:
         years = energy.battery_lifetime_years(s)
     except ConfigurationError as exc:
         return ident + (0.0, 0.0, 0.0, 0.0, 0.0, str(exc))
-    return ident + (years, b.share(EnergyCategory.RA_SYNC), b.share(EnergyCategory.MESSAGES),
-                    b.share(EnergyCategory.CONNECTED_DRX, EnergyCategory.IDLE_DRX),
-                    b.share(EnergyCategory.PSM), "")
+    return ident + (years, b.ra_sync_mj / b.total_mj, b.post_ra_messages_mj / b.total_mj,
+                    (b.connected_drx_mj + b.idle_drx_mj) / b.total_mj, b.psm_mj / b.total_mj, "")
 
 
 @pytest.mark.parametrize("reach", list(Reachability))

@@ -15,19 +15,19 @@ from nbiotsim import (ConfigurationError, CycleProfile, EnergyBreakdown, PowerPr
 from nbiotsim import energy, flows
 from nbiotsim.cli import SweepSpec, run_lifetime_sweep
 from nbiotsim.config import (_SCENARIO_KEYS, COVERAGE_NAMES, HOURS_PER_YEAR, MAX_PSM_TIME_S,
-                             Procedure, Reachability, TrafficCase, UeState)
-from nbiotsim.energy import cycle_profile, integrate_timeline, lifetime_and_shares, price
-from nbiotsim.flows import US_PER_S, EnergyCategory, Interval
+                             Procedure, Reachability, TrafficCase)
+from nbiotsim.energy import cycle_profile, lifetime_and_shares, price
+from nbiotsim.flows import US_PER_S, EnergyCategory
 from tests.conftest import (active_duration_s, binned_energy_mj, clear_memos, domain_values,
-                            fresh_profile, make_scenario)
+                            fresh_profile, make_scenario, timeline_mj, timeline_us)
 from tests.test_invariants import evaluate, scenario_values
 
 
 def test_rx_interval_energy():
-    iv = Interval(0, 100_000, UeState.RX, 90.0, EnergyCategory.MESSAGES, "x")
-    mj = integrate_timeline([iv])
+    mj = price({(EnergyCategory.MESSAGES, 90.0): 100_000})
     assert mj[EnergyCategory.MESSAGES] == pytest.approx(9.0)   # 90 mW for 100 ms
-    assert mj == price({(EnergyCategory.MESSAGES, 90.0): 100_000})
+    assert list(mj) == list(EnergyCategory)
+    assert all(v == 0.0 for cat, v in mj.items() if cat is not EnergyCategory.MESSAGES)
 
 
 def test_psm_baseline():
@@ -48,9 +48,8 @@ def test_breakdown_total_is_exact_sum():
     b = cycle_energy(make_scenario("UP", "UL"))
     assert b.total_mj == (b.ra_sync_mj + b.post_ra_messages_mj
                           + b.connected_drx_mj + b.idle_drx_mj + b.psm_mj)
-    assert b.share(EnergyCategory.CONNECTED_DRX, EnergyCategory.IDLE_DRX) \
-        == (b.connected_drx_mj + b.idle_drx_mj) / b.total_mj
-    assert sum(b.share(cat) for cat in EnergyCategory) == pytest.approx(1.0, abs=1e-12)
+    assert sum(getattr(b, cat.value) / b.total_mj for cat in EnergyCategory) \
+        == pytest.approx(1.0, abs=1e-12)
     assert all(v >= 0 for v in (b.ra_sync_mj, b.post_ra_messages_mj,
                                 b.connected_drx_mj, b.idle_drx_mj, b.psm_mj))
 
@@ -125,9 +124,9 @@ def test_amortized_tau_assembly():
     # uplink cycles add iat/period of the standalone TAU flow's energy and
     # drop the matching slice of deep sleep
     s = make_scenario("UP", "UL", iat_h=2.0)
-    main = integrate_timeline(flow_timeline(build_flow(s), s))
+    main = timeline_mj(flow_timeline(build_flow(s), s))
     tau_tl = flow_timeline(build_tau_flow(s), s, fill_to_iat=False)
-    tau = integrate_timeline(tau_tl)
+    tau = timeline_mj(tau_tl)
     frac = s.iat_s / s.psm_tau_period_s
     expected_total = (sum(main.values()) + frac * sum(tau.values())
                       - active_duration_s(tau_tl) * frac * s.power.deep_sleep_mw)
@@ -143,14 +142,14 @@ def assembled_breakdown(s):
     *active, rest = flow_timeline(build_flow(s), s)
     iat_us = round(s.iat_s * 1e6)
     assert rest.end_us == iat_us and rest.label in ("psm", "paging")
-    cats = integrate_timeline(active)
+    cats = timeline_mj(active)
     rest_us = rest.duration_us
     if (not s.traffic_case.mobile_terminated
             and s.mt_reachability is Reachability.PSM_TAU):
         tau_tl = flow_timeline(build_tau_flow(s), s, fill_to_iat=False)
         frac = iat_us / round(s.psm_tau_period_s * 1e6)
         rest_us -= tau_tl[-1].end_us * frac
-        for cat, value in integrate_timeline(tau_tl).items():
+        for cat, value in timeline_mj(tau_tl).items():
             target = EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX else cat
             cats[target] += value * frac
     cats[rest.category] += rest.power_mw * rest_us * 1e-6
@@ -215,7 +214,7 @@ def test_profile_active_times_are_timeline_microseconds(proc, case, reach):
     tau_tl = flow_timeline(build_tau_flow(s), s, fill_to_iat=False)
     assert tau.active_us == tau_tl[-1].end_us > 0
     assert tau.period_us == s.psm_tau_period_s * 10**6
-    want = integrate_timeline(tau_tl)
+    want = timeline_mj(tau_tl)
     want[EnergyCategory.RA_SYNC] += want.pop(EnergyCategory.IDLE_DRX)
     got = {cat: 0.0 for cat in want}
     for cat, mj in tau.mj:
@@ -498,14 +497,10 @@ def assert_energy_pass_exact(flow, s):
     give the reference integral of that timeline bit for bit."""
     timeline = flow_timeline(flow, s, fill_to_iat=False)
     us, end_us, _ = flows.active_time(flow, s)
-    want_us = {}
-    for iv in timeline:
-        want_us[iv.category, iv.power_mw] = want_us.get((iv.category, iv.power_mw), 0) \
-            + iv.duration_us
-    assert list(us.items()) == list(want_us.items())
+    assert list(us.items()) == list(timeline_us(timeline).items())
     assert all(type(v) is int and v > 0 for v in us.values())
     assert end_us == timeline[-1].end_us == sum(us.values())
-    mj, want = price(us), integrate_timeline(timeline)
+    mj, want = price(us), timeline_mj(timeline)
     assert list(mj) == list(want) == list(EnergyCategory)
     for cat in EnergyCategory:
         assert mj[cat] == want[cat], cat
@@ -551,7 +546,7 @@ def test_dl_cycles_have_no_amortized_tau():
     # under paging alike
     for reach in Reachability:
         s = make_scenario("CP", "DL", iat_h=2.0, mt_reachability=reach)
-        main = integrate_timeline(flow_timeline(build_flow(s), s))
+        main = timeline_mj(flow_timeline(build_flow(s), s))
         assert cycle_energy(s).total_mj == pytest.approx(sum(main.values()), rel=1e-12)
 
 

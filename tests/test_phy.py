@@ -8,7 +8,7 @@ from unittest import mock
 from nbiotsim import (ChannelKind, ConfigurationError, PowerProfile,
                       builtin_coverage_profile, message_airtime,
                       nprach_tx_power_dbm, npusch_tx_power_dbm, schedule_gap_ms,
-                      tbs_bits, tx_power_consumption_mw)
+                      tx_power_consumption_mw)
 from nbiotsim import phy
 from nbiotsim.phy import (ALLOCATION_UNITS, transport_block_units, ul_carrier_fraction,
                           ul_resource_unit_ms)
@@ -51,22 +51,18 @@ def test_npdcch_fits_in_one_period():
     (6, 10, 1000), (9, 4, 616), (8, 8, 1096), (12, 10, 2280),
 ])
 def test_ul_tbs_spot_values(mcs, units, expected):
-    c = replace(NORMAL, mcs_index=mcs)
-    assert tbs_bits(c, ChannelKind.NPUSCH, units) == expected
+    assert phy._tbs_table(ChannelKind.NPUSCH)[mcs][ALLOCATION_UNITS.index(units)] == expected
 
 
 @pytest.mark.parametrize("mcs,units,expected", [
     (9, 2, 296), (6, 10, 1032), (3, 5, 256), (0, 1, 16), (12, 10, 2280),
 ])
 def test_dl_tbs_spot_values(mcs, units, expected):
-    c = replace(NORMAL, mcs_index=mcs)
-    assert tbs_bits(c, ChannelKind.NPDSCH, units) == expected
+    assert phy._tbs_table(ChannelKind.NPDSCH)[mcs][ALLOCATION_UNITS.index(units)] == expected
 
 
 def test_mcs_outside_tbs_table_rejected():
     c = replace(NORMAL, mcs_index=13)          # the tables hold MCS 0..12
-    with pytest.raises(ConfigurationError, match="mcs_index=13 outside the TBS table"):
-        tbs_bits(c, ChannelKind.NPUSCH, 1)
     with pytest.raises(ConfigurationError, match="mcs_index=13 outside the TBS table"):
         transport_block_units(512, c, ChannelKind.NPDSCH)
 
@@ -80,8 +76,7 @@ def test_non_int_mcs_index_rejected(warm):
         assert message_airtime(64, EXTREME, ChannelKind.NPUSCH) > 0.0
         assert attempt_components(EXTREME, POWER, 7)
     c = replace(EXTREME, mcs_index=0.0)
-    for call in (lambda: tbs_bits(c, ChannelKind.NPUSCH, 1),
-                 lambda: transport_block_units(512, c, ChannelKind.NPDSCH),
+    for call in (lambda: transport_block_units(512, c, ChannelKind.NPDSCH),
                  lambda: message_airtime(64, c, ChannelKind.NPUSCH),
                  lambda: attempt_components(c, POWER, 7)):
         with pytest.raises(ConfigurationError,
@@ -155,21 +150,13 @@ def test_airtime_memo_answers_as_no_memo(calls):
 @pytest.mark.parametrize("ch", [ChannelKind.NPDCCH, ChannelKind.NPRACH])
 def test_tbs_needs_a_shared_channel(ch):
     with pytest.raises(ConfigurationError, match="not a shared channel"):
-        tbs_bits(NORMAL, ch, 1)
-    with pytest.raises(ConfigurationError, match="not a shared channel"):
         transport_block_units(512, NORMAL, ch)
-
-
-def test_tbs_out_of_range_units():
-    with pytest.raises(ConfigurationError, match="allocation"):
-        tbs_bits(NORMAL, ChannelKind.NPUSCH, 7)
 
 
 def test_tbs_monotone_in_allocation():
     for mcs in (0, 3, 9):
-        c = replace(NORMAL, mcs_index=mcs)
-        values = [tbs_bits(c, ChannelKind.NPUSCH, n) for n in ALLOCATION_UNITS]
-        assert values == sorted(values)
+        values = list(phy._tbs_table(ChannelKind.NPUSCH)[mcs])    # one per ALLOCATION_UNITS
+        assert len(values) == len(ALLOCATION_UNITS) and values == sorted(values)
 
 
 def test_64_byte_pdu_minimal_allocation():
@@ -220,7 +207,7 @@ def greedy_blocks(size_bits: int, row: tuple) -> list[int]:
 @pytest.mark.parametrize("cov", [NORMAL, ROBUST, EXTREME], ids=lambda c: c.name)
 @pytest.mark.parametrize("ch", [ChannelKind.NPUSCH, ChannelKind.NPDSCH], ids=["UL", "DL"])
 def test_transport_block_units_matches_greedy_reference(cov, ch):
-    row = tuple(tbs_bits(cov, ch, n) for n in ALLOCATION_UNITS)
+    row = phy._tbs_table(ch)[cov.mcs_index]
     for size_bits in range(1, 3 * row[-1] + 1):
         assert transport_block_units(size_bits, cov, ch) == \
             greedy_blocks(size_bits, row), size_bits

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from . import capacity as cap
 from . import energy, flows, phy
-from .config import (ConfigurationError, Procedure, Scenario, TrafficCase,
+from .config import (ConfigurationError, CoverageProfile, Procedure, Scenario, TrafficCase,
                      parse_scenario_file, scenario_value, COVERAGE_NAMES)
 from .flows import US_PER_S
 
@@ -32,7 +32,7 @@ _SWEEP_AXES = {"iat": "iat_s", "coverage": "coverage",
                "procedure": "procedure", "case": "traffic_case"}
 
 # the coverage axis of the default lifetime table and of the capacity grid
-_COVERAGES = tuple(scenario_value("coverage", name) for name in COVERAGE_NAMES)
+_COVERAGES = tuple(CoverageProfile)
 
 # output format: (file extension, header prefix, cell separator, empty cell)
 FORMATS = {"csv": ("csv", "", ",", ""), "plot-data": ("dat", "# ", " ", "-")}

@@ -1,13 +1,13 @@
 """Scenario model for NB-IoT small-data transfers.
 
-Defines the three coverage enhancement profiles, the UE power model, the
-scenario with its traffic sizes, DRX/PSM timers and cell budgets (each a plain
-value; a budget defaults to its pool, defined here), scenario validation, and a
-key=value scenario file format.  Every other module consumes only these types.
-Each field has one domain: a numeric field its key row (target, field, type,
-lo, hi), an enum field its enum, the coverage the three built-in levels and
-the power a PowerProfile.  Building a Scenario validates it, so every Scenario
-that exists is valid and is what a scenario file can say.
+Defines the three coverage enhancement levels, the members of one enum, the
+UE power model, the scenario with its traffic sizes, DRX/PSM timers and cell
+budgets (each a plain value; a budget defaults to its pool, defined here),
+scenario validation, and a key=value scenario file format.  Every other module
+consumes only these types.  Each field has one domain: a numeric field its key
+row (target, field, type, lo, hi), a choice field its enum, the coverage
+included, and the power a PowerProfile.  Building a Scenario validates it, so
+every Scenario that exists is valid and is what a scenario file can say.
 """
 
 from __future__ import annotations
@@ -74,60 +74,56 @@ class UeState(str, enum.Enum):
     TX = "tx"
 
 
-@dataclass(frozen=True)
-class CoverageProfile:
-    """Radio configuration of one coverage enhancement level."""
+class CoverageProfile(enum.Enum):
+    """Radio configuration of one coverage enhancement level: its link budget
+    and channel configuration, as fields that cannot be assigned, each
+    member's value listing them in the order of `__init__`.  Looked up by name
+    too, so `CoverageProfile("Robust")` is the Robust level."""
 
-    name: str
-    target_mcl_db: float
-    subcarrier_spacing_khz: float        # 15 or 3.75
-    ul_subcarriers_per_burst: int
-    mcs_index: int
-    rep_npdcch: int
-    rep_npdsch: int
-    rep_npusch: int
-    rep_nprach: int
-    r_max: int                            # NPDCCH search space size
-    g_factor: float
-    sync_time_scale: float                # multiplies the scenario's sync time
+    Normal = (144.0, 15.0, 12, 9, 1, 1, 2, 1, 1, 32.0, 1.0)
+    Robust = (154.0, 15.0, 3, 3, 64, 32, 16, 8, 64, 1.5, 2.0)
+    Extreme = (161.0, 3.75, 1, 0, 512, 256, 1, 32, 512, 1.5, 4.0)
+
+    def __init__(self, target_mcl_db: float, subcarrier_spacing_khz: float,
+                 ul_subcarriers_per_burst: int, mcs_index: int, rep_npdcch: int,
+                 rep_npdsch: int, rep_npusch: int, rep_nprach: int, r_max: int,
+                 g_factor: float, sync_time_scale: float):
+        # one plain assignment per field keeps a read as fast as a dataclass field's
+        self.target_mcl_db = target_mcl_db
+        self.subcarrier_spacing_khz = subcarrier_spacing_khz    # 15 or 3.75
+        self.ul_subcarriers_per_burst = ul_subcarriers_per_burst
+        self.mcs_index = mcs_index
+        self.rep_npdcch = rep_npdcch
+        self.rep_npdsch = rep_npdsch
+        self.rep_npusch = rep_npusch
+        self.rep_nprach = rep_nprach
+        self.r_max = r_max                          # NPDCCH search space size
+        self.g_factor = g_factor
+        self.sync_time_scale = sync_time_scale      # multiplies the scenario's sync time
+
+    def __setattr__(self, name, value):
+        # __init__ sets each field once
+        if not name.startswith("_") and hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        super().__setattr__(name, value)
+
+    @classmethod
+    def _missing_(cls, name):
+        return cls.__members__.get(name)
 
     @property
     def npdcch_period_ms(self) -> int:
         """NPDCCH search-space periodicity T = R_max * G, rounded to whole ms."""
         return round(self.r_max * self.g_factor)
 
-    # equal levels have equal names; hashing the name alone spares each memo
-    # lookup keyed on a level the hash of all twelve fields
-    def __hash__(self):
-        return hash(self.name)
 
-
-# Coverage levels with their link budget and channel configuration.
-_BUILTIN_COVERAGE = {
-    "Normal": CoverageProfile(
-        name="Normal", target_mcl_db=144.0, subcarrier_spacing_khz=15.0,
-        ul_subcarriers_per_burst=12, mcs_index=9,
-        rep_npdcch=1, rep_npdsch=1, rep_npusch=2, rep_nprach=1,
-        r_max=1, g_factor=32.0, sync_time_scale=1.0),
-    "Robust": CoverageProfile(
-        name="Robust", target_mcl_db=154.0, subcarrier_spacing_khz=15.0,
-        ul_subcarriers_per_burst=3, mcs_index=3,
-        rep_npdcch=64, rep_npdsch=32, rep_npusch=16, rep_nprach=8,
-        r_max=64, g_factor=1.5, sync_time_scale=2.0),
-    "Extreme": CoverageProfile(
-        name="Extreme", target_mcl_db=161.0, subcarrier_spacing_khz=3.75,
-        ul_subcarriers_per_burst=1, mcs_index=0,
-        rep_npdcch=512, rep_npdsch=256, rep_npusch=1, rep_nprach=32,
-        r_max=512, g_factor=1.5, sync_time_scale=4.0),
-}
-
-COVERAGE_NAMES = tuple(_BUILTIN_COVERAGE)
+COVERAGE_NAMES = tuple(CoverageProfile.__members__)
 
 
 def builtin_coverage_profile(name: str) -> CoverageProfile:
     """Return one of the built-in coverage levels (Normal, Robust, Extreme)."""
     try:
-        return _BUILTIN_COVERAGE[name]
+        return CoverageProfile[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown coverage profile {name!r}; expected one of {', '.join(COVERAGE_NAMES)}"
@@ -160,7 +156,7 @@ class Scenario:
 
     procedure: Procedure = Procedure.CP
     traffic_case: TrafficCase = TrafficCase.UL
-    coverage: CoverageProfile = _BUILTIN_COVERAGE["Normal"]
+    coverage: CoverageProfile = CoverageProfile.Normal
     iat_s: float = 3600.0
     power: PowerProfile = PowerProfile()
     battery_wh: float = 5.0
@@ -191,8 +187,6 @@ class Scenario:
 
     def __post_init__(self):
         validate_scenario(self)
-        # an equal copy of a level is that level: phy reads only its exact values
-        object.__setattr__(self, "coverage", _BUILTIN_COVERAGE[self.coverage.name])
 
     @property
     def data_message_bytes(self) -> int:
@@ -237,9 +231,6 @@ class Scenario:
         out.extend(f"{fname}={value!r}: must be a {kind.__name__} ({names})"
                    for fname, kind, names in _ENUM_FIELDS
                    if not isinstance(value := getattr(self, fname), kind))
-        if self.coverage not in _BUILTIN_COVERAGE.values():
-            out.append(f"coverage={self.coverage!r}: must be a built-in coverage level "
-                       f"({', '.join(COVERAGE_NAMES)})")
         if not part:
             out.append(f"power={self.power!r}: must be a PowerProfile")
         if len(out) > len(bad) or not all(_is_number(value) for _, value in bad):
@@ -281,14 +272,14 @@ _MAX_BYTES = 65535     # one IP datagram: a message is a few thousand transport 
 _DB = (-300.0, 300.0)  # 10^(dBm/10) of any power-control sum stays inside a float
 # an idle DRX cycle adds one NPDCCH period of its level to its base, at least 32 ms
 _MAX_DRX_BASE_S = MAX_IDLE_DRX_CYCLE_S - min(
-    c.npdcch_period_ms for c in _BUILTIN_COVERAGE.values()) / 1000.0
+    c.npdcch_period_ms for c in CoverageProfile) / 1000.0
 
 _SCENARIO_KEYS: dict[str, tuple] = {
     # key: (target, field, parser, lo, hi); target is "scenario" or a key of
     # _PARTS, and a number must lie in the closed bounds [lo, hi]
     "procedure":        ("scenario", "procedure", Procedure, None, None),
     "case":             ("scenario", "traffic_case", TrafficCase, None, None),
-    "coverage":         ("scenario", "coverage", builtin_coverage_profile, None, None),
+    "coverage":         ("scenario", "coverage", CoverageProfile, None, None),
     "iat":              ("scenario", "iat_s", float, _US, _MAX_S),
     "battery_wh":       ("scenario", "battery_wh", float, *_MAGNITUDE),
     "reachability":     ("scenario", "mt_reachability", Reachability, None, None),
@@ -331,10 +322,9 @@ _OWN_ROWS = tuple(row for row in _NUMERIC_ROWS if row[0][0] == "scenario")
 _numeric_values, _own_values = (
     attrgetter(*(fname if target == "scenario" else f"{target}.{fname}"
                  for (target, fname, *_), _ in rows)) for rows in (_NUMERIC_ROWS, _OWN_ROWS))
-# the choice fields besides the coverage: each with its enum and its values
-_ENUM_FIELDS = tuple((fname, kind, ", ".join(m.value for m in kind))
-                     for _, fname, kind, lo, _ in _SCENARIO_KEYS.values()
-                     if lo is None and kind is not builtin_coverage_profile)
+# the choice fields: each with its enum and its members' names
+_ENUM_FIELDS = tuple((fname, kind, ", ".join(kind.__members__))
+                     for _, fname, kind, lo, _ in _SCENARIO_KEYS.values() if lo is None)
 
 
 def _is_number(value) -> bool:
@@ -364,8 +354,8 @@ def _bounds(row) -> str:
 def scenario_value(key: str, raw):
     """Parse the text of one scenario key into its field value.
 
-    Values that are already parsed (enum members, built-in coverage levels,
-    numbers inside the key's bounds) pass through unchanged; a number that
+    Values that are already parsed (enum members, coverage levels among them,
+    and numbers inside the key's bounds) pass through unchanged; a number that
     parsing changes, such as 3.5 for an int key, is a bad value, and so are a
     bool and number text with more than ASCII characters or with digit
     separators, such as 1_0.  Raises ConfigurationError for an unknown key or
@@ -377,8 +367,6 @@ def scenario_value(key: str, raw):
         raise ConfigurationError(f"unknown key {key!r}")
     row = _SCENARIO_KEYS[key]
     parser, bounded = row[2], row[3] is not None
-    if parser is builtin_coverage_profile and raw in _BUILTIN_COVERAGE.values():
-        return raw
     # a bool is no number, nor is text that int() and float() read beyond
     # ASCII digits or with digit separators
     plain = not bounded or ((raw.isascii() and "_" not in raw) if isinstance(raw, str)
@@ -396,10 +384,8 @@ def scenario_value(key: str, raw):
         except (TypeError, ValueError, OverflowError):
             whole = False
         expected = ("a whole number in " if whole else "a number in ") + _bounds(row)
-    elif parser is builtin_coverage_profile:
-        expected = "one of " + ", ".join(COVERAGE_NAMES)
     else:
-        expected = "one of " + ", ".join(m.value for m in parser)
+        expected = "one of " + ", ".join(parser.__members__)
     raise ConfigurationError(f"bad value {raw!r} for {key!r}; expected {expected}")
 
 
@@ -451,8 +437,6 @@ def format_scenario(s: Scenario) -> str:
         obj = s if target == "scenario" else getattr(s, target)
         value = getattr(obj, fname)
         if isinstance(value, enum.Enum):
-            value = value.value
-        elif isinstance(value, CoverageProfile):
             value = value.name
         lines.append(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
     return "\n".join(lines) + "\n"

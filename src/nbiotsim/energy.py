@@ -27,7 +27,8 @@ from functools import lru_cache
 from operator import attrgetter
 
 from . import flows
-from .config import HOURS_PER_YEAR, MAX_PSM_TIME_S, ConfigurationError, Reachability, Scenario
+from .config import (HOURS_PER_YEAR, MAX_PSM_TIME_S, ConfigurationError, Procedure,
+                     Reachability, Scenario)
 from .flows import US_PER_S, EnergyCategory
 from .phy import ChannelKind
 
@@ -115,19 +116,25 @@ class CycleProfile:
         return tuple(cats.values())
 
 
-# the Scenario fields that a standalone TAU's layout reads, and only they
+# the Scenario fields that a standalone TAU's layout reads, and only they; only
+# a CP layout reads the last (`Scenario.connected_inactivity_s`)
 _TAU_FIELDS = ("procedure", "coverage", "power", "sync_base_ms", "ra_attempt_cap", "rar_bytes",
-              "cp_inactivity_npdcch_periods", "idle_active_timer_base_s",
-              "drx_long_cycle_base_s", "psm_tau_period_s")
-_tau_key = attrgetter(*_TAU_FIELDS)
+              "idle_active_timer_base_s", "drx_long_cycle_base_s", "psm_tau_period_s",
+              "cp_inactivity_npdcch_periods")
+_tau_values = attrgetter(*_TAU_FIELDS[:-1])
+
+
+def _tau_key(s: Scenario) -> tuple:
+    """The values of s's _TAU_FIELDS, the CP inactivity count 0 but under CP."""
+    return (*_tau_values(s), s.cp_inactivity_npdcch_periods if s.procedure is Procedure.CP else 0)
 
 
 @lru_cache(maxsize=256)
 def _tau_event(values: tuple) -> PeriodicEvent:
-    """The standalone periodic TAU of every scenario whose _TAU_FIELDS hold
-    values, laid out on a Scenario of those values and defaults elsewhere,
-    its idle DRX charged to ra_sync.  Memoized per value, exact for the
-    reasons `cycle_profile` gives, as the layout reads no other field."""
+    """The standalone periodic TAU of every scenario whose `_tau_key` is
+    values, laid out on a Scenario of those _TAU_FIELDS values and defaults
+    elsewhere, its idle DRX charged to ra_sync.  Memoized per value, exact for
+    the reasons `cycle_profile` gives, as the layout reads no other field."""
     s = Scenario(**dict(zip(_TAU_FIELDS, values)))
     us, active_us, _ = flows.active_time(flows.build_tau_flow(s), s)
     return PeriodicEvent(tuple((EnergyCategory.RA_SYNC if cat is EnergyCategory.IDLE_DRX

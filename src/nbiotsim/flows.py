@@ -274,11 +274,7 @@ def _plan(c: CoverageProfile, p: PowerProfile, rar_bytes: int) -> tuple:
     constants), then per shared channel those of a message besides its airtime
     and its wait for an NPDCCH occasion: the NPDCCH assignment and the schedule
     gap in whole us, the airtime's state, and the (MESSAGES, power_mw) sink
-    keys of the time at inactive, at rx and on air.
-
-    Keyed on the level by value, which is exact here: only a Scenario's level
-    reaches `_lay_out`, a Scenario holds the built-in level equal to the one
-    it is given, and no two built-in levels are equal."""
+    keys of the time at inactive, at rx and on air."""
     phases = ra.attempt_components(c, p, rar_bytes)
     npdcch_ms = phy.message_airtime(1, c, ChannelKind.NPDCCH)
     idle, rx = (EnergyCategory.MESSAGES, p.inactive_mw), (EnergyCategory.MESSAGES, p.rx_mw)

@@ -93,7 +93,7 @@ def _tbs_table(ch: ChannelKind) -> tuple[tuple[int, ...], ...]:
 
 def _tbs_row(c: CoverageProfile, ch: ChannelKind) -> tuple[int, ...]:
     table = _tbs_table(ch)
-    if not (isinstance(c.mcs_index, int) and 0 <= c.mcs_index < len(table)):
+    if not 0 <= c.mcs_index < len(table):
         raise ConfigurationError(f"mcs_index={c.mcs_index!r} outside the TBS table: "
                                  f"expected an int from 0 to {len(table) - 1}")
     return table[c.mcs_index]
@@ -137,21 +137,18 @@ def message_airtime(size_bytes: int, c: CoverageProfile, ch: ChannelKind) -> flo
     tables; NPDCCH carries one control assignment (rep_npdcch subframes, format
     0 / aggregation level 2 fills a subframe); NPRACH duration is set by the
     preamble format and repetition count, independent of size.  A shared-channel
-    airtime is memoized per (size, level, channel) value, so transport_block_units
+    airtime is memoized per (size, level, channel), so transport_block_units
     segments each size once per level and channel.
     """
     if ch is ChannelKind.NPRACH:
         return c.rep_nprach * NPRACH_PREAMBLE_MS
     if ch is ChannelKind.NPDCCH:
         return c.rep_npdcch * SUBFRAME_MS
-    return _airtime(size_bytes, c, ch, c.mcs_index)
+    return _airtime(size_bytes, c, ch)
 
 
-# Levels equal by value answer alike, but for a non-int mcs_index, which
-# _tbs_row refuses: typed=True keys on the type of the mcs_index passed beside
-# the level, so such a level never reads an int level's entry.
-@lru_cache(maxsize=4096, typed=True)
-def _airtime(size_bytes: int, c: CoverageProfile, ch: ChannelKind, mcs_index: int) -> float:
+@lru_cache(maxsize=4096)
+def _airtime(size_bytes: int, c: CoverageProfile, ch: ChannelKind) -> float:
     units = sum(transport_block_units(size_bytes * 8, c, ch))
     if ch is ChannelKind.NPUSCH:
         return units * ul_resource_unit_ms(c) * c.rep_npusch

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
 from nbiotsim import Scenario, builtin_coverage_profile, energy, flows, phy
-from nbiotsim.config import _SCENARIO_KEYS, COVERAGE_NAMES, Procedure, TrafficCase
+from nbiotsim.config import _SCENARIO_KEYS, CoverageProfile, Procedure, TrafficCase
 from nbiotsim.flows import US_PER_S, EnergyCategory, Interval
 
 
@@ -23,6 +25,63 @@ def clear_memos() -> None:
     """Empty the MEMOS."""
     for memo in MEMOS:
         memo.cache_clear()
+
+
+# every cache of what the package data gives: the loaders and the MEMOS, which
+# hold airtimes from a TBS table and the time and energy of laid-out flows
+DATA_LOADERS = (flows._catalog, phy._tbs_table, phy._checksums, *MEMOS)
+DATA_FILES = ("CHECKSUMS", "message_catalog.tsv", "npusch_tbs.tsv", "npdsch_tbs.tsv")
+
+
+def clear_data_caches() -> None:
+    """Empty the DATA_LOADERS."""
+    for loader in DATA_LOADERS:
+        loader.cache_clear()
+
+
+@pytest.fixture
+def data_texts(monkeypatch):
+    """The packaged data texts by file name, which the loaders read instead of
+    the files; every data cache is cleared before and after."""
+    texts = {name: phy._data_text(name) for name in DATA_FILES}
+    clear_data_caches()
+    monkeypatch.setattr(phy, "_data_text", texts.__getitem__)
+    yield texts
+    monkeypatch.undo()
+    clear_data_caches()
+
+
+def repinned(texts, name, text):
+    """texts with name's text replaced and CHECKSUMS pinning every file again,
+    as the README's edit workflow does."""
+    texts = {**texts, name: text}
+    texts["CHECKSUMS"] = "".join(f"{hashlib.sha256(t.encode('utf-8')).hexdigest()}  {n}\n"
+                                 for n, t in texts.items() if n != "CHECKSUMS")
+    return texts
+
+
+@dataclass(frozen=True)
+class Level:
+    """A coverage level's eleven fields, to run a phy or ra formula on a level
+    with a field varied: they read only its attributes, and their memos need
+    only a hashable value.  No Scenario takes one."""
+
+    target_mcl_db: float
+    subcarrier_spacing_khz: float
+    ul_subcarriers_per_burst: int
+    mcs_index: int
+    rep_npdcch: int
+    rep_npdsch: int
+    rep_npusch: int
+    rep_nprach: int
+    r_max: int
+    g_factor: float
+    sync_time_scale: float
+
+
+def level(name: str, **changes) -> Level:
+    """The built-in level name as a Level, with changes to its fields."""
+    return replace(Level(*CoverageProfile[name].value), **changes)
 
 
 def fresh_profile(s: Scenario) -> energy.CycleProfile:
@@ -102,8 +161,7 @@ def raw_values(key):
     the values no domain holds (nan, +-inf, 1e308, -0.0, huge integers)."""
     parser, lo, hi = _SCENARIO_KEYS[key][2:]
     if lo is None:
-        names = COVERAGE_NAMES if key == "coverage" else [m.value for m in parser]
-        return st.sampled_from([*names, "Deep", "0"])
+        return st.sampled_from([*parser.__members__, "Deep", "0"])
     if parser is int:
         outside = [lo - 1, hi + 1]
     else:

@@ -27,7 +27,8 @@ from nbiotsim.cli import (EXIT_IO, EXIT_OK, EXIT_VALIDATION, SweepSpec, Table,
 from nbiotsim import config, energy, flows, phy, ra
 from nbiotsim.config import COVERAGE_NAMES, MAX_PSM_TIME_S, ConfigurationError
 from nbiotsim.flows import EnergyCategory
-from tests.conftest import MEMOS, domain_values, scenario_texts
+from tests.conftest import (DATA_LOADERS, clear_data_caches, domain_values, repinned,
+                            scenario_texts)
 from tests.test_flows import LAYOUT_KNOBS
 from tests.test_golden import PAGING_CFG
 from tests.test_invariants import evaluate, scenario_values
@@ -184,17 +185,12 @@ def test_sweep_other_axes():
 
 
 def test_sweep_takes_a_built_coverage_level():
-    # a built-in level is a parsed coverage value, as an enum member is a
-    # parsed procedure; a profile built in code is no level
+    # a level is a parsed coverage value, as an enum member is a parsed procedure
     normal, robust = builtin_coverage_profile("Normal"), builtin_coverage_profile("Robust")
     spec = SweepSpec("coverage", ("Normal", robust), Scenario())
     assert spec.values == (normal, robust) and spec.values[1] is robust
     assert run_lifetime_sweep(spec).rows == run_lifetime_sweep(
         SweepSpec("coverage", ("Normal", "Robust"), Scenario())).rows
-    with pytest.raises(ConfigurationError, match=r"^coverage sweep values: bad value "
-                       r"CoverageProfile\(name='Robust', .*mcs_index=5, .*; expected one of "
-                       r"Normal, Robust, Extreme$"):
-        SweepSpec("coverage", (replace(robust, mcs_index=5),), Scenario())
     # a number is still converted: an int IAT is a float, written as one
     spec = SweepSpec("iat", (3600,), Scenario())
     assert spec.values == (3600.0,) and type(spec.values[0]) is float
@@ -368,18 +364,6 @@ def test_cli_bad_scenario_file_is_one_error_line(text, argv, line, tmp_path, cap
 
 # --- packaged data: a broken file fails the command with one error line ------
 
-DATA_FILES = ("CHECKSUMS", "message_catalog.tsv", "npusch_tbs.tsv", "npdsch_tbs.tsv")
-
-
-def repinned(texts, name, text):
-    """texts with name's text replaced and CHECKSUMS pinning every file again,
-    as the README's edit workflow does."""
-    texts = {**texts, name: text}
-    texts["CHECKSUMS"] = "".join(f"{hashlib.sha256(t.encode('utf-8')).hexdigest()}  {n}\n"
-                                 for n, t in texts.items() if n != "CHECKSUMS")
-    return texts
-
-
 def swap_lines(text, i, j):
     lines = text.splitlines(keepends=True)
     lines[i], lines[j] = lines[j], lines[i]
@@ -410,17 +394,9 @@ BROKEN_DATA = {
 }
 
 
-# every cache of what the package data gives: the loaders and the MEMOS, which
-# hold airtimes from a TBS table and the time and energy of laid-out flows
-DATA_LOADERS = (flows._catalog, phy._tbs_table, phy._checksums, *MEMOS)
-# the package's other caches, each with the reason it need not be emptied
+# the package's caches besides the DATA_LOADERS, each with the reason it need
+# not be emptied
 UNCLEARED = {ra._expected_attempts: "a pure function of the attempt cap"}
-
-
-def clear_data_caches() -> None:
-    """Empty the DATA_LOADERS."""
-    for loader in DATA_LOADERS:
-        loader.cache_clear()
 
 
 def test_every_package_cache_is_cleared_or_exempt():
@@ -430,18 +406,6 @@ def test_every_package_cache_is_cleared_or_exempt():
                for m in pkgutil.iter_modules(nbiotsim.__path__)]
     caches = {v for m in modules for v in vars(m).values() if hasattr(v, "cache_clear")}
     assert caches == {*DATA_LOADERS, *UNCLEARED}
-
-
-@pytest.fixture
-def data_texts(monkeypatch):
-    """The packaged data texts by file name, which the loaders read instead of
-    the files; every data cache is cleared before and after."""
-    texts = {name: phy._data_text(name) for name in DATA_FILES}
-    clear_data_caches()
-    monkeypatch.setattr(phy, "_data_text", texts.__getitem__)
-    yield texts
-    monkeypatch.undo()
-    clear_data_caches()
 
 
 def with_row_9_as_row_0(texts, name):

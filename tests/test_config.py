@@ -19,36 +19,52 @@ from nbiotsim.config import (COVERAGE_NAMES, LEVEL_RESOURCE_SHARE, MAX_IDLE_DRX_
                              MAX_PSM_TIME_S, _SCENARIO_KEYS, _bounds, CoverageProfile,
                              PowerProfile, Procedure, Reachability, TrafficCase, scenario_value)
 from dataclasses import replace
-from tests.conftest import clear_memos, domain_values, scenario_texts
+from tests.conftest import Level, clear_memos, domain_values, level, scenario_texts
+
+LEVEL_FIELDS = [f.name for f in fields(Level)]
+
+
+def level_fields(name: str) -> dict:
+    """The fields of the built-in level name by field name."""
+    return {fname: getattr(builtin_coverage_profile(name), fname) for fname in LEVEL_FIELDS}
 
 
 def test_builtin_normal_profile():
-    c = builtin_coverage_profile("Normal")
-    assert c.target_mcl_db == 144.0
-    assert c.subcarrier_spacing_khz == 15.0
-    assert c.ul_subcarriers_per_burst == 12
-    assert c.mcs_index == 9
-    assert (c.rep_npdcch, c.rep_npdsch, c.rep_npusch, c.rep_nprach) == (1, 1, 2, 1)
-    assert c.r_max == 1 and c.g_factor == 32.0
+    assert level_fields("Normal") == dict(
+        target_mcl_db=144.0, subcarrier_spacing_khz=15.0, ul_subcarriers_per_burst=12,
+        mcs_index=9, rep_npdcch=1, rep_npdsch=1, rep_npusch=2, rep_nprach=1,
+        r_max=1, g_factor=32.0, sync_time_scale=1.0)
     assert LEVEL_RESOURCE_SHARE == 0.33
 
 
 def test_builtin_robust_profile():
-    c = builtin_coverage_profile("Robust")
-    assert c.target_mcl_db == 154.0
-    assert c.ul_subcarriers_per_burst == 3
-    assert c.mcs_index == 3
-    assert (c.rep_npdcch, c.rep_npdsch, c.rep_npusch, c.rep_nprach) == (64, 32, 16, 8)
-    assert c.r_max == 64 and c.g_factor == 1.5
+    assert level_fields("Robust") == dict(
+        target_mcl_db=154.0, subcarrier_spacing_khz=15.0, ul_subcarriers_per_burst=3,
+        mcs_index=3, rep_npdcch=64, rep_npdsch=32, rep_npusch=16, rep_nprach=8,
+        r_max=64, g_factor=1.5, sync_time_scale=2.0)
 
 
 def test_builtin_extreme_profile():
-    c = builtin_coverage_profile("Extreme")
-    assert c.subcarrier_spacing_khz == 3.75
-    assert c.ul_subcarriers_per_burst == 1
-    assert c.mcs_index == 0
-    assert c.rep_npdcch == 512
-    assert c.target_mcl_db == 161.0
+    assert level_fields("Extreme") == dict(
+        target_mcl_db=161.0, subcarrier_spacing_khz=3.75, ul_subcarriers_per_burst=1,
+        mcs_index=0, rep_npdcch=512, rep_npdsch=256, rep_npusch=1, rep_nprach=32,
+        r_max=512, g_factor=1.5, sync_time_scale=4.0)
+
+
+def test_a_coverage_level_is_one_of_three_enum_members():
+    # the key, the name lookup and the enum's own lookup give the one member
+    assert list(CoverageProfile) == [CoverageProfile.Normal, CoverageProfile.Robust,
+                                     CoverageProfile.Extreme]
+    assert COVERAGE_NAMES == ("Normal", "Robust", "Extreme")
+    robust = CoverageProfile.Robust
+    assert CoverageProfile("Robust") is scenario_value("coverage", "Robust") is robust
+    assert builtin_coverage_profile("Robust") is robust
+    assert CoverageProfile(robust) is scenario_value("coverage", robust) is robust
+    # no field can be assigned, as in the frozen dataclass a level once was
+    for fname in LEVEL_FIELDS:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{fname}'$"):
+            setattr(robust, fname, 0)
+    assert level_fields("Robust")["mcs_index"] == 3
 
 
 def test_unknown_coverage_name():
@@ -212,49 +228,49 @@ def test_alpha_range_enforced():
 
 
 def coverage_line(c) -> str:
-    """The one line of the error for a coverage that is no built-in level."""
-    return f"coverage={c!r}: must be a built-in coverage level (Normal, Robust, Extreme)"
+    """The one line of the error for a coverage that is no level."""
+    return f"coverage={c!r}: must be a CoverageProfile (Normal, Robust, Extreme)"
 
 
-# A scenario's coverage is one of the built-in levels, so each rule that a
-# level keeps (power-of-two repetitions, one subcarrier at 3.75 kHz, a whole-ms
-# NPDCCH period) refuses a profile built in code that breaks it, in one line
+# A scenario's coverage is one of the three levels, and each keeps the rules
+# of its channels: power-of-two repetitions, 1, 3, 6 or 12 subcarriers at
+# 15 kHz and one at 3.75 kHz, and a whole-ms NPDCCH period
 
 def test_repetitions_must_be_powers_of_two():
-    c = replace(builtin_coverage_profile("Normal"), rep_npusch=3)
-    assert error_lines(lambda: Scenario(coverage=c)) == [coverage_line(c)]
+    for c in CoverageProfile:
+        reps = (c.rep_npdcch, c.rep_npdsch, c.rep_npusch, c.rep_nprach, c.r_max)
+        assert all(r > 0 and r & (r - 1) == 0 for r in reps), c
 
 
 def test_single_tone_spacing_requires_one_subcarrier():
-    c = replace(builtin_coverage_profile("Extreme"), ul_subcarriers_per_burst=3)
-    assert error_lines(lambda: Scenario(coverage=c)) == [coverage_line(c)]
+    allowed = {15.0: (1, 3, 6, 12), 3.75: (1,)}
+    for c in CoverageProfile:
+        assert c.ul_subcarriers_per_burst in allowed[c.subcarrier_spacing_khz], c
 
 
 def test_npdcch_period_must_be_whole_ms():
-    c = replace(builtin_coverage_profile("Normal"), r_max=1, g_factor=1.5)
-    assert error_lines(lambda: Scenario(coverage=c)) == [coverage_line(c)]
+    for c in CoverageProfile:
+        assert c.npdcch_period_ms == c.r_max * c.g_factor, c
 
 
 def test_non_whole_npdcch_period_reported_with_every_other_violation():
-    # the coverage is one line of the list, after the numbers
-    c = replace(builtin_coverage_profile("Normal"), r_max=1, g_factor=1.5, rep_npusch=3)
-    assert c.npdcch_period_ms == 2
-    with pytest.raises(ConfigurationError) as err:
-        Scenario(coverage=c, battery_wh=0.0)
-    assert str(err.value) == (
-        "invalid scenario: battery_wh=0.0: must be in [1e-06, 1000000000000]; "
-        + coverage_line(c))
+    # a level built in code, here one whose NPDCCH period is 1.5 ms, is no
+    # member, as are its name and None: the coverage is one line of the list,
+    # after the numbers
+    for c in (level("Normal", r_max=1, g_factor=1.5), "Normal", None):
+        assert error_lines(lambda: Scenario(coverage=c, battery_wh=0.0)) == [
+            "battery_wh=0.0: must be in [1e-06, 1000000000000]", coverage_line(c)]
 
 
 # a choice field set in code outside its domain, and its one line of the error:
-# text equal to an enum value is no member, and a level's name is no level
+# text equal to an enum value or name is no member
 OUTSIDE_CHOICES = [
     ("procedure", "CP", "procedure='CP': must be a Procedure (SR, CP, UP)"),
     ("traffic_case", "XX", "traffic_case='XX': must be a TrafficCase (UL, UL_ACK, DL, DL_ACK)"),
     ("mt_reachability", "PSM_TAU",
      "mt_reachability='PSM_TAU': must be a Reachability (PSM_TAU, DRX_PAGING)"),
     ("coverage", "Normal",
-     "coverage='Normal': must be a built-in coverage level (Normal, Robust, Extreme)"),
+     "coverage='Normal': must be a CoverageProfile (Normal, Robust, Extreme)"),
     ("power", None, "power=None: must be a PowerProfile"),
 ]
 
@@ -273,22 +289,14 @@ def test_choice_outside_its_domain_is_one_line(fname, value, line):
 
 
 def test_a_scenario_coverage_is_a_built_in_level():
-    normal = builtin_coverage_profile("Normal")
-    # a level with a field changed in code would be written as the level's
-    # name, and read back as the level
-    changed = replace(normal, mcs_index=5)
-    assert error_lines(lambda: Scenario(coverage=changed)) == [coverage_line(changed)]
-    # an equal copy is accepted, and the scenario holds the level itself, so
-    # a value that is equal but of another type (0.0 for the int 0) never
-    # reaches phy
-    s = Scenario(coverage=replace(normal))
-    assert s.coverage is normal
-    for c in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
-        assert replace(c) == s and replace(c, iat_s=7200.0).coverage is normal
+    # a copied scenario holds the level itself
     extreme = builtin_coverage_profile("Extreme")
-    s = Scenario(coverage=replace(extreme, mcs_index=0.0, rep_npusch=True))
-    assert s.coverage is extreme
-    assert cycle_energy(s) == cycle_energy(Scenario(coverage=extreme))
+    s = Scenario(coverage=extreme)
+    copies = [copy.deepcopy(s), *(pickle.loads(pickle.dumps(s, protocol))
+                                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1))]
+    for c in copies:
+        assert c == s and c.coverage is extreme
+        assert replace(c, iat_s=7200.0).coverage is extreme
 
 
 # no value, a string, NaN and a bool: none of them is a finite number
@@ -297,12 +305,11 @@ NOT_NUMBERS = [None, "1", math.nan, True, False]
 
 @pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
 def test_non_numbers_are_configuration_errors(bad):
-    # a Scenario, PowerProfile or CoverageProfile built in code may hold any
-    # value; each numeric field that is not a finite number is named on exactly
-    # one line of the error, with its row's bounds, next to every other field
-    # outside its bounds, and nothing raises a bare error
-    normal = builtin_coverage_profile("Normal")
-    coverage = replace(normal, rep_npusch=3)
+    # a Scenario or PowerProfile built in code may hold any value; each
+    # numeric field that is not a finite number is named on exactly one line
+    # of the error, with its row's bounds, next to every other field outside
+    # its domain, such as a level built in code, and nothing raises a bare error
+    coverage = level("Normal")
     for key, (target, fname, _parser, lo, _hi) in _SCENARIO_KEYS.items():
         if lo is None:
             continue
@@ -314,10 +321,6 @@ def test_non_numbers_are_configuration_errors(bad):
         assert [line for line in lines if line.startswith(fname + "=")] == [
             f"{fname}={bad!r}: must be in {_bounds(_SCENARIO_KEYS[key])}"], key
         assert coverage_line(coverage) in lines, key
-    # a coverage field that holds no number makes the coverage no level
-    coverage = replace(normal, mcs_index=bad)
-    assert error_lines(lambda: Scenario(coverage=coverage, battery_wh=0.0)) == [
-        "battery_wh=0.0: must be in [1e-06, 1000000000000]", coverage_line(coverage)]
 
 
 def test_multiple_violations_all_reported():
@@ -334,18 +337,14 @@ def error_lines(build) -> list[str]:
 
 
 def with_field(s, target, fname, value):
-    """s with one field of the scenario, its power or its coverage set."""
+    """s with one field of the scenario or of its power set."""
     if target == "scenario":
         return replace(s, **{fname: value})
     return replace(s, **{target: replace(getattr(s, target), **{fname: value})})
 
 
-# a field set in code outside its domain, and its one line of the error; a
-# coverage field set in code makes the coverage no level
+# a field set in code outside its domain, and its one line of the error
 OUTSIDE_DOMAIN = [
-    *(("coverage", fname, value,
-       coverage_line(replace(builtin_coverage_profile("Normal"), **{fname: value})))
-      for fname, value in (("g_factor", 0.0), ("r_max", 10**400), ("sync_time_scale", -1.0))),
     ("scenario", "ra_attempt_cap", 3.5, "ra_attempt_cap=3.5: must be a whole number in [1, 200]"),
     ("scenario", "cp_inactivity_npdcch_periods", 2.5,
      "cp_inactivity_npdcch_periods=2.5: must be a whole number in [0, 1000000000]"),
@@ -376,10 +375,11 @@ def test_cross_field_rules_run_unless_a_field_holds_no_number():
     assert error_lines(lambda: replace(Scenario(), battery_wh=0.0)) == [
         "battery_wh=0.0: must be in [1e-06, 1000000000000]"]
     # they do not run while a field holds no number, nor while a choice field
-    # is outside its domain, such as a coverage that is no level
+    # is outside its domain, such as a level built in code, which has no
+    # npdcch_period_ms for the idle DRX cycle to read
     assert error_lines(lambda: Scenario(battery_wh=None, power=misordered)) == [
         "battery_wh=None: must be in [1e-06, 1000000000000]"]
-    coverage = replace(builtin_coverage_profile("Normal"), g_factor=0.0, rep_npusch=3)
+    coverage = level("Normal")
     assert error_lines(lambda: Scenario(coverage=coverage, power=misordered)) == [
         coverage_line(coverage)]
     assert error_lines(lambda: Scenario(mt_reachability="PSM_TAU", power=misordered)) == [
@@ -395,9 +395,8 @@ ODD_VALUES = st.one_of(
     st.sampled_from([None, "1", math.nan, math.inf, -math.inf, -1, -1.0, 0, 0.0, 2.5,
                      10**400]),
     st.floats(), st.integers())
-# every numeric field of a scenario, its power profile and its coverage profile
-NUMERIC_FIELDS = ([row[:2] for row in _SCENARIO_KEYS.values() if row[3] is not None]
-                  + [("coverage", f.name) for f in fields(CoverageProfile)[1:]])
+# every numeric field of a scenario and its power profile
+NUMERIC_FIELDS = [row[:2] for row in _SCENARIO_KEYS.values() if row[3] is not None]
 
 
 @given(
@@ -411,7 +410,7 @@ NUMERIC_FIELDS = ([row[:2] for row in _SCENARIO_KEYS.values() if row[3] is not N
 @settings(max_examples=300, deadline=None)
 def test_odd_field_values_fail_cleanly_or_give_finite_outputs(proc, case, cov, reach,
                                                               changes):
-    # a built-in coverage with one to three fields set in code to any value:
+    # a scenario with one to three numeric fields set in code to any value:
     # building it raises a ConfigurationError, or every output and resolved
     # time is a finite number of its sign; all changes go in one build, so no
     # intermediate state is refused
@@ -631,25 +630,17 @@ def test_round_trip_property(proc, case, cov, reach, values, powers):
         assert parse_scenario(format_scenario(s)) == s
 
 
-LEVELS = [builtin_coverage_profile(name) for name in COVERAGE_NAMES]
-COVERAGE_FIELDS = [f.name for f in fields(CoverageProfile)[1:]]
-
-
 @given(
+    # each choice field a member of its enum or a member's name
     choices=st.fixed_dictionaries({
-        fname: st.sampled_from([*kind, *(m.value for m in kind)])
+        fname: st.sampled_from([*kind, *kind.__members__])
         for fname, kind in (("procedure", Procedure), ("traffic_case", TrafficCase),
-                            ("mt_reachability", Reachability))}),
-    # a level, or a level with one field set in code, at times to a value equal
-    # to its own
-    coverage=st.one_of(st.sampled_from(LEVELS), st.builds(
-        lambda c, fname, value: replace(c, **{fname: value}), st.sampled_from(LEVELS),
-        st.sampled_from(COVERAGE_FIELDS), st.sampled_from([0, 0.0, 1, 1.5, 2, 3, 12, 512]))),
+                            ("coverage", CoverageProfile), ("mt_reachability", Reachability))}),
     changes=st.dictionaries(st.sampled_from(NUMERIC_KEYS),
                             st.one_of(ODD_VALUES, st.sampled_from([0, 1, 10, 1.0, 3600.0])),
                             max_size=3),
 )
-def test_every_scenario_that_builds_round_trips(choices, coverage, changes):
+def test_every_scenario_that_builds_round_trips(choices, changes):
     # any values in every choice field and up to three numeric fields: a
     # scenario that builds is written as text that reads back equal to it
     kw = {"scenario": {}, "power": {}}
@@ -657,8 +648,7 @@ def test_every_scenario_that_builds_round_trips(choices, coverage, changes):
         target, fname = _SCENARIO_KEYS[key][:2]
         kw[target][fname] = value
     try:
-        s = Scenario(coverage=coverage, power=PowerProfile(**kw["power"]), **choices,
-                     **kw["scenario"])
+        s = Scenario(power=PowerProfile(**kw["power"]), **choices, **kw["scenario"])
     except ConfigurationError:
         return
     assert parse_scenario(format_scenario(s)) == s

@@ -423,6 +423,23 @@ def test_tau_memo_is_a_fresh_layout(values, other):
     assert energy._tau_event.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("proc", ["SR", "UP", "CP"])
+def test_only_a_cp_tau_is_keyed_on_its_inactivity_count(proc):
+    # only a CP layout reads cp_inactivity_npdcch_periods (an SR or UP
+    # scenario's connected_inactivity_s is 0), so SR scenarios, and UP ones,
+    # that differ only in it share one standalone TAU, which is each one's
+    # own, laid out in place, and price as a build past every memo; CP ones
+    # take one TAU each
+    points = [make_scenario(proc, "UL", cp_inactivity_npdcch_periods=n) for n in (0, 5, 400)]
+    clear_memos()
+    for s in points:
+        fresh = fresh_profile(s)
+        assert cycle_profile(s).events == fresh.events == (fresh_tau_event(s),)
+        for iat_us in (3600 * US_PER_S, 86400 * US_PER_S):
+            assert repr(cycle_profile(s).category_mj(iat_us)) == repr(fresh.category_mj(iat_us))
+    assert energy._tau_event.cache_info().currsize == (3 if proc == "CP" else 1)
+
+
 def test_tau_memo_holds_at_most_its_bound():
     # more distinct TAU periods than the memo holds: it never grows past its
     # bound, and a TAU laid out again after its eviction prices alike

@@ -5,15 +5,14 @@ from hypothesis import given, settings, strategies as st
 from dataclasses import replace
 from unittest import mock
 
-from nbiotsim import (ChannelKind, ConfigurationError, PowerProfile,
+from nbiotsim import (ChannelKind, ConfigurationError, CoverageProfile, PowerProfile,
                       builtin_coverage_profile, message_airtime,
                       nprach_tx_power_dbm, npusch_tx_power_dbm, schedule_gap_ms,
                       tx_power_consumption_mw)
 from nbiotsim import phy
 from nbiotsim.phy import (ALLOCATION_UNITS, transport_block_units, ul_carrier_fraction,
                           ul_resource_unit_ms)
-from nbiotsim.ra import attempt_components
-from tests.conftest import clear_memos
+from tests.conftest import clear_data_caches, clear_memos, level, repinned
 
 NORMAL = builtin_coverage_profile("Normal")
 ROBUST = builtin_coverage_profile("Robust")
@@ -61,27 +60,16 @@ def test_dl_tbs_spot_values(mcs, units, expected):
     assert phy._tbs_table(ChannelKind.NPDSCH)[mcs][ALLOCATION_UNITS.index(units)] == expected
 
 
-def test_mcs_outside_tbs_table_rejected():
-    c = replace(NORMAL, mcs_index=13)          # the tables hold MCS 0..12
-    with pytest.raises(ConfigurationError, match="mcs_index=13 outside the TBS table"):
-        transport_block_units(512, c, ChannelKind.NPDSCH)
-
-
-@pytest.mark.parametrize("warm", [False, True], ids=["cold-memo", "warm-memo"])
-def test_non_int_mcs_index_rejected(warm):
-    # 0.0 == 0 and the two hash alike, so a memo keyed on the profile by
-    # equality would hand the float copy Extreme's entry once Extreme warmed it
-    clear_memos()
-    if warm:
-        assert message_airtime(64, EXTREME, ChannelKind.NPUSCH) > 0.0
-        assert attempt_components(EXTREME, POWER, 7)
-    c = replace(EXTREME, mcs_index=0.0)
-    for call in (lambda: transport_block_units(512, c, ChannelKind.NPDSCH),
-                 lambda: message_airtime(64, c, ChannelKind.NPUSCH),
-                 lambda: attempt_components(c, POWER, 7)):
-        with pytest.raises(ConfigurationError,
-                           match=r"mcs_index=0\.0 outside the TBS table: expected an int"):
-            call()
+def test_mcs_outside_tbs_table_rejected(data_texts):
+    # a re-pinned NPDSCH table cut below Normal's MCS 9 holds no row for it
+    name = "npdsch_tbs.tsv"
+    cut = data_texts[name].split("\n9\t", 1)[0] + "\n"
+    data_texts.update(repinned(data_texts, name, cut))
+    clear_data_caches()
+    with pytest.raises(ConfigurationError, match=r"^mcs_index=9 outside the TBS table: "
+                                                 r"expected an int from 0 to 8$"):
+        transport_block_units(512, NORMAL, ChannelKind.NPDSCH)
+    assert transport_block_units(512, NORMAL, ChannelKind.NPUSCH) == [4]
 
 
 @pytest.mark.parametrize("c", [NORMAL, ROBUST, EXTREME], ids=lambda c: c.name)
@@ -97,8 +85,7 @@ def test_memoized_airtime_is_the_segmented_airtime(c):
 
 def test_airtime_memo_holds_at_most_its_bound():
     # more distinct keys at one level than the memo holds: it never grows past
-    # its bound, an airtime asked again after its eviction is answered alike,
-    # and a full memo still refuses a float mcs_index equal to Extreme's
+    # its bound, and an airtime asked again after its eviction is answered alike
     clear_memos()
     maxsize = phy._airtime.cache_info().maxsize
     keys = [(size, ch) for ch in phy.SHARED_CHANNELS for size in range(1, maxsize // 2 + 3)]
@@ -109,42 +96,24 @@ def test_airtime_memo_holds_at_most_its_bound():
     assert max(sizes) == sizes[-1] == maxsize < len(keys)
     assert [message_airtime(size, EXTREME, ch) for size, ch in keys] == first
     assert phy._airtime.cache_info().currsize == maxsize
-    with pytest.raises(ConfigurationError, match=r"mcs_index=0\.0 outside the TBS table"):
-        message_airtime(64, replace(EXTREME, mcs_index=0.0), ChannelKind.NPUSCH)
 
 
-@st.composite
-def airtime_calls(draw):
-    """A shared-channel message_airtime call on a built-in level or a copy
-    equal to it by value: mcs_index as an int, a float or a bool where one
-    equals it, the repetitions and the subcarrier layout as ints or floats."""
-    c = draw(st.sampled_from([NORMAL, ROBUST, EXTREME]))
-    mcs = draw(st.sampled_from([t for t in (int, float, bool) if t(c.mcs_index) == c.mcs_index]))
-    floats = draw(st.sets(st.sampled_from(["rep_npusch", "rep_npdsch", "ul_subcarriers_per_burst",
-                                           "subcarrier_spacing_khz"])))
-    c = replace(c, mcs_index=mcs(c.mcs_index), **{f: float(getattr(c, f)) for f in floats})
-    # few sizes, so that calls share keys, on the memoized channels only
-    return draw(st.sampled_from([1, 64, 3000])), c, draw(st.sampled_from(phy.SHARED_CHANNELS))
-
-
-def airtime_or_error(size, c, ch):
-    try:
-        return message_airtime(size, c, ch)
-    except ConfigurationError as err:
-        return f"error: {err}"
+# a shared-channel message_airtime call on a level, at few sizes, so that
+# calls share keys, on the memoized channels only
+AIRTIME_CALLS = st.tuples(st.sampled_from([1, 64, 3000]), st.sampled_from(list(CoverageProfile)),
+                          st.sampled_from(phy.SHARED_CHANNELS))
 
 
 @settings(max_examples=200, deadline=None)
-@given(calls=st.lists(airtime_calls(), min_size=1, max_size=50))
+@given(calls=st.lists(AIRTIME_CALLS, min_size=1, max_size=50))
 def test_airtime_memo_answers_as_no_memo(calls):
     # whatever was asked before, each call answers as message_airtime does
-    # past its memo: a level keyed without its mcs_index's type would hand a
-    # float copy, which is refused, the airtime an equal int level stored
+    # past its memo
     clear_memos()
     for size, c, ch in calls:
         with mock.patch.object(phy, "_airtime", phy._airtime.__wrapped__):
-            want = airtime_or_error(size, c, ch)
-        assert airtime_or_error(size, c, ch) == want, (size, c, ch)
+            want = message_airtime(size, c, ch)
+        assert message_airtime(size, c, ch) == want, (size, c, ch)
 
 
 @pytest.mark.parametrize("ch", [ChannelKind.NPDCCH, ChannelKind.NPRACH])
@@ -271,7 +240,7 @@ def test_airtime_monotone_in_size(size1, size2, cov, ch):
 def test_airtime_monotone_in_repetitions(field):
     channel = {"rep_npusch": ChannelKind.NPUSCH, "rep_npdsch": ChannelKind.NPDSCH,
                "rep_npdcch": ChannelKind.NPDCCH, "rep_nprach": ChannelKind.NPRACH}[field]
-    base = builtin_coverage_profile("Normal")
+    base = level("Normal")
     doubled = replace(base, **{field: getattr(base, field) * 2})
     assert message_airtime(64, doubled, channel) >= message_airtime(64, base, channel)
 
@@ -284,12 +253,12 @@ def test_npusch_power_capped_at_mcl():
 
 
 def test_npusch_power_open_loop_single_tone():
-    c = replace(NORMAL, ul_subcarriers_per_burst=1)
+    c = level("Normal", ul_subcarriers_per_burst=1)
     assert npusch_tx_power_dbm(c, POWER, 80.0) == pytest.approx(-20.0)
 
 
 def test_npusch_power_cap_boundary():
-    c = replace(NORMAL, ul_subcarriers_per_burst=1)
+    c = level("Normal", ul_subcarriers_per_burst=1)
     assert npusch_tx_power_dbm(c, POWER, 123.0) == pytest.approx(23.0)
 
 

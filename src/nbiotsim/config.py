@@ -325,6 +325,10 @@ _numeric_values, _own_values = (
 # the choice fields: each with its enum and its members' names
 _ENUM_FIELDS = tuple((fname, kind, ", ".join(kind.__members__))
                      for _, fname, kind, lo, _ in _SCENARIO_KEYS.values() if lo is None)
+# each choice enum's members by name and each member as itself, so a choice
+# parses in one lookup; calling a CoverageProfile misses its value map first,
+# then raises and catches a KeyError before `_missing_` finds the name
+_CHOICES = {kind: {**{m: m for m in kind}, **kind.__members__} for _, kind, _ in _ENUM_FIELDS}
 
 
 def _is_number(value) -> bool:
@@ -372,11 +376,12 @@ def scenario_value(key: str, raw):
     plain = not bounded or ((raw.isascii() and "_" not in raw) if isinstance(raw, str)
                             else _is_number(raw))
     try:
-        value = parser(raw)     # of the parser's own type, so only its bounds remain
+        # of the parser's own type, so only its bounds remain
+        value = parser(raw) if bounded else _CHOICES[parser][raw]
         if (plain and (isinstance(raw, str) or value == raw)
                 and (not bounded or row[3] <= value <= row[4])):
             return value
-    except (TypeError, ValueError, OverflowError):
+    except (LookupError, TypeError, ValueError, OverflowError):
         pass
     if bounded:
         try:

@@ -24,9 +24,8 @@ from functools import lru_cache
 from . import phy, ra
 from .config import (MAX_DRX_CYCLE_S, ConfigurationError, CoverageProfile, PowerProfile,
                      Procedure, Reachability, Scenario, TrafficCase, UeState, _records)
-from .phy import ChannelKind
+from .phy import US_PER_MS, ChannelKind
 
-US_PER_MS = 1000
 US_PER_S = 1_000_000
 
 
@@ -201,15 +200,17 @@ class _Sink:
         """One shared-channel message, as four emits: the wait for the next
         NPDCCH occasion (a multiple of period_us), then the assignment, the
         schedule gap and the airtime, each under its key in its channel's plan
-        (see `_plan`)."""
+        (see `_plan`).  Only the wait can be 0: the other three are each at
+        least 1 ms at every level."""
         npdcch_us, gap_us, _, idle, rx, air = plan
         us, t_us = self.us, self.t_us
-        for key, duration_us in ((idle, -t_us % period_us), (rx, npdcch_us),
-                                 (idle, gap_us), (air, airtime_us)):
-            if duration_us > 0:
-                us[key] = us.get(key, 0) + duration_us
-                t_us += duration_us
-        self.t_us = t_us
+        wait_us = -t_us % period_us
+        if wait_us:
+            us[idle] = us.get(idle, 0) + wait_us
+        us[rx] = us.get(rx, 0) + npdcch_us
+        us[idle] = us.get(idle, 0) + gap_us
+        us[air] = us.get(air, 0) + airtime_us
+        self.t_us = t_us + wait_us + npdcch_us + gap_us + airtime_us
 
 
 class _Timeline(_Sink):
@@ -270,16 +271,16 @@ def rest_state(s: Scenario) -> tuple[UeState, float, EnergyCategory, str]:
 @lru_cache(maxsize=256)
 def _plan(c: CoverageProfile, p: PowerProfile, rar_bytes: int) -> tuple:
     """The constants of a layout pass: the RA attempt's phases, the NPDCCH
-    assignment in subframes and the uplink carrier share (the channel usage's
-    constants), then per shared channel those of a message besides its airtime
-    and its wait for an NPDCCH occasion: the NPDCCH assignment and the schedule
-    gap in whole us, the airtime's state, and the (MESSAGES, power_mw) sink
-    keys of the time at inactive, at rx and on air."""
+    assignment in subframes (its channel usage), then per shared channel those
+    of a message besides its airtime and its wait for an NPDCCH occasion: the
+    NPDCCH assignment and the schedule gap in whole us, the airtime's state,
+    and the (MESSAGES, power_mw) sink keys of the time at inactive, at rx and
+    on air.  A message's airtime and usage come from `phy._shared_message`."""
     phases = ra.attempt_components(c, p, rar_bytes)
     npdcch_ms = phy.message_airtime(1, c, ChannelKind.NPDCCH)
     idle, rx = (EnergyCategory.MESSAGES, p.inactive_mw), (EnergyCategory.MESSAGES, p.rx_mw)
     npusch_mw = phy.tx_power_consumption_mw(p, phy.npusch_tx_power_dbm(c, p, c.target_mcl_db))
-    return (phases, npdcch_ms / phy.SUBFRAME_MS, phy.ul_carrier_fraction(c),
+    return (phases, npdcch_ms / phy.SUBFRAME_MS,
             {ch: (round(npdcch_ms * US_PER_MS), round(phy.schedule_gap_ms(ch) * US_PER_MS), state,
                   idle, rx, (EnergyCategory.MESSAGES, power_mw))
              for ch, state, power_mw in ((ChannelKind.NPUSCH, UeState.TX, npusch_mw),
@@ -312,12 +313,12 @@ def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> dict[ChannelKind,
 
     # random access, expectation-scaled
     attempts = ra.expected_attempts(s.ra_attempt_cap)
-    phases, npdcch_sf, ul_fraction, plans = _plan(c, p, s.rar_bytes)
+    phases, npdcch_sf, plans = _plan(c, p, s.rar_bytes)
     for label, state, dur_ms, power_mw in phases:
         emit(round(attempts * dur_ms * US_PER_MS), state, power_mw, ra_cat, label)
 
     npdcch_us = plans[ChannelKind.NPDSCH][0]      # the same on either channel
-    message, last = sink.message, len(flow.messages) - 1
+    message, shared, last = sink.message, phy._shared_message, len(flow.messages) - 1
     usage = _NO_USAGE.copy()
     for index, msg in enumerate(flow.messages):
         if index == last:
@@ -328,10 +329,10 @@ def _lay_out(flow: ProcedureFlow, s: Scenario, sink: _Sink) -> dict[ChannelKind,
                              on_us=npdcch_us, off_us=period_us - npdcch_us,
                              p=p, gap=(UeState.INACTIVE, p.inactive_mw),
                              category=EnergyCategory.CONNECTED_DRX, label="connected_drx")
-        airtime_ms = phy.message_airtime(msg.size_bytes, c, msg.channel)
-        usage[msg.channel] += (airtime_ms * ul_fraction * 12.0 if msg.channel is ChannelKind.NPUSCH
-                               else airtime_ms / phy.SUBFRAME_MS)
-        message(msg.name, round(airtime_ms * US_PER_MS), period_us, plans[msg.channel])
+        ch = msg.channel
+        _, airtime_us, used = shared(msg.size_bytes, c, ch)
+        usage[ch] += used
+        message(msg.name, airtime_us, period_us, plans[ch])
     usage[ChannelKind.NPDCCH] += len(flow.messages) * npdcch_sf
     usage[ChannelKind.NPRACH] += attempts
 

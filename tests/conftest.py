@@ -16,9 +16,9 @@ from nbiotsim.flows import US_PER_S, EnergyCategory, Interval
 
 
 # every memo of per-level and per-scenario work, each an lru_cache, named once:
-# the airtime of a message, the plan of a layout, and the standalone TAUs and
-# cycle profiles built from them
-MEMOS = (phy._airtime, flows._plan, energy._tau_event, energy.cycle_profile)
+# the airtime and usage of a message, the plan of a layout, and the standalone
+# TAUs and cycle profiles built from them
+MEMOS = (phy._shared_message, flows._plan, energy._tau_event, energy.cycle_profile)
 
 
 def clear_memos() -> None:

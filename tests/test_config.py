@@ -67,6 +67,23 @@ def test_a_coverage_level_is_one_of_three_enum_members():
     assert level_fields("Robust")["mcs_index"] == 3
 
 
+@pytest.mark.parametrize("raw", ["Normal", "Robust", "Extreme", *CoverageProfile],
+                         ids=lambda raw: f"{type(raw).__name__}-{getattr(raw, 'name', raw)}")
+def test_a_coverage_name_or_member_parses_to_its_member(raw):
+    assert scenario_value("coverage", raw) is CoverageProfile[getattr(raw, "name", raw)]
+
+
+@pytest.mark.parametrize("raw", ["normal", "", 1, 2.0, (144.0, 15.0, 12, 9, 1, 1, 2, 1, 1,
+                                                         32.0, 1.0)], ids=repr)
+def test_coverage_refuses_all_but_a_name_or_member(raw):
+    # neither a name in another case, nor the empty text, nor a number, nor a
+    # member's value tuple
+    with pytest.raises(ConfigurationError) as err:
+        scenario_value("coverage", raw)
+    assert str(err.value) == (f"bad value {raw!r} for 'coverage'; "
+                              "expected one of Normal, Robust, Extreme")
+
+
 def test_unknown_coverage_name():
     with pytest.raises(ConfigurationError, match="Urban"):
         builtin_coverage_profile("Urban")

@@ -11,7 +11,7 @@ from nbiotsim.config import ConfigurationError, PowerProfile, Reachability, UeSt
 from nbiotsim.flows import FLOW_IDS, EnergyCategory, Plane, _parse_catalog, active_time
 from nbiotsim.phy import ChannelKind
 from nbiotsim.ra import attempt_components
-from tests.conftest import active_duration_s, clear_memos, make_scenario
+from tests.conftest import active_duration_s, clear_memos, make_scenario, timeline_us
 
 ALL_COMBOS = list(itertools.product(["SR", "CP", "UP"],
                                     ["UL", "UL_ACK", "DL", "DL_ACK"]))
@@ -192,6 +192,29 @@ def test_cold_and_warm_memos_give_equal_outputs():
     for s in points:
         memo_fed_outputs(s)
     assert [memo_fed_outputs(s) for s in points] == cold
+
+
+@pytest.mark.parametrize("cov", ["Normal", "Robust", "Extreme"])
+def test_a_message_on_an_npdcch_occasion_waits_for_none(cov):
+    # sync_base_ms solved so that sync plus RA end on an NPDCCH occasion: the
+    # first message waits 0 us, the one branch of the sink's message, and the
+    # sums still equal the timeline's, key by key, in first-emit order
+    s = make_scenario("CP", "DL_ACK", cov, sync_base_ms=0.0)
+    period_us = s.coverage.npdcch_period_ms * 1000
+    ra_us = sum(iv.duration_us for iv in flow_timeline(build_flow(s), s, fill_to_iat=False)
+                if iv.category is EnergyCategory.RA_SYNC)
+    sync_us = period_us - ra_us % period_us
+    s = make_scenario("CP", "DL_ACK", cov,
+                      sync_base_ms=sync_us / 1000 / s.coverage.sync_time_scale)
+    assert round(s.sync_time_ms * 1000) == sync_us
+    flow = build_flow(s)
+    timeline = flow_timeline(flow, s, fill_to_iat=False)
+    first = next(i for i, iv in enumerate(timeline) if iv.label.startswith("npdcch:"))
+    assert timeline[first].start_us == sync_us + ra_us and (sync_us + ra_us) % period_us == 0
+    assert timeline[first - 1].label == "rar_npdsch"
+    us, end_us, _ = active_time(flow, s)
+    assert list(us.items()) == list(timeline_us(timeline).items())
+    assert end_us == timeline[-1].end_us
 
 
 DEFS = "message ul_data NPUSCH DATA data+0\nmessage rrc_release NPDSCH AS 7\n"

@@ -72,30 +72,58 @@ def test_mcs_outside_tbs_table_rejected(data_texts):
     assert transport_block_units(512, NORMAL, ChannelKind.NPUSCH) == [4]
 
 
+def shared_fields(size, c, ch):
+    """Each field of a _shared_message entry, restated: the segmented airtime
+    in ms, its whole us, and its usage in subcarrier-ms (NPUSCH) or subframes
+    (NPDSCH)."""
+    units = sum(transport_block_units(size * 8, c, ch))
+    if ch is ChannelKind.NPUSCH:
+        ms = units * ul_resource_unit_ms(c) * c.rep_npusch
+        return ms, round(ms * 1000), ms * ul_carrier_fraction(c) * 12.0
+    ms = units * phy.SUBFRAME_MS * c.rep_npdsch
+    return ms, round(ms * 1000), ms / phy.SUBFRAME_MS
+
+
 @pytest.mark.parametrize("c", [NORMAL, ROBUST, EXTREME], ids=lambda c: c.name)
 def test_memoized_airtime_is_the_segmented_airtime(c):
-    # each size twice: the first call may fill the memo, the second reads it
+    # each size twice: the first call may fill the memo, the second reads it;
+    # then a few larger sizes, up to the largest message, whose payload and
+    # overhead are 65,535 B each
     clear_memos()
-    for ch, unit_ms, reps in ((ChannelKind.NPUSCH, ul_resource_unit_ms(c), c.rep_npusch),
-                              (ChannelKind.NPDSCH, phy.SUBFRAME_MS, c.rep_npdsch)):
-        for size in range(1, 2001):
-            expected = sum(transport_block_units(size * 8, c, ch)) * unit_ms * reps
-            assert message_airtime(size, c, ch) == message_airtime(size, c, ch) == expected
+    for ch in phy.SHARED_CHANNELS:
+        for size in [*range(1, 2001), 4096, 65535, 65579, 131070]:
+            expected = shared_fields(size, c, ch)
+            assert phy._shared_message(size, c, ch) == expected, (size, ch)
+            assert message_airtime(size, c, ch) == message_airtime(size, c, ch) == expected[0]
+
+
+def test_shared_message_memo_holds_a_payload_mix():
+    # payloads of 0 to 1,024 B plus the default 44 B overhead, at every level
+    # and on both channels: 6,150 keys, which all fit, so a second pass
+    # segments nothing
+    clear_memos()
+    keys = [(size, c, ch) for size in range(44, 1069) for c in CoverageProfile
+            for ch in phy.SHARED_CHANNELS]
+    first = [phy._shared_message(*key) for key in keys]
+    info = phy._shared_message.cache_info()
+    assert len(keys) == info.currsize == info.misses == 6150 < info.maxsize
+    assert [phy._shared_message(*key) for key in keys] == first
+    assert phy._shared_message.cache_info().misses == 6150
 
 
 def test_airtime_memo_holds_at_most_its_bound():
     # more distinct keys at one level than the memo holds: it never grows past
     # its bound, and an airtime asked again after its eviction is answered alike
     clear_memos()
-    maxsize = phy._airtime.cache_info().maxsize
+    maxsize = phy._shared_message.cache_info().maxsize
     keys = [(size, ch) for ch in phy.SHARED_CHANNELS for size in range(1, maxsize // 2 + 3)]
     first, sizes = [], []
     for size, ch in keys:
-        first.append(message_airtime(size, EXTREME, ch))
-        sizes.append(phy._airtime.cache_info().currsize)
+        first.append(phy._shared_message(size, EXTREME, ch))
+        sizes.append(phy._shared_message.cache_info().currsize)
     assert max(sizes) == sizes[-1] == maxsize < len(keys)
-    assert [message_airtime(size, EXTREME, ch) for size, ch in keys] == first
-    assert phy._airtime.cache_info().currsize == maxsize
+    assert [phy._shared_message(size, EXTREME, ch) for size, ch in keys] == first
+    assert phy._shared_message.cache_info().currsize == maxsize
 
 
 # a shared-channel message_airtime call on a level, at few sizes, so that
@@ -107,13 +135,15 @@ AIRTIME_CALLS = st.tuples(st.sampled_from([1, 64, 3000]), st.sampled_from(list(C
 @settings(max_examples=200, deadline=None)
 @given(calls=st.lists(AIRTIME_CALLS, min_size=1, max_size=50))
 def test_airtime_memo_answers_as_no_memo(calls):
-    # whatever was asked before, each call answers as message_airtime does
-    # past its memo
+    # whatever was asked before, each call answers as it does past its memo,
+    # and message_airtime answers with the entry's airtime
     clear_memos()
     for size, c, ch in calls:
-        with mock.patch.object(phy, "_airtime", phy._airtime.__wrapped__):
-            want = message_airtime(size, c, ch)
-        assert message_airtime(size, c, ch) == want, (size, c, ch)
+        want = phy._shared_message.__wrapped__(size, c, ch)
+        with mock.patch.object(phy, "_shared_message", phy._shared_message.__wrapped__):
+            assert message_airtime(size, c, ch) == want[0]
+        assert phy._shared_message(size, c, ch) == want, (size, c, ch)
+        assert message_airtime(size, c, ch) == want[0], (size, c, ch)
 
 
 @pytest.mark.parametrize("ch", [ChannelKind.NPDCCH, ChannelKind.NPRACH])

@@ -16,8 +16,7 @@ from .ra import detection_probability, expected_attempts
 from .flows import (EnergyCategory, Interval, Plane, ProcedureFlow,
                     SignalingMessage, build_flow, build_tau_flow, flow_timeline)
 from .energy import (CycleProfile, EnergyBreakdown, battery_lifetime_years,
-                     cycle_energy, cycle_profile, lifetime_and_shares,
-                     psm_baseline_lifetime_years)
+                     cycle_energy, cycle_profile, psm_baseline_lifetime_years)
 from .capacity import CapacityReport, capacity_gain_pct, cell_capacity, default_budgets
 
 __version__ = "0.1.0"

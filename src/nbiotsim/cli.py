@@ -18,7 +18,6 @@ from . import capacity as cap
 from . import energy, flows, phy
 from .config import (ConfigurationError, CoverageProfile, Procedure, Scenario, TrafficCase,
                      parse_scenario_file, scenario_value, COVERAGE_NAMES)
-from .flows import US_PER_S
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -90,32 +89,24 @@ def _lifetime_rows(base: Scenario, groups) -> Table:
     with the IATs it runs over.  It is one cycle profile, and one `replace` of
     base, which validates the group's scenario, only if it sets a field; a
     refused scenario or profile fills the rows of base's procedure, case and
-    coverage overlaid with the fields.  Each IAT row prices only the profile's
-    category mJ at its IAT, rounded once to whole us, which `scenario_value`
-    parsed and `category_mj` checks, so no row is validated again.
+    coverage overlaid with the fields.  `CycleProfile.lifetime_rows` prices
+    all of a group's IATs in one loop over the profile's constants, each
+    rounded once to whole us, which `scenario_value` parsed and the loop
+    checks against the cycle's bounds, so no row is validated again.
     """
     rows = [("PSM_BASELINE", "-", "-", 0.0,
              energy.psm_baseline_lifetime_years(base), 0.0, 0.0, 0.0, 1.0, "")]
-    append, lifetime_and_shares = rows.append, energy.lifetime_and_shares
     for fields, iats in groups:
-        proc, case, cov = (fields.get(f, getattr(base, f))
-                           for f in ("procedure", "traffic_case", "coverage"))
-        ident = (proc.value, case.value, cov.name)
+        ident = (fields.get("procedure", base.procedure).value,
+                 fields.get("traffic_case", base.traffic_case).value,
+                 fields.get("coverage", base.coverage).name)
         try:
             s = replace(base, **fields) if fields else base
             profile = energy.cycle_profile(s)
         except ConfigurationError as exc:
             rows.extend(ident + (iat_s, 0.0, 0.0, 0.0, 0.0, 0.0, str(exc)) for iat_s in iats)
             continue
-        category_mj, battery_wh = profile.category_mj, s.battery_wh
-        for iat_s in iats:
-            iat_us = round(iat_s * US_PER_S)
-            try:
-                mj = category_mj(iat_us)
-            except ConfigurationError as exc:
-                append(ident + (iat_s, 0.0, 0.0, 0.0, 0.0, 0.0, str(exc)))
-                continue
-            append(ident + (iat_s, *lifetime_and_shares(mj, iat_us, battery_wh), ""))
+        rows += profile.lifetime_rows(iats, s.battery_wh, ident)
     return Table(LIFETIME_COLUMNS, rows)
 
 

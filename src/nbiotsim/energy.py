@@ -6,17 +6,20 @@ A cycle is time: `flows.active_time` gives its whole microseconds per
 cycle amortizes: an uplink PSM_TAU cycle runs one standalone TAU per TAU
 period, while a downlink flow carries its TAU inside the flow (the TAU is what
 makes the UE reachable) and a paging UE pays in its rest state.
-`CycleProfile.category_mj` then gives the energy of one inter-arrival period
-(IAT) of whole microseconds in closed form, as five floats: iat / period of
-each event, and the rest state (`flows.rest_state`) priced once over the rest
-time, the IAT less the active timeline and the events' awake time.
-`cycle_profile` refuses events awake for their whole period, so every profile
-admits some IAT, and `category_mj` raises only at the IAT's two bounds.  A
-scenario's breakdown, lifetime, lifetime rows and cell capacity share one
-memoized profile, which no caller may mutate, and scenarios that agree on the
-fields a standalone TAU's layout reads share one memoized TAU; a row costs
-only `category_mj` and `lifetime_and_shares`, the one lifetime formula, at its
-IAT; the PSM floor is one second of deep sleep priced by the same formula.
+`_priced` then prices one inter-arrival period (IAT) of whole microseconds in
+closed form, from constants each `CycleProfile` derives from its fields when
+it is built: iat / period of each event, and the rest state
+(`flows.rest_state`) priced once over the rest time, the IAT less the active
+timeline and the events' awake time.  `cycle_profile` refuses events awake for
+their whole period, so every profile admits some IAT, and an IAT is refused
+only at its two bounds.  A scenario's breakdown, lifetime, lifetime rows and
+cell capacity share one memoized profile, which no caller may mutate, and
+scenarios that agree on the fields a standalone TAU's layout reads share one
+memoized TAU.  One `_priced` loop gives all the rows of a point group, each
+its category mJ and then its lifetime and shares in straight-line float code
+that builds no dict and calls only `round`; `category_mj` (so `cycle_energy`),
+`battery_lifetime_years` and the PSM floor, one second of deep sleep, go
+through it too, so each formula is written once.
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ class EnergyBreakdown:
 
 
 _NO_ENERGY = dict.fromkeys(EnergyCategory, 0.0)
+# an EnergyCategory's EnergyBreakdown field index
+_FIELD_INDEX = {cat: i for i, cat in enumerate(EnergyCategory)}
+_PSM = _FIELD_INDEX[EnergyCategory.PSM]
 
 
 def price(us: flows.TimeByKey) -> dict[EnergyCategory, float]:
@@ -70,6 +76,16 @@ class PeriodicEvent:
     active_us: int
     period_us: int
 
+    def __post_init__(self):
+        # what `_priced` reads of the event, derived from the fields once, and
+        # again by each `dataclasses.replace`: its awake time, its period and
+        # its non-zero pairs as (field index, mJ), in event order
+        object.__setattr__(self, "_constants", (self.active_us, self.period_us, tuple(
+            (_FIELD_INDEX[cat], mj) for cat, mj in self.mj if mj)))
+
+
+_event_constants = attrgetter("_constants")
+
 
 @dataclass(frozen=True)
 class CycleProfile:
@@ -89,31 +105,76 @@ class CycleProfile:
     max_iat_us: float
     per_channel_usage: dict[ChannelKind, float]
 
+    def __post_init__(self):
+        # what pricing an IAT reads, derived from the fields once, and again by
+        # each `dataclasses.replace`: `_priced`'s constants, each event's its
+        # own, derived once per event, which a memoized TAU shares.  active_mj
+        # is keyed in category order, as `price` keys it, the field order
+        object.__setattr__(self, "_constants", (
+            self.active_us, self.max_iat_us, tuple(self.active_mj.values()),
+            self.rest_mw, _FIELD_INDEX[self.rest_category],
+            tuple(map(_event_constants, self.events))))
+
     def category_mj(self, iat_us: int) -> tuple[float, ...]:
         """mJ per category, in EnergyBreakdown field order, of one inter-arrival
-        period of iat_us whole microseconds, which its caller rounds once.
+        period of iat_us whole microseconds, which its caller rounds once; an
+        IAT outside the cycle's bounds raises ConfigurationError."""
+        return _priced(self._constants, (iat_us,), 1)[0]
 
-        Each event adds iat_us / period_us of its energy and of its awake time;
-        the rest state is priced once over the rest.  An IAT above max_iat_us,
-        or one that leaves a negative rest time, raises ConfigurationError.
-        """
-        if iat_us > self.max_iat_us:
-            raise ConfigurationError(
-                f"iat_s={iat_us / US_PER_S:.15g} s: a mobile-terminated PSM_TAU cycle "
-                f"exceeds the {self.max_iat_us / US_PER_S / 3600.0:.0f} h PSM maximum")
-        rest_us = iat_us - self.active_us
-        cats = dict(self.active_mj)
-        for event in self.events:
-            fraction = iat_us / event.period_us    # events per cycle
-            rest_us -= event.active_us * fraction
-            for cat, mj in event.mj:
-                cats[cat] += mj * fraction
-        if rest_us < 0:
-            raise ConfigurationError(f"iat_s={iat_us / US_PER_S}: shorter than the "
-                                     f"{(iat_us - rest_us) / US_PER_S:.6f} s active cycle")
-        cats[self.rest_category] += self.rest_mw * rest_us * 1e-6
-        # cats is keyed in EnergyCategory order, which is the field order
-        return tuple(cats.values())
+    def lifetime_rows(self, iats_s, battery_wh: float, head: tuple = ()) -> list[tuple]:
+        """For each IAT of iats_s seconds, head + (iat_s, the lifetime in years
+        of a battery_wh battery, the ra_sync, messages, DRX and PSM shares, ""),
+        or, for an IAT outside the cycle's bounds, head + (iat_s, five 0.0, its
+        refusal)."""
+        return _priced(self._constants, iats_s, US_PER_S, battery_wh, head)
+
+
+def _priced(constants: tuple, iats, us_per_iat: int, battery_wh: float | None = None,
+            head: tuple = ()) -> list[tuple]:
+    """Every IAT of iats, in units of us_per_iat microseconds, priced in
+    closed form: rounded once to whole microseconds, its category mJ, then
+    with a battery_wh battery its lifetime row (`CycleProfile.lifetime_rows`).
+
+    constants are a cycle's active us, its IAT ceiling, its active mJ in field
+    order, its rest power and field index, and its events as (awake us, period
+    us, (field index, mJ) pairs).  Each event adds iat_us / period_us of its
+    energy and of its awake time; the rest state is priced once over the rest.
+    An IAT above the ceiling, or one that leaves a negative rest time, is
+    refused: raised without a battery, else the row's error text.
+    """
+    active_us, max_iat_us, active_mj, rest_mw, rest, events = constants
+    rows = []
+    append = rows.append
+    for iat in iats:
+        iat_us = round(iat * us_per_iat)
+        rest_us = iat_us - active_us
+        mj = [*active_mj]
+        for event_us, period_us, pairs in events:
+            fraction = iat_us / period_us    # events per cycle
+            rest_us -= event_us * fraction
+            for field, event_mj in pairs:
+                mj[field] += event_mj * fraction
+        if iat_us > max_iat_us:
+            error = (f"iat_s={iat_us / US_PER_S:.15g} s: a mobile-terminated PSM_TAU cycle "
+                     f"exceeds the {max_iat_us / US_PER_S / 3600.0:.0f} h PSM maximum")
+        elif rest_us < 0:
+            error = (f"iat_s={iat_us / US_PER_S}: shorter than the "
+                     f"{(iat_us - rest_us) / US_PER_S:.6f} s active cycle")
+        else:
+            mj[rest] += rest_mw * rest_us * 1e-6
+            if battery_wh is None:
+                append(tuple(mj))
+                continue
+            ra_sync, messages, connected_drx, idle_drx, psm = mj
+            total = ra_sync + messages + connected_drx + idle_drx + psm
+            append(head + (iat, battery_wh / (total / 1000.0 / (iat_us / US_PER_S))
+                           / HOURS_PER_YEAR, ra_sync / total, messages / total,
+                           (connected_drx + idle_drx) / total, psm / total, ""))
+            continue
+        if battery_wh is None:
+            raise ConfigurationError(error)
+        append(head + (iat, 0.0, 0.0, 0.0, 0.0, 0.0, error))
+    return rows
 
 
 # the Scenario fields that a standalone TAU's layout reads, and only they; only
@@ -145,7 +206,7 @@ def _tau_event(values: tuple) -> PeriodicEvent:
 @lru_cache(maxsize=256)
 def cycle_profile(s: Scenario) -> CycleProfile:
     """Active-cycle profile of a scenario, valid since it was built, refused where
-    the periodic events leave no IAT a rest time; `category_mj` checks each IAT.
+    the periodic events leave no IAT a rest time; `_priced` checks each IAT.
     Memoized per Scenario value, exact as equal scenarios differ at most as int/float
     or -0.0/0.0 twins, which price alike; callers share it, so none mutates its dicts.
     A standalone TAU comes from a memo of its own, `_tau_event`, shared by every
@@ -178,23 +239,17 @@ def cycle_energy(s: Scenario) -> EnergyBreakdown:
     return EnergyBreakdown(*cycle_profile(s).category_mj(round(s.iat_s * US_PER_S)))
 
 
-def lifetime_and_shares(mj: tuple[float, ...], iat_us: int, battery_wh: float) -> tuple:
-    """Lifetime in years of a battery_wh battery spending the category mJ mj
-    (field order) every iat_us us, then the ra_sync, messages, DRX and PSM shares."""
-    ra_sync, messages, connected_drx, idle_drx, psm = mj
-    total = ra_sync + messages + connected_drx + idle_drx + psm
-    return (battery_wh / (total / 1000.0 / (iat_us / US_PER_S)) / HOURS_PER_YEAR,
-            ra_sync / total, messages / total, (connected_drx + idle_drx) / total, psm / total)
-
-
 def battery_lifetime_years(s: Scenario) -> float:
     """Battery lifetime in years at the scenario's long-run average power;
     public, as bench/ checks each lifetime row against it."""
-    iat_us = round(s.iat_s * US_PER_S)
-    return lifetime_and_shares(cycle_profile(s).category_mj(iat_us), iat_us, s.battery_wh)[0]
+    (row,) = cycle_profile(s).lifetime_rows((s.iat_s,), s.battery_wh)
+    if row[-1]:
+        raise ConfigurationError(row[-1])
+    return row[1]
 
 
 def psm_baseline_lifetime_years(s: Scenario) -> float:
-    """Lifetime of a traffic-free UE that only deep-sleeps (the PSM floor)."""
-    return lifetime_and_shares((0.0, 0.0, 0.0, 0.0, s.power.deep_sleep_mw), US_PER_S,
-                               s.battery_wh)[0]
+    """Lifetime of a traffic-free UE that only deep-sleeps (the PSM floor): a
+    cycle of one second of deep sleep, with no rest after it."""
+    floor = (US_PER_S, math.inf, (0.0, 0.0, 0.0, 0.0, s.power.deep_sleep_mw), 0.0, _PSM, ())
+    return _priced(floor, (US_PER_S,), 1, s.battery_wh)[0][1]

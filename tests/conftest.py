@@ -11,7 +11,8 @@ import pytest
 from hypothesis import strategies as st
 
 from nbiotsim import Scenario, builtin_coverage_profile, energy, flows, phy
-from nbiotsim.config import _SCENARIO_KEYS, CoverageProfile, Procedure, TrafficCase
+from nbiotsim.config import (_SCENARIO_KEYS, HOURS_PER_YEAR, ConfigurationError,
+                             CoverageProfile, Procedure, TrafficCase)
 from nbiotsim.flows import US_PER_S, EnergyCategory, Interval
 
 
@@ -88,6 +89,55 @@ def fresh_profile(s: Scenario) -> energy.CycleProfile:
     """cycle_profile(s) built past its memo and the standalone TAU's memo."""
     with mock.patch.object(energy, "_tau_event", energy._tau_event.__wrapped__):
         return energy.cycle_profile.__wrapped__(s)
+
+
+def reference_category_mj(profile: energy.CycleProfile, iat_us: int) -> tuple:
+    """The category mJ of one IAT of iat_us us, read from the profile's fields
+    as a dict keyed by category: each event adds iat_us / period_us of each of
+    its (category, mJ) pairs, in the pairs' order, and of its awake time; the
+    rest state is priced once over the rest.  Raises at the IAT's two bounds."""
+    if iat_us > profile.max_iat_us:
+        raise ConfigurationError(
+            f"iat_s={iat_us / US_PER_S:.15g} s: a mobile-terminated PSM_TAU cycle "
+            f"exceeds the {profile.max_iat_us / US_PER_S / 3600.0:.0f} h PSM maximum")
+    rest_us = iat_us - profile.active_us
+    cats = dict(profile.active_mj)
+    for event in profile.events:
+        fraction = iat_us / event.period_us
+        rest_us -= event.active_us * fraction
+        for cat, mj in event.mj:
+            cats[cat] += mj * fraction
+    if rest_us < 0:
+        raise ConfigurationError(f"iat_s={iat_us / US_PER_S}: shorter than the "
+                                 f"{(iat_us - rest_us) / US_PER_S:.6f} s active cycle")
+    cats[profile.rest_category] += profile.rest_mw * rest_us * 1e-6
+    return tuple(cats.values())
+
+
+def lifetime_and_shares(mj: tuple, iat_us: int, battery_wh: float) -> tuple:
+    """Lifetime in years of a battery_wh battery spending the category mJ mj
+    every iat_us us, then the ra_sync, messages, DRX and PSM shares."""
+    ra_sync, messages, connected_drx, idle_drx, psm = mj
+    total = ra_sync + messages + connected_drx + idle_drx + psm
+    return (battery_wh / (total / 1000.0 / (iat_us / US_PER_S)) / HOURS_PER_YEAR,
+            ra_sync / total, messages / total, (connected_drx + idle_drx) / total, psm / total)
+
+
+def reference_rows(profile: energy.CycleProfile, iats_s, battery_wh: float,
+                   head: tuple = ()) -> list[tuple]:
+    """The lifetime rows of each IAT of iats_s seconds, rounded once to whole
+    us, one reference_category_mj and one lifetime_and_shares call a row; a
+    refused IAT is a row of zeros and the refusal's text."""
+    rows = []
+    for iat_s in iats_s:
+        iat_us = round(iat_s * US_PER_S)
+        try:
+            mj = reference_category_mj(profile, iat_us)
+        except ConfigurationError as exc:
+            rows.append(head + (iat_s, 0.0, 0.0, 0.0, 0.0, 0.0, str(exc)))
+            continue
+        rows.append(head + (iat_s, *lifetime_and_shares(mj, iat_us, battery_wh), ""))
+    return rows
 
 
 def make_scenario(proc="CP", case="UL", cov="Normal", iat_h=1.0, **kw) -> Scenario:

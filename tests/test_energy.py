@@ -5,8 +5,8 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
-from dataclasses import fields, replace
+from hypothesis import example, given, reject, settings, strategies as st
+from dataclasses import astuple, fields, replace
 
 from nbiotsim import (ConfigurationError, CycleProfile, EnergyBreakdown, PowerProfile,
                       Scenario, battery_lifetime_years, build_flow, build_tau_flow,
@@ -16,10 +16,11 @@ from nbiotsim import energy, flows
 from nbiotsim.cli import SweepSpec, run_lifetime_sweep
 from nbiotsim.config import (_SCENARIO_KEYS, COVERAGE_NAMES, HOURS_PER_YEAR, MAX_PSM_TIME_S,
                              Procedure, Reachability, TrafficCase)
-from nbiotsim.energy import cycle_profile, lifetime_and_shares, price
+from nbiotsim.energy import cycle_profile, price
 from nbiotsim.flows import US_PER_S, EnergyCategory
 from tests.conftest import (active_duration_s, binned_energy_mj, clear_memos, domain_values,
-                            fresh_profile, make_scenario, timeline_mj, timeline_us)
+                            fresh_profile, lifetime_and_shares, make_scenario,
+                            reference_category_mj, reference_rows, timeline_mj, timeline_us)
 from tests.test_invariants import evaluate, scenario_values
 
 
@@ -176,7 +177,7 @@ def test_profile_breakdown_equals_assembled_timeline(proc, case, cov, reach):
                       "idle_drx_mj", "psm_mj"):
             assert getattr(got, field) == getattr(want, field), (iat_s, field)
         assert cycle_energy(s) == got
-        assert lifetime_and_shares(profile.category_mj(iat_us), iat_us, s.battery_wh)[0] == (
+        assert profile.lifetime_rows((iat_s,), s.battery_wh)[0][1] == (
             s.battery_wh / (want.total_mj / 1000.0 / (iat_us / 1e6)) / HOURS_PER_YEAR)
 
 
@@ -352,8 +353,8 @@ def test_equal_twins_share_one_profile_and_price_alike(twins, reach):
     for iat_us in (3600 * US_PER_S, 86400 * US_PER_S):
         mj = [p.category_mj(iat_us) for p in fresh]
         assert repr(mj[0]) == repr(mj[1])
-        assert repr(lifetime_and_shares(mj[0], iat_us, s.battery_wh)) == repr(
-            lifetime_and_shares(mj[1], iat_us, t.battery_wh))
+        assert repr(fresh[0].lifetime_rows((iat_us / US_PER_S,), s.battery_wh)) == repr(
+            fresh[1].lifetime_rows((iat_us / US_PER_S,), t.battery_wh))
     clear_memos()
     assert cycle_profile(s) is cycle_profile(t)
     assert cycle_profile.cache_info().currsize == 1
@@ -374,6 +375,130 @@ def test_callers_leave_the_shared_profile_unchanged(case):
     run_lifetime_sweep(SweepSpec("iat", (3600.0, 86400.0), s))
     assert cycle_profile(s) is shared
     assert shared == fresh_profile(s)
+    assert shared._constants == fresh_profile(s)._constants
+
+
+def test_a_returned_row_or_mj_shares_nothing_with_the_profile():
+    # the rows are a new list of tuples, the category mJ a tuple, and the
+    # constants hold only tuples and numbers, so a caller that changes what
+    # it got leaves the shared profile pricing as before
+    s = make_scenario("UP", "UL")
+    profile = cycle_profile(s)
+    rows = profile.lifetime_rows((3600.0, 7200.0), s.battery_wh)
+    first = repr(rows)
+    rows.clear()
+    assert type(profile.category_mj(3600 * US_PER_S)) is tuple
+    assert repr(profile.lifetime_rows((3600.0, 7200.0), s.battery_wh)) == first
+    hash(profile._constants)
+    assert profile == fresh_profile(s)
+
+
+def straddled_bounds(profile):
+    """Whole-us IATs around a profile's two bounds: its least IAT, that of a
+    rest of zero or more, and its ceiling where it has one."""
+    awake = sum(Fraction(e.active_us, e.period_us) for e in profile.events)
+    least_us = math.ceil(Fraction(profile.active_us) / (1 - awake))
+    edges = [least_us - 1, least_us, least_us + 1]
+    if profile.max_iat_us < math.inf:
+        edges += [profile.max_iat_us - 1, profile.max_iat_us, profile.max_iat_us + 1]
+    return edges
+
+
+def reference_priced(profile, iat_us):
+    """`priced`, by the reference dict walk."""
+    try:
+        return repr(reference_category_mj(profile, iat_us))
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=scenario_values(), iats=st.lists(domain_values("iat"), max_size=4))
+@example(values={"procedure": "CP", "case": "UL", "coverage": "Robust",
+                 "reachability": "PSM_TAU"}, iats=[3600.0, 86400.0])
+def test_lifetime_rows_are_the_reference_rows(values, iats):
+    # the one pricing loop, over flat constants, gives every row, error rows
+    # and their text included, and every category mJ, lifetime and PSM floor
+    # to the bit of the dict walk and the lifetime formula it replaced.  An
+    # uplink PSM_TAU cycle's TAU adds twice to ra_sync, its own and its idle
+    # DRX, in event order (the example)
+    s = evaluate(lambda s: s, values)
+    try:
+        profile = cycle_profile(s)
+    except ConfigurationError:
+        reject()
+    iats_s = (*iats, s.iat_s, *(us / US_PER_S for us in straddled_bounds(profile)))
+    head = (s.procedure.value, s.traffic_case.value, s.coverage.name)
+    assert repr(profile.lifetime_rows(iats_s, s.battery_wh, head)) == repr(
+        reference_rows(profile, iats_s, s.battery_wh, head))
+    for iat_s in iats_s:
+        iat_us = round(iat_s * US_PER_S)
+        assert priced(profile, iat_us) == reference_priced(profile, iat_us)
+    (row,) = reference_rows(profile, (s.iat_s,), s.battery_wh)
+    try:
+        assert (repr(battery_lifetime_years(s)), "") == (repr(row[1]), row[-1])
+        assert repr(astuple(cycle_energy(s))) == reference_priced(profile, round(s.iat_s * US_PER_S))
+    except ConfigurationError as exc:
+        assert str(exc) == row[-1]
+    assert repr(psm_baseline_lifetime_years(s)) == repr(lifetime_and_shares(
+        (0.0, 0.0, 0.0, 0.0, s.power.deep_sleep_mw), US_PER_S, s.battery_wh)[0])
+
+
+def test_an_uplink_psm_tau_event_adds_in_event_order():
+    # the TAU's (category, mJ) pairs become (field index, mJ) pairs in event
+    # order, its zero pairs dropped: ra_sync twice, its own mJ and then its
+    # idle DRX's, neither summed with the other
+    s = make_scenario("CP", "UL", "Robust")
+    profile = cycle_profile(s)
+    (tau,) = profile.events
+    (event,) = profile._constants[-1]
+    field = {cat: i for i, cat in enumerate(EnergyCategory)}
+    assert event == (tau.active_us, tau.period_us,
+                     tuple((field[cat], mj) for cat, mj in tau.mj if mj != 0.0))
+    assert [f for f, _ in event[2]].count(field[EnergyCategory.RA_SYNC]) == 2
+
+
+def field_changes(s, profile):
+    """A change of each field a row reads, by name: the rest state moved to
+    the other category at twice its power, the TAU added or dropped, the
+    TAU's period halved and its mJ doubled (added where the cycle has none),
+    the active cycle doubled, a ceiling at five active cycles."""
+    other = (EnergyCategory.IDLE_DRX if profile.rest_category is EnergyCategory.PSM
+             else EnergyCategory.PSM)
+    tau = energy._tau_event(energy._tau_key(s))
+    return {
+        "rest": {"rest_mw": 2.0 * profile.rest_mw, "rest_category": other},
+        "events": {"events": () if profile.events else (tau,)},
+        "tau": {"events": (replace(tau, period_us=tau.period_us // 2,
+                                   mj=tuple((cat, 2.0 * mj) for cat, mj in tau.mj)),)},
+        "active": {"active_mj": {cat: 2.0 * mj for cat, mj in profile.active_mj.items()},
+                   "active_us": 2 * profile.active_us},
+        "ceiling": {"max_iat_us": 5 * profile.active_us},
+    }
+
+
+@pytest.mark.parametrize("change", ["rest", "events", "tau", "active", "ceiling"])
+@pytest.mark.parametrize("reach", list(Reachability))
+@pytest.mark.parametrize("case", ["UL", "DL"])
+def test_a_replaced_profile_prices_as_one_built_with_its_fields(case, reach, change):
+    # the row constants derive from the fields whenever a profile is built,
+    # so one replaced as test_invariants' paging property replaces one
+    # prices exactly as one built with the same fields, by the reference,
+    # and not as the profile it was replaced from
+    s = make_scenario("UP", case, mt_reachability=reach)
+    profile = cycle_profile(s)
+    changes = field_changes(s, profile)[change]
+    replaced = replace(profile, **changes)
+    built = CycleProfile(**{**{f.name: getattr(profile, f.name) for f in fields(CycleProfile)},
+                            **changes})
+    iats = (3600.0, 86400.0, *(us / US_PER_S for us in straddled_bounds(replaced)))
+    want = repr(reference_rows(replaced, iats, s.battery_wh))
+    assert repr(replaced.lifetime_rows(iats, s.battery_wh)) == want
+    assert repr(built.lifetime_rows(iats, s.battery_wh)) == want
+    assert replaced._constants == built._constants != profile._constants
+    for iat_s in iats:
+        iat_us = round(iat_s * US_PER_S)
+        assert priced(replaced, iat_us) == priced(built, iat_us) == reference_priced(replaced, iat_us)
 
 
 def test_profile_memo_holds_at_most_its_bound():
